@@ -2,9 +2,10 @@
 compare architectures and run load sweeps.
 
 Every flag can also be set through an environment variable prefixed
-``TSNCALC_`` (e.g. ``TSNCALC_ARCH``).  Exit codes: 1 parse error,
-2 validation/configuration error, 3 instability/starvation, 4 dependency
-cycle.
+``TSNCALC_`` (e.g. ``TSNCALC_ARCH``).  Exit codes: 1 parse or generation
+error, and any other analysis failure (horizon exhausted, fixed point not
+converged, missing upstream dependency); 2 validation/configuration error;
+3 instability/starvation; 4 dependency cycle.
 """
 
 from __future__ import annotations
@@ -186,10 +187,10 @@ def cmd_generate(args) -> int:
 def _sweep_point(template, load, tt_load, kind, seed, arch1, arch2, credit_mode, metrics):
     """One (load, seed) cell: generate, analyze both, per-seed mean ratios."""
     total = load + tt_load
-    spec = tg.GenSpec(target_load=total,
-                      tt_load_fraction=tt_load / total if total > 0 else 0.0,
-                      kind=kind, seed=seed)
     try:
+        spec = tg.GenSpec(target_load=total,
+                          tt_load_fraction=tt_load / total if total > 0 else 0.0,
+                          kind=kind, seed=seed)
         net = tg.generate(template, spec)
         mode1 = credit_mode if sh.parse_architecture(arch1).needs_credit_mode else None
         mode2 = credit_mode if sh.parse_architecture(arch2).needs_credit_mode else None

@@ -23,7 +23,6 @@ from .errors import (
     FixedPointError,
     HorizonExceededError,
     InstabilityError,
-    StarvationError,
     TsnCalcError,
 )
 
@@ -439,17 +438,6 @@ def difference_ratio(report1: AnalysisReport, report2: AnalysisReport, metric: s
         ratios[key] = (items1[key] - ref) / ref
     mean = sum(ratios.values()) / len(ratios) if ratios else float("nan")
     return ratios, mean
-
-
-def effective_idle_slope(gcl: nm.Gcl | None, oper_idle_slope: float) -> float:
-    """Scale a reserved bandwidth by the fraction of time the gate is open
-    for its class (closed only during scheduled windows)."""
-    if gcl is None or not gcl.windows:
-        return oper_idle_slope
-    open_time = gcl.period - sum(w.length for w in gcl.windows)
-    if open_time <= 0.0:
-        raise StarvationError("gates leave no open time for reserved classes")
-    return oper_idle_slope * gcl.period / open_time
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,6 @@ class InstabilityError(TsnCalcError):
     """Long-term arrival rate reaches or exceeds the available service rate."""
 
 
-class DivergenceError(TsnCalcError):
-    """A deconvolution has no finite result (its supremum grows without bound)."""
-
-
 class StarvationError(TsnCalcError):
     """A queue has no service left after higher-priority and gate interference."""
 

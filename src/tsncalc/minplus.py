@@ -9,9 +9,9 @@ the point and the right limit, and curves are left-continuous at jumps
 Units are microseconds for time and bits for data, so rates are bits/us
 (numerically equal to Mb/s).
 
-All operators (convolution, deconvolution, min, sum, horizontal/vertical
-deviation, non-negative and non-decreasing closures) are computed exactly at
-curve breakpoints; nothing is sampled.
+All operators (min, max, sum, scaling, non-negative and non-decreasing
+closures, horizontal/vertical deviation) are computed exactly at curve
+breakpoints; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, HorizonExceededError, InstabilityError
+from .errors import HorizonExceededError, InstabilityError
 
 #: Absolute comparison tolerance in internal units (us, bits).
 TOLERANCE = 1e-9
@@ -75,25 +75,7 @@ class Segments:
         return np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, len(self.t) - 1)
 
     def value_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        k = self._locate(ts)
-        on_point = ts == self.t[k]
-        interior = self.right[k] + self.slope[k] * (ts - self.t[k])
-        return np.where(on_point, self.at[k], interior)
-
-    def right_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        k = self._locate(ts)
-        on_point = ts == self.t[k]
-        interior = self.right[k] + self.slope[k] * (ts - self.t[k])
-        return np.where(on_point, self.right[k], interior)
-
-    def left_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        k = self._locate(ts)
-        on_point = ts == self.t[k]
-        interior = self.right[k] + self.slope[k] * (ts - self.t[k])
-        return np.where(on_point, self.left_values()[k], interior)
+        return _resample(self, np.asarray(ts, dtype=float))[0]
 
     def value(self, t: float) -> float:
         return float(self.value_many(np.array([t]))[0])
@@ -147,7 +129,7 @@ def _resample(seg: Segments, grid: np.ndarray):
 
 
 def _combine(a: Segments, b: Segments, op: str) -> Segments:
-    """Pointwise add/sub/min/max of two segment functions, exactly."""
+    """Pointwise sum/min/max of two segment functions, exactly."""
     horizon = min(a.horizon, b.horizon)
     a = a.restrict(horizon)
     b = b.restrict(horizon)
@@ -170,10 +152,8 @@ def _combine(a: Segments, b: Segments, op: str) -> Segments:
     a_at, a_right, a_slope = _resample(a, grid)
     b_at, b_right, b_slope = _resample(b, grid)
 
-    if op == "add":
+    if op == "sum":
         return Segments(grid, a_at + b_at, a_right + b_right, a_slope + b_slope, horizon)
-    if op == "sub":
-        return Segments(grid, a_at - b_at, a_right - b_right, a_slope - b_slope, horizon)
 
     fn = np.minimum if op == "min" else np.maximum
     ends = np.append(grid[1:], horizon)
@@ -186,16 +166,6 @@ def _combine(a: Segments, b: Segments, op: str) -> Segments:
         pick_a = a_mid >= b_mid
     slope = np.where(pick_a, a_slope, b_slope)
     return Segments(grid, fn(a_at, b_at), fn(a_right, b_right), slope, horizon)
-
-
-def _scale_segments(seg: Segments, factor: float) -> Segments:
-    if not np.all(np.isfinite(seg.right)) and factor < 0:
-        raise ValueError("cannot negate a curve with infinite values")
-    return Segments(seg.t, seg.at * factor, seg.right * factor, seg.slope * factor, seg.horizon)
-
-
-def _pos_part_segments(seg: Segments) -> Segments:
-    return _combine(seg, _zero_segments(seg.horizon), "max")
 
 
 def _up_closure_segments(seg: Segments) -> Segments:
@@ -245,30 +215,6 @@ def _up_closure_segments(seg: Segments) -> Segments:
     return Segments(np.array(ts), np.array(ats), np.array(rights), np.array(slopes), seg.horizon)
 
 
-def _shift_left_segments(seg: Segments, delay: float) -> Segments:
-    """f(t + delay) on [0, horizon - delay]; the shifted-curve deconvolution."""
-    if delay < 0:
-        raise ValueError("delay must be >= 0")
-    if delay == 0:
-        return seg
-    horizon = seg.horizon - delay
-    if horizon <= 0:
-        raise HorizonExceededError(f"shift by {delay} exceeds horizon {seg.horizon}")
-    k0 = int(np.searchsorted(seg.t, delay, side="right") - 1)
-    if seg.t[k0] == delay:
-        at0, right0, slope0 = seg.at[k0], seg.right[k0], seg.slope[k0]
-    else:
-        v = seg.right[k0] + seg.slope[k0] * (delay - seg.t[k0])
-        at0, right0, slope0 = v, v, seg.slope[k0]
-    later = seg.t > delay
-    t = np.concatenate([[0.0], seg.t[later] - delay])
-    at = np.concatenate([[at0], seg.at[later]])
-    right = np.concatenate([[right0], seg.right[later]])
-    slope = np.concatenate([[slope0], seg.slope[later]])
-    keep = t <= horizon
-    return Segments(t[keep], at[keep], right[keep], slope[keep], horizon)
-
-
 # ---------------------------------------------------------------------------
 # Pseudo-inverses and deviations
 # ---------------------------------------------------------------------------
@@ -310,10 +256,6 @@ class Deviation:
     vertical: float
     argmax_h: float
     argmax_v: float
-
-    @property
-    def argmax_t(self) -> float:
-        return self.argmax_h
 
 
 def _check_rates(alpha: "Curve", beta: "Curve") -> None:
@@ -553,68 +495,31 @@ class PiecewiseLinear(Curve):
         return self.breakpoints[-1][2]
 
 
-def _common_horizon(curves: Sequence[Curve]) -> float:
-    return min(c.horizon for c in curves)
+#: Long-term rate of a pointwise combination, from its operands' rates.
+_RATE_OF = {"min": min, "max": max, "sum": sum}
 
 
-class Min(Curve):
-    __slots__ = ("curves",)
+class Pointwise(Curve):
+    """Pointwise min, max or sum of curves, folded pairwise left to right."""
 
-    def __init__(self, curves: Sequence[Curve]):
+    __slots__ = ("op", "curves")
+
+    def __init__(self, op: str, curves: Sequence[Curve]):
         curves = list(curves)
         if not curves:
-            raise ValueError("min of an empty curve list")
-        super().__init__(_common_horizon(curves))
+            raise ValueError(f"{op} of an empty curve list")
+        super().__init__(min(c.horizon for c in curves))
+        self.op = op
         self.curves = tuple(curves)
 
     def _build(self) -> Segments:
         seg = self.curves[0].segments
         for c in self.curves[1:]:
-            seg = _combine(seg, c.segments, "min")
+            seg = _combine(seg, c.segments, self.op)
         return seg.compress()
 
     def long_term_rate(self) -> float:
-        return min(c.long_term_rate() for c in self.curves)
-
-
-class Max(Curve):
-    __slots__ = ("curves",)
-
-    def __init__(self, curves: Sequence[Curve]):
-        curves = list(curves)
-        if not curves:
-            raise ValueError("max of an empty curve list")
-        super().__init__(_common_horizon(curves))
-        self.curves = tuple(curves)
-
-    def _build(self) -> Segments:
-        seg = self.curves[0].segments
-        for c in self.curves[1:]:
-            seg = _combine(seg, c.segments, "max")
-        return seg.compress()
-
-    def long_term_rate(self) -> float:
-        return max(c.long_term_rate() for c in self.curves)
-
-
-class Sum(Curve):
-    __slots__ = ("curves",)
-
-    def __init__(self, curves: Sequence[Curve]):
-        curves = list(curves)
-        if not curves:
-            raise ValueError("sum of an empty curve list")
-        super().__init__(_common_horizon(curves))
-        self.curves = tuple(curves)
-
-    def _build(self) -> Segments:
-        seg = self.curves[0].segments
-        for c in self.curves[1:]:
-            seg = _combine(seg, c.segments, "add")
-        return seg.compress()
-
-    def long_term_rate(self) -> float:
-        return sum(c.long_term_rate() for c in self.curves)
+        return _RATE_OF[self.op](c.long_term_rate() for c in self.curves)
 
 
 class Scale(Curve):
@@ -629,7 +534,11 @@ class Scale(Curve):
         self.curve = curve
 
     def _build(self) -> Segments:
-        return _scale_segments(self.curve.segments, self.factor)
+        seg = self.curve.segments
+        if not np.all(np.isfinite(seg.right)) and self.factor < 0:
+            raise ValueError("cannot negate a curve with infinite values")
+        f = self.factor
+        return Segments(seg.t, seg.at * f, seg.right * f, seg.slope * f, seg.horizon)
 
     def long_term_rate(self) -> float:
         return self.factor * self.curve.long_term_rate()
@@ -645,7 +554,8 @@ class PosPart(Curve):
         self.curve = curve
 
     def _build(self) -> Segments:
-        return _pos_part_segments(self.curve.segments).compress()
+        seg = self.curve.segments
+        return _combine(seg, _zero_segments(seg.horizon), "max").compress()
 
     def long_term_rate(self) -> float:
         return max(0.0, self.curve.long_term_rate())
@@ -667,42 +577,20 @@ class UpClosure(Curve):
         return max(0.0, self.curve.long_term_rate())
 
 
-class _Computed(Curve):
-    """Result of convolution/deconvolution, carried as explicit segments."""
-
-    __slots__ = ("_rate",)
-
-    def __init__(self, seg: Segments, rate: float):
-        super().__init__(seg.horizon)
-        self._segments = seg
-        self._rate = rate
-
-    def _build(self) -> Segments:
-        return self._segments
-
-    def long_term_rate(self) -> float:
-        return self._rate
-
-
 # ---------------------------------------------------------------------------
 # Public operators
 # ---------------------------------------------------------------------------
 
-def evaluate(curve: Curve, t: float) -> float:
-    """Value of a curve at time t (left-continuous at jumps)."""
-    return curve.evaluate(t)
-
-
 def min_of(curves: Iterable[Curve]) -> Curve:
-    return Min(list(curves))
+    return Pointwise("min", curves)
 
 
 def max_of(curves: Iterable[Curve]) -> Curve:
-    return Max(list(curves))
+    return Pointwise("max", curves)
 
 
 def sum_of(curves: Iterable[Curve]) -> Curve:
-    return Sum(list(curves))
+    return Pointwise("sum", curves)
 
 
 def scale(factor: float, curve: Curve) -> Curve:
@@ -719,134 +607,6 @@ def up_closure(curve: Curve) -> Curve:
 
 def zero(horizon: float) -> Curve:
     return Affine(0.0, 0.0, horizon)
-
-
-class _MinPlusOp(Curve):
-    """Lazy convolution/deconvolution result: values are computed on demand,
-    the full piecewise-linear form only when segments are requested."""
-
-    __slots__ = ("_value_fn", "_cands", "_rate")
-
-    def __init__(self, value_fn, cands: np.ndarray, horizon: float, rate: float):
-        super().__init__(horizon)
-        self._value_fn = value_fn
-        self._cands = cands
-        self._rate = rate
-
-    def evaluate(self, t: float) -> float:
-        if t < 0:
-            return 0.0
-        if t > self.horizon + TOLERANCE:
-            raise HorizonExceededError(f"t={t} exceeds curve horizon {self.horizon}")
-        if self._segments is not None:
-            return self._segments.value(min(t, self.horizon))
-        return float(self._value_fn(np.array([min(t, self.horizon)]))[0])
-
-    def _build(self) -> Segments:
-        cands = np.unique(self._cands[(self._cands >= 0.0) & (self._cands <= self.horizon)])
-        if len(cands) == 0 or cands[0] != 0.0:
-            cands = np.concatenate([[0.0], cands])
-        ends = np.append(cands[1:], self.horizon)
-        width = ends - cands
-        q1 = cands + width * 0.25
-        q2 = cands + width * 0.75
-        at = self._value_fn(cands)
-        v1 = self._value_fn(q1)
-        v2 = self._value_fn(q2)
-        with np.errstate(invalid="ignore"):
-            slope = np.where(width > 0, (v2 - v1) / np.maximum(q2 - q1, 1e-300), 0.0)
-            right = np.where(width > 0, v1 - slope * (q1 - cands), at)
-        bad = ~np.isfinite(slope)
-        slope[bad] = 0.0
-        right[bad] = np.where(np.isfinite(v1[bad]), v1[bad], INF)
-        return Segments(cands, at, right, slope, self.horizon)
-
-    def long_term_rate(self) -> float:
-        return self._rate
-
-
-def convolve(f: Curve, g: Curve) -> Curve:
-    """Min-plus convolution inf_{0<=s<=t} { f(t-s) + g(s) }.
-
-    The infimum over each closed interval between breakpoints is linear, so
-    evaluating at breakpoints of both operands (including one-sided limits at
-    jumps) is exact.
-    """
-    horizon = min(f.horizon, g.horizon)
-    fs = f.segments.restrict(horizon)
-    gs = g.segments.restrict(horizon)
-    pair_sums = (fs.t[:, None] + gs.t[None, :]).ravel()
-    cands = np.concatenate([fs.t, gs.t, pair_sums])
-
-    def value_fn(ts):
-        out = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            # probe at g's exact breakpoints (s) and at f's exact breakpoints (u = t - s)
-            s = np.concatenate([gs.t, [0.0, t]])
-            s = s[(s >= 0.0) & (s <= t)]
-            u = np.concatenate([fs.t, [0.0, t]])
-            u = u[(u >= 0.0) & (u <= t)]
-            vals = np.concatenate([
-                fs.value_many(t - s) + gs.value_many(s),
-                fs.left_many(t - s) + gs.right_many(s),
-                fs.right_many(t - s) + gs.left_many(s),
-                fs.value_many(u) + gs.value_many(t - u),
-                fs.right_many(u) + gs.left_many(t - u),
-                fs.left_many(u) + gs.right_many(t - u),
-            ])
-            out[i] = np.min(vals)
-        return out
-
-    rate = min(f.long_term_rate(), g.long_term_rate())
-    return _MinPlusOp(value_fn, cands, horizon, rate)
-
-
-def deconvolve(f: Curve, g: Curve) -> Curve:
-    """Min-plus deconvolution sup_{s>=0} { f(t+s) - g(s) }.
-
-    Deconvolving by a burst-delay curve is the exact shift f(t + D).  The
-    supremum is otherwise taken over the curves' common validity window,
-    which is exact for stable pairs whose argmax lies within the horizon;
-    a numerator outgrowing the denominator raises DivergenceError.
-    """
-    if isinstance(g, BurstDelay):
-        seg = _shift_left_segments(f.segments, g.delay)
-        return _Computed(seg, f.long_term_rate())
-    rf = f.long_term_rate()
-    rg = g.long_term_rate()
-    if rf > rg + max(TOLERANCE, 1e-9 * abs(rg)):
-        raise DivergenceError(
-            f"deconvolution diverges: numerator rate {rf:.6g} exceeds denominator rate {rg:.6g}"
-        )
-    horizon = f.horizon
-    fs = f.segments
-    gs = g.segments.restrict(horizon)
-    diffs = (fs.t[:, None] - gs.t[None, :]).ravel()
-    cands = np.concatenate([fs.t, diffs])
-
-    def value_fn(ts):
-        out = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            smax = horizon - t
-            # probe at g's exact breakpoints (s) and at f's exact breakpoints (u = t + s)
-            s = np.concatenate([gs.t, [0.0, smax]])
-            s = s[(s >= 0.0) & (s <= smax)]
-            u = np.concatenate([fs.t, [t, horizon]])
-            u = u[(u >= t) & (u <= horizon)]
-            with np.errstate(invalid="ignore"):
-                vals = np.concatenate([
-                    fs.value_many(t + s) - gs.value_many(s),
-                    fs.right_many(t + s) - gs.right_many(s),
-                    fs.left_many(t + s) - gs.left_many(s),
-                    fs.value_many(u) - gs.value_many(u - t),
-                    fs.right_many(u) - gs.right_many(u - t),
-                    fs.left_many(u) - gs.left_many(u - t),
-                ])
-            vals = vals[~np.isnan(vals)]
-            out[i] = np.max(vals) if len(vals) else 0.0
-        return out
-
-    return _MinPlusOp(value_fn, cands, horizon, rf)
 
 
 def hdev(alpha: Curve, beta: Curve) -> float:

@@ -193,16 +193,16 @@ def guard_band_lengths(network: Network, link_id: str):
     return out
 
 
-def guard_band_length(network: Network, link_id: str, window_index: int) -> float:
-    return guard_band_lengths(network, link_id)[window_index]
+#: Default curve horizon, in multiples of the longest schedule or flow period.
+HORIZON_PERIODS = 4.0
 
 
-def hyperperiod_horizon(network: Network, multiplier: float = 4.0) -> float:
+def hyperperiod_horizon(network: Network) -> float:
     """Default curve horizon: a multiple of the longest schedule or flow period."""
     spans = [gcl.period for gcl in network.gcls.values()]
     spans += [f.period for f in network.flows.values() if f.period]
     base = max(spans, default=1000.0)
-    return multiplier * base
+    return HORIZON_PERIODS * base
 
 
 # ---------------------------------------------------------------------------

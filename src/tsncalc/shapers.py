@@ -320,11 +320,10 @@ def cbs_credit_bounds(ctx: ShaperContext, link_id: str, priority: int) -> Credit
                         sigma_gb=sigma, rho_gb=rho)
 
 
-def cbs_service_curve(ctx: ShaperContext, link_id: str, priority: int,
-                      bounds: CreditBounds | None = None) -> mp.Curve:
+def cbs_service_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Curve:
     """Guaranteed service for one credit-shaped class; under gate schedules
     the gate-blocked envelope is subtracted before the closure."""
-    bounds = bounds or cbs_credit_bounds(ctx, link_id, priority)
+    bounds = cbs_credit_bounds(ctx, link_id, priority)
     idsl = ctx.idle_slope(link_id, priority)
     if not ctx.arch.tas:
         return mp.RateLatency(idsl, bounds.c_max / idsl, ctx.horizon)
@@ -338,12 +337,11 @@ def cbs_service_curve(ctx: ShaperContext, link_id: str, priority: int,
     return mp.up_closure(inner)
 
 
-def cbs_shaping_curve(ctx: ShaperContext, link_id: str, priority: int,
-                      bounds: CreditBounds | None = None) -> mp.Curve:
+def cbs_shaping_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Curve:
     """Upper envelope of a class's departures; reused as an arrival constraint
     downstream.  Under gate schedules the service consumed by scheduled
     traffic is subtracted inside the closure."""
-    bounds = bounds or cbs_credit_bounds(ctx, link_id, priority)
+    bounds = cbs_credit_bounds(ctx, link_id, priority)
     idsl = ctx.idle_slope(link_id, priority)
     if not ctx.arch.tas:
         return mp.Affine(bounds.c_max - bounds.c_min, idsl, ctx.horizon)
@@ -427,18 +425,23 @@ def unshaped_queue_arrival(ctx: ShaperContext, link_id: str, priority: int,
         for f, burst in sorted(flows, key=lambda fb: fb[0].id):
             _, r = nm.leaky_bucket_of(f)
             terms.append(mp.Affine(burst + r * delay, r, ctx.horizon))
-        group = mp.sum_of(terms)
-        up_rate = ctx.link_rate(upstream_id)
-        up_lmax = max(
-            (f.size for f in nm.event_flows_on(ctx.network, upstream_id)
-             if f.priority == priority),
-            default=0.0)
-        candidates = [group, mp.Affine(up_lmax, up_rate, ctx.horizon)]
-        if ctx.arch.cbs:
-            shaping = cbs_shaping_curve(ctx, upstream_id, priority)
-            candidates.append(mp.sum_of([shaping, mp.Affine(up_lmax, 0.0, ctx.horizon)]))
-        parts.append(mp.min_of(candidates))
+        parts.append(_upstream_capped(ctx, upstream_id, priority, mp.sum_of(terms)))
     return mp.sum_of(parts) if parts else mp.zero(ctx.horizon)
+
+
+def _upstream_capped(ctx: ShaperContext, upstream_id: str, priority: int,
+                     group: mp.Curve) -> mp.Curve:
+    """Cap one upstream port's contribution to a priority: min(group, the
+    upstream link's serialization, and for credit-shaped classes the
+    upstream class shaping curve plus one frame)."""
+    up_lmax = max(
+        (f.size for f in nm.event_flows_on(ctx.network, upstream_id) if f.priority == priority),
+        default=0.0)
+    candidates = [group, mp.Affine(up_lmax, ctx.link_rate(upstream_id), ctx.horizon)]
+    if ctx.arch.cbs:
+        shaping = cbs_shaping_curve(ctx, upstream_id, priority)
+        candidates.append(mp.sum_of([shaping, mp.Affine(up_lmax, 0.0, ctx.horizon)]))
+    return mp.min_of(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +470,7 @@ def shaped_queue_analysis(ctx: ShaperContext, link_id: str, upstream_id: str,
     for f in sorted(flows, key=lambda f: f.id):
         b, r = nm.leaky_bucket_of(f)
         terms.append(mp.Affine(b + r * upstream_delay, r, ctx.horizon))
-    up_lmax = max(
-        (f.size for f in nm.event_flows_on(ctx.network, upstream_id) if f.priority == priority),
-        default=0.0)
-    candidates = [mp.sum_of(terms), mp.Affine(up_lmax, up_rate, ctx.horizon)]
-    if ctx.arch.cbs:
-        shaping = cbs_shaping_curve(ctx, upstream_id, priority)
-        candidates.append(mp.sum_of([shaping, mp.Affine(up_lmax, 0.0, ctx.horizon)]))
-    alpha = mp.min_of(candidates)
+    alpha = _upstream_capped(ctx, upstream_id, priority, mp.sum_of(terms))
     beta = mp.BurstDelay(delay, ctx.horizon)
     backlog = mp.vdev(alpha, beta)
     return delay, backlog

@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -127,12 +126,6 @@ def link_loads(network: nm.Network):
         for link_id in f.route:
             loads[link_id] = loads.get(link_id, 0.0) + r / network.links[link_id].rate
     return loads
-
-
-def average_load(network: nm.Network) -> float:
-    """Mean utilization over links that carry any traffic."""
-    loads = link_loads(network)
-    return sum(loads.values()) / len(loads) if loads else 0.0
 
 
 def max_link_load(network: nm.Network) -> float:
@@ -349,7 +342,7 @@ def load_flow_table(path):
     return rows
 
 
-def attach_flow_table(network: nm.Network, rows, place_tt: bool = True) -> nm.Network:
+def attach_flow_table(network: nm.Network, rows) -> nm.Network:
     """Route the table's flows over the given topology (shortest path) and
     place schedules for its time-triggered entries."""
     for row in rows:
@@ -357,10 +350,5 @@ def attach_flow_table(network: nm.Network, rows, place_tt: bool = True) -> nm.Ne
         network.flows[row["id"]] = nm.Flow(
             row["id"], row["kind"], row["size_bits"], row["priority"], route,
             period=row["period_us"])
-    if place_tt:
-        _finish(network)
+    _finish(network)
     return network
-
-
-def save_flow_table_template(path) -> None:
-    Path(path).write_text("id,kind,size_bytes,period_us,priority,source,dest\n")

@@ -2,8 +2,8 @@
 
 Evaluates curve shapes from their parameters with its own closed formulas
 (independent of the package implementation), samples them on a fine grid plus
-one-sided probes around every grid point, and computes deviation, convolution
-and deconvolution values by direct scans over the samples.  Intended only as
+one-sided probes around every grid point, and computes deviation values by
+direct scans over the samples.  Intended only as
 a test oracle per the dual-route verification approach.
 """
 
@@ -118,23 +118,6 @@ def oracle_vdev(alpha: CurveSpec, beta: CurveSpec, horizon: float, step: float =
     return max(0.0, float(np.max(d))) if len(d) else 0.0
 
 
-def oracle_convolve(f: CurveSpec, g: CurveSpec, t: float, step: float = STEP) -> float:
-    grid = np.arange(0.0, t + step / 2, step)
-    s = np.unique(np.clip(np.concatenate([grid, grid + TINY, grid - TINY, [0.0, t]]), 0.0, t))
-    vals = oracle_eval(f, t - s) + oracle_eval(g, s)
-    return float(np.min(vals))
-
-
-def oracle_deconvolve(f: CurveSpec, g: CurveSpec, t: float, horizon: float, step: float = STEP) -> float:
-    smax = horizon - t
-    grid = np.arange(0.0, smax + step / 2, step)
-    s = np.unique(np.clip(np.concatenate([grid, grid + TINY, grid - TINY, [0.0, smax]]), 0.0, smax))
-    with np.errstate(invalid="ignore"):
-        vals = oracle_eval(f, t + s) - oracle_eval(g, s)
-    vals = vals[~np.isnan(vals)]
-    return float(np.max(vals)) if len(vals) else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Randomized curve pairs (time parameters grid-aligned so the oracle is exact)
 # ---------------------------------------------------------------------------
@@ -208,15 +191,6 @@ def random_deviation_pair(rng: np.random.Generator):
         if _beta_floor(beta, horizon) >= _alpha_sup_bound(alpha, horizon) + 1000.0:
             return alpha, beta, horizon
     raise AssertionError("could not draw a stable pair")
-
-
-def random_minplus_pair(rng: np.random.Generator):
-    """(f, g, horizon) for convolution/deconvolution checks."""
-    kinds = ["affine", "ratelatency", "burstdelay", "staircase"]
-    f = random_spec(rng, str(rng.choice(kinds)))
-    g = random_spec(rng, str(rng.choice(kinds)))
-    horizon = 4.0 * max(_hyperperiod(f, g), 1000.0)
-    return f, g, horizon
 
 
 def to_curve(spec: CurveSpec, horizon: float):

@@ -122,6 +122,19 @@ def test_sweep_deterministic_across_workers(tmp_path):
     assert out1.read_bytes() == out4.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_records_infeasible_load_as_failed_cell(tmp_path, workers):
+    # 0.9 + 0.2 scheduled load is a target above 1: that cell fails, the rest run
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--template", "ST", "--arch", "TAS+SP", "--arch2", "TAS+SP",
+                   "--loads", "0.5,0.9", "--tt-load", "0.2", "--seeds", "1",
+                   "--workers", workers, "--out", str(out)])
+    assert rc == 0
+    rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
+    assert ["0.9", "0", "failed", "TAS+SP-vs-TAS+SP", "GenerationError"] in rows
+    assert not [r for r in rows if r[0] == "0.9" and r[2] != "failed"]
+
+
 def test_env_variable_defaults(net_file, tmp_path, monkeypatch):
     monkeypatch.setenv("TSNCALC_NETWORK", str(net_file))
     monkeypatch.setenv("TSNCALC_ARCH", "SP")

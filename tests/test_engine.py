@@ -6,7 +6,7 @@ import pytest
 from tsncalc import engine
 from tsncalc import netmodel as nm
 from tsncalc import testgen as tg
-from tsncalc.errors import CycleError, InstabilityError, StarvationError
+from tsncalc.errors import CycleError, InstabilityError
 
 import nc_oracle as orc
 
@@ -175,14 +175,6 @@ def test_difference_ratio_skips_zero_reference():
     r2 = _report_with({"a": 0.0}, {})
     ratios, mean = engine.difference_ratio(r1, r2, "delay")
     assert ratios == {} and np.isnan(mean)
-
-
-def test_effective_idle_slope_scaling():
-    gcl = nm.Gcl(10000.0, (nm.GclWindow(0.0, 1500.0), nm.GclWindow(5000.0, 500.0)))
-    assert engine.effective_idle_slope(gcl, 50.0) == pytest.approx(62.5)  # open 80%
-    assert engine.effective_idle_slope(None, 50.0) == 50.0
-    with pytest.raises(StarvationError):
-        engine.effective_idle_slope(nm.Gcl(1000.0, (nm.GclWindow(0.0, 1000.0),)), 50.0)
 
 
 def ring_net():

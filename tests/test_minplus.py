@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tsncalc import minplus as mp
-from tsncalc.errors import DivergenceError, InstabilityError
+from tsncalc.errors import InstabilityError
 
 import nc_oracle as orc
 
@@ -19,100 +19,28 @@ H = 4000.0
 
 def test_evaluate_affine():
     c = mp.Affine(2000.0, 10.0, H)
-    assert mp.evaluate(c, 100.0) == pytest.approx(3000.0)
-    assert mp.evaluate(c, 0.0) == 0.0
+    assert c.evaluate(100.0) == pytest.approx(3000.0)
+    assert c.evaluate(0.0) == 0.0
 
 
 def test_evaluate_burst_delay():
     c = mp.BurstDelay(50.0, H)
-    assert mp.evaluate(c, 50.0) == 0.0
-    assert mp.evaluate(c, 50.0001) == math.inf
+    assert c.evaluate(50.0) == 0.0
+    assert c.evaluate(50.0001) == math.inf
 
 
 def test_evaluate_staircase_single_term():
     c = mp.Staircase([(1e4, 0.0, 1000.0)], H)
-    assert mp.evaluate(c, 1.0) == pytest.approx(1e4)
-    assert mp.evaluate(c, 0.0) == 0.0
-    assert mp.evaluate(c, 1000.0) == pytest.approx(1e4)
-    assert mp.evaluate(c, 1000.5) == pytest.approx(2e4)
+    assert c.evaluate(1.0) == pytest.approx(1e4)
+    assert c.evaluate(0.0) == 0.0
+    assert c.evaluate(1000.0) == pytest.approx(1e4)
+    assert c.evaluate(1000.5) == pytest.approx(2e4)
 
 
 def test_evaluate_beyond_horizon_raises():
     c = mp.Affine(1.0, 1.0, 100.0)
     with pytest.raises(mp.HorizonExceededError):
-        mp.evaluate(c, 101.0)
-
-
-# ---------------------------------------------------------------------------
-# convolve
-# ---------------------------------------------------------------------------
-
-def test_convolve_rate_latency_with_burst_delay_is_delay_shift():
-    f = mp.RateLatency(100.0, 20.0, H)
-    g = mp.BurstDelay(30.0, H)
-    conv = mp.convolve(f, g)
-    expect = mp.RateLatency(100.0, 50.0, H)
-    for t in (0.0, 10.0, 49.9, 50.0, 75.0, 600.0):
-        assert mp.evaluate(conv, t) == pytest.approx(mp.evaluate(expect, t), abs=1e-9)
-
-
-def test_convolve_with_zero_delay_is_identity():
-    f = mp.Affine(500.0, 2.0, H)
-    conv = mp.convolve(f, mp.BurstDelay(0.0, H))
-    for t in (0.0, 0.5, 1.0, 123.4, 2000.0):
-        assert mp.evaluate(conv, t) == pytest.approx(mp.evaluate(f, t), abs=1e-9)
-
-
-def test_convolve_affine_same_rate_matches_grid_oracle():
-    fa = orc.CurveSpec("affine", burst=1000.0, rate=5.0)
-    ga = orc.CurveSpec("affine", burst=2500.0, rate=5.0)
-    conv = mp.convolve(orc.to_curve(fa, H), orc.to_curve(ga, H))
-    for t in (0.1, 1.0, 57.3, 500.0, 1999.9):
-        assert mp.evaluate(conv, t) == pytest.approx(orc.oracle_convolve(fa, ga, t), abs=1.0)
-
-
-# ---------------------------------------------------------------------------
-# deconvolve
-# ---------------------------------------------------------------------------
-
-def test_deconvolve_by_burst_delay_shifts_affine():
-    f = mp.Affine(1000.0, 4.0, H)
-    out = mp.deconvolve(f, mp.BurstDelay(50.0, H))
-    expect = mp.Affine(1200.0, 4.0, H)
-    for t in (0.5, 1.0, 100.0, 3000.0):
-        assert mp.evaluate(out, t) == pytest.approx(mp.evaluate(expect, t), abs=1e-9)
-
-
-def test_deconvolve_affine_by_rate_latency():
-    # brute-force derived: sup_s {b + r(t+s) - R(s-T)+} = b + rT + rt when r <= R
-    b, r, R, T = 3000.0, 8.0, 50.0, 40.0
-    out = mp.deconvolve(mp.Affine(b, r, H), mp.RateLatency(R, T, H))
-    fa = orc.CurveSpec("affine", burst=b, rate=r)
-    ga = orc.CurveSpec("ratelatency", rate=R, latency=T)
-    for t in (0.5, 10.0, 333.3, 1500.0):
-        got = mp.evaluate(out, t)
-        assert got == pytest.approx(b + r * T + r * t, abs=1e-6)
-        assert got == pytest.approx(orc.oracle_deconvolve(fa, ga, t, H), abs=1.0)
-
-
-def test_deconvolve_by_zero_delay_is_identity():
-    f = mp.Staircase([(1200.0, 100.0, 500.0)], H)
-    out = mp.deconvolve(f, mp.BurstDelay(0.0, H))
-    for t in (0.0, 99.9, 100.0, 100.1, 600.5, 3000.0):
-        assert mp.evaluate(out, t) == mp.evaluate(f, t)
-
-
-def test_deconvolve_shift_identity_exact():
-    f = mp.Staircase([(700.0, 30.0, 250.0), (300.0, 0.0, 500.0)], H)
-    d = 120.0
-    out = mp.deconvolve(f, mp.BurstDelay(d, H))
-    for t in np.linspace(0.01, H - d - 1, 57):
-        assert mp.evaluate(out, t) == pytest.approx(mp.evaluate(f, t + d), abs=1e-9)
-
-
-def test_deconvolve_divergence():
-    with pytest.raises(DivergenceError):
-        mp.deconvolve(mp.Affine(0.0, 10.0, H), mp.RateLatency(5.0, 0.0, H))
+        c.evaluate(101.0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +100,6 @@ def test_deviation_witnesses_in_range():
     dev = mp.deviations(a, b)
     assert 0.0 <= dev.argmax_h <= H
     assert 0.0 <= dev.argmax_v <= H
-    assert dev.argmax_t == dev.argmax_h
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +110,13 @@ def test_min_at_origin_plus():
     a = mp.Affine(1000.0, 1.0, H)
     f = mp.RateLatency(50.0, 10.0, H)
     m = mp.min_of([a, f])
-    assert mp.evaluate(m, 0.001) == pytest.approx(min(1000.001, 0.0))
+    assert m.evaluate(0.001) == pytest.approx(min(1000.001, 0.0))
 
 
 def test_sum_of_affine():
     s = mp.sum_of([mp.Affine(1000.0, 1.0, H), mp.Affine(2000.0, 2.0, H)])
     for t in (0.5, 10.0, 100.0):
-        assert mp.evaluate(s, t) == pytest.approx(3000.0 + 3.0 * t)
+        assert s.evaluate(t) == pytest.approx(3000.0 + 3.0 * t)
 
 
 def test_min_link_shaper_vs_affine_matches_pointwise():
@@ -199,12 +126,36 @@ def test_min_link_shaper_vs_affine_matches_pointwise():
     m = mp.min_of([a, link])
     for t in np.linspace(0.01, H, 97):
         want = min(burst + rate * t, lmax + cap * t)
-        assert mp.evaluate(m, t) == pytest.approx(want, abs=1e-6)
+        assert m.evaluate(t) == pytest.approx(want, abs=1e-6)
+
+
+def test_min_segments_exact_across_kink():
+    # 1000 + 10t and 3000 + 2t cross at t = 250; the compiled segments, not
+    # only evaluate, must carry the kink
+    m = mp.min_of([mp.Affine(1000.0, 10.0, H), mp.Affine(3000.0, 2.0, H)])
+    ts = np.array([100.0, 250.0, 400.0])
+    want = np.minimum(1000.0 + 10.0 * ts, 3000.0 + 2.0 * ts)
+    np.testing.assert_allclose(m.segments.value_many(ts), want, atol=1e-9)
+    assert m.long_term_rate() == 2.0
+
+
+def test_max_of_staircases_matches_pointwise():
+    a_spec = orc.CurveSpec("staircase", terms=((1000.0, 0.0, 300.0),))
+    b_spec = orc.CurveSpec("staircase", terms=((1500.0, 100.0, 500.0), (200.0, 50.0, 250.0)))
+    m = mp.max_of([orc.to_curve(a_spec, H), orc.to_curve(b_spec, H)])
+    grid = np.arange(0.0, H + 1.0, 50.0)
+    ts = np.unique(np.clip(np.concatenate([grid, grid + orc.TINY, grid - orc.TINY]), 0.0, H))
+    want = np.maximum(orc.oracle_eval(a_spec, ts), orc.oracle_eval(b_spec, ts))
+    np.testing.assert_allclose(m.segments.value_many(ts), want, atol=1e-6)
+    assert m.segments.is_nondecreasing()
+    assert m.long_term_rate() == pytest.approx(max(1000.0 / 300.0, 1500.0 / 500.0 + 200.0 / 250.0))
 
 
 def test_empty_lists_rejected():
     with pytest.raises(ValueError):
         mp.min_of([])
+    with pytest.raises(ValueError):
+        mp.max_of([])
     with pytest.raises(ValueError):
         mp.sum_of([])
 
@@ -234,7 +185,7 @@ def test_pos_part_vs_up_closure_on_monotone_input():
     pp = mp.pos_part(inner)
     uc = mp.up_closure(inner)
     for t in np.linspace(0.0, H, 101):
-        assert mp.evaluate(pp, t) == pytest.approx(mp.evaluate(uc, t), abs=1e-9)
+        assert pp.evaluate(t) == pytest.approx(uc.evaluate(t), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +200,11 @@ def test_operator_monotonicity():
         f1 = mp.Affine(b1, r1, H)
         f2 = mp.Affine(b1 + rng.uniform(0, 3000), r1 + rng.uniform(0, 5), H)
         beta = mp.RateLatency(rng.uniform(30, 100), rng.uniform(0, 200), H)
-        g = mp.RateLatency(rng.uniform(10, 80), rng.uniform(0, 100), H)
+        # seven unused draws keep this seed on its established sequence of
+        # (f1, f2, beta) triples
+        rng.random(7)
         assert mp.hdev(f1, beta) <= mp.hdev(f2, beta) + 1e-9
         assert mp.vdev(f1, beta) <= mp.vdev(f2, beta) + 1e-9
-        c1 = mp.convolve(f1, g)
-        c2 = mp.convolve(f2, g)
-        for t in rng.uniform(0, H, 5):
-            assert mp.evaluate(c1, t) <= mp.evaluate(c2, t) + 1e-9
 
 
 def test_randomized_deviations_match_oracle():
@@ -268,34 +217,3 @@ def test_randomized_deviations_match_oracle():
         assert dev.horizontal == pytest.approx(orc.oracle_hdev(a_spec, b_spec, horizon), abs=0.01)
         assert dev.vertical == pytest.approx(orc.oracle_vdev(a_spec, b_spec, horizon), abs=1.0)
 
-
-def test_randomized_convolution_matches_oracle():
-    rng = np.random.default_rng(43)
-    for _ in range(20):
-        f_spec, g_spec, horizon = orc.random_minplus_pair(rng)
-        conv = mp.convolve(orc.to_curve(f_spec, horizon), orc.to_curve(g_spec, horizon))
-        for t in np.round(rng.uniform(0, horizon, 4), 1):
-            got = mp.evaluate(conv, float(t))
-            want = orc.oracle_convolve(f_spec, g_spec, float(t))
-            if math.isinf(want):
-                assert math.isinf(got)
-            else:
-                assert got == pytest.approx(want, abs=1.0)
-
-
-def test_randomized_deconvolution_matches_oracle():
-    rng = np.random.default_rng(44)
-    done = 0
-    while done < 20:
-        f_spec, g_spec, horizon = orc.random_minplus_pair(rng)
-        if f_spec.long_term_rate() > g_spec.long_term_rate():
-            continue
-        out = mp.deconvolve(orc.to_curve(f_spec, horizon), orc.to_curve(g_spec, horizon))
-        for t in np.round(rng.uniform(0, horizon * 0.5, 4), 1):
-            got = mp.evaluate(out, float(t))
-            want = orc.oracle_deconvolve(f_spec, g_spec, float(t), horizon)
-            if math.isinf(want):
-                assert math.isinf(got)
-            else:
-                assert got == pytest.approx(want, abs=1.0)
-        done += 1

@@ -122,18 +122,18 @@ def guard_band_fixture(offset, prev_end_gap):
 
 def test_guard_band_frame_term():
     net = guard_band_fixture(offset=900.0, prev_end_gap=500.0)
-    assert nm.guard_band_length(net, "L", 1) == pytest.approx(121.76)
+    assert nm.guard_band_lengths(net, "L")[1] == pytest.approx(121.76)
 
 
 def test_guard_band_gap_term():
     net = guard_band_fixture(offset=900.0, prev_end_gap=50.0)
-    assert nm.guard_band_length(net, "L", 1) == pytest.approx(50.0)
+    assert nm.guard_band_lengths(net, "L")[1] == pytest.approx(50.0)
 
 
 def test_guard_band_no_interfering_traffic():
     net = guard_band_fixture(offset=900.0, prev_end_gap=500.0)
     del net.flows["sp"]
-    assert nm.guard_band_length(net, "L", 1) == 0.0
+    assert nm.guard_band_lengths(net, "L")[1] == 0.0
 
 
 def test_guard_band_bounded_by_gap_and_frame():

@@ -42,15 +42,15 @@ def make_ctx(net, arch_name, credit_mode=None, horizon=H):
 def test_tt_arrival_single_window():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(0.0, 100.0),))
     a = sh.tt_arrival_curve(gcl, [0.0], "TT", C, H)
-    assert mp.evaluate(a, 0.001) == pytest.approx(1e4)
-    assert mp.evaluate(a, 1000.0) == pytest.approx(1e4)
-    assert mp.evaluate(a, 1000.5) == pytest.approx(2e4)
+    assert a.evaluate(0.001) == pytest.approx(1e4)
+    assert a.evaluate(1000.0) == pytest.approx(1e4)
+    assert a.evaluate(1000.5) == pytest.approx(2e4)
 
 
 def test_tt_arrival_guard_band_height():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(200.0, 100.0),))
     a = sh.tt_arrival_curve(gcl, [121.76], "GB+TT", C, H)
-    assert mp.evaluate(a, 0.001) == pytest.approx(22176.0)
+    assert a.evaluate(0.001) == pytest.approx(22176.0)
 
 
 def _window_start_oracle(gcl, guard_bands, variant, t):
@@ -72,24 +72,24 @@ def test_tt_arrival_two_windows_matches_enumeration():
     for variant in ("TT", "GB+TT"):
         a = sh.tt_arrival_curve(gcl, gbs, variant, C, H)
         for t in np.arange(0.7, 2500.0, 13.7):
-            assert mp.evaluate(a, t) == pytest.approx(
+            assert a.evaluate(t) == pytest.approx(
                 _window_start_oracle(gcl, gbs, variant, t), abs=1e-6)
 
 
 def test_tt_service_single_window():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(0.0, 100.0),))
     b = sh.tt_service_curve(gcl, C, H)
-    assert mp.evaluate(b, 900.0) == 0.0
-    assert mp.evaluate(b, 950.0) == pytest.approx(5000.0)
-    assert mp.evaluate(b, 1000.0) == pytest.approx(1e4)
-    assert mp.evaluate(b, 2000.0) == pytest.approx(2e4)
+    assert b.evaluate(900.0) == 0.0
+    assert b.evaluate(950.0) == pytest.approx(5000.0)
+    assert b.evaluate(1000.0) == pytest.approx(1e4)
+    assert b.evaluate(2000.0) == pytest.approx(2e4)
 
 
 def test_tt_service_always_open_gate():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(0.0, 1000.0),))
     b = sh.tt_service_curve(gcl, C, H)
     for t in (0.5, 123.4, 999.0, 4321.0):
-        assert mp.evaluate(b, t) == pytest.approx(C * t)
+        assert b.evaluate(t) == pytest.approx(C * t)
 
 
 def test_tt_service_two_windows_matches_slot_enumeration():
@@ -107,7 +107,7 @@ def test_tt_service_two_windows_matches_slot_enumeration():
 
     b = sh.tt_service_curve(gcl, C, H)
     for t in np.arange(0.0, 3000.0, 11.3):
-        assert mp.evaluate(b, t) == pytest.approx(oracle(t), abs=1e-6)
+        assert b.evaluate(t) == pytest.approx(oracle(t), abs=1e-6)
 
 
 def test_gb_envelope_brute_force():
@@ -156,7 +156,7 @@ def test_sp_service_ats_highest_priority_is_rate_latency():
     beta = sh.sp_service_curve(ctx, "L", 5, [])
     expect = mp.RateLatency(C, 12176.0 / C, H)
     for t in np.linspace(0.5, H, 60):
-        assert mp.evaluate(beta, t) == pytest.approx(mp.evaluate(expect, t), abs=1e-9)
+        assert beta.evaluate(t) == pytest.approx(expect.evaluate(t), abs=1e-9)
 
 
 def test_sp_service_tas_without_windows_reduces():
@@ -164,7 +164,7 @@ def test_sp_service_tas_without_windows_reduces():
     b_plain = sh.sp_service_curve(make_ctx(net, "SP"), "L", 5, [])
     b_tas = sh.sp_service_curve(make_ctx(net, "TAS+SP"), "L", 5, [])
     for t in np.linspace(0.0, H, 200):
-        assert mp.evaluate(b_tas, t) == pytest.approx(mp.evaluate(b_plain, t), abs=1e-9)
+        assert b_tas.evaluate(t) == pytest.approx(b_plain.evaluate(t), abs=1e-9)
 
 
 def test_sp_service_one_window_matches_busy_period_search():
@@ -226,7 +226,7 @@ def test_sp_priority_monotone():
         alphas.append(sh.shared_queue_arrival_ats(ctx, "L", prio))
     for hi, lo in zip(betas, betas[1:]):
         for t in np.linspace(0.0, H, 100):
-            assert mp.evaluate(hi, t) >= mp.evaluate(lo, t) - 1e-9
+            assert hi.evaluate(t) >= lo.evaluate(t) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_cbs_service_curve_alone_is_rate_latency():
     assert mp.hdev(mp.zero(H), beta) == 0.0
     expect = mp.RateLatency(75.0, 9132.0 / 75.0, H)  # latency 121.76
     for t in np.linspace(0.5, H, 60):
-        assert mp.evaluate(beta, t) == pytest.approx(mp.evaluate(expect, t), abs=1e-9)
+        assert beta.evaluate(t) == pytest.approx(expect.evaluate(t), abs=1e-9)
 
 
 def test_cbs_service_combined_empty_gcl_reduces():
@@ -317,7 +317,7 @@ def test_cbs_service_combined_empty_gcl_reduces():
     alone = sh.cbs_service_curve(make_ctx(net, "CBS"), "L", 5)
     combined = sh.cbs_service_curve(make_ctx(net, "TAS+CBS", "frozen"), "L", 5)
     for t in np.linspace(0.0, H, 200):
-        assert mp.evaluate(combined, t) == pytest.approx(mp.evaluate(alone, t), abs=1e-9)
+        assert combined.evaluate(t) == pytest.approx(alone.evaluate(t), abs=1e-9)
 
 
 def test_cbs_service_nonfrozen_credit_dominance():
@@ -339,8 +339,8 @@ def test_cbs_service_nonfrozen_credit_dominance():
         mp.scale(-idsl / C, ctx_nf.tt_arrival("L", "TT")),
     ]))
     for t in np.linspace(0.0, H, 300):
-        assert (mp.evaluate(beta_nf, t)
-                <= mp.evaluate(same_variant_frozen_credit, t) + 1e-6)
+        assert (beta_nf.evaluate(t)
+                <= same_variant_frozen_credit.evaluate(t) + 1e-6)
 
 
 def test_cbs_shaping_curve_alone():
@@ -348,7 +348,7 @@ def test_cbs_shaping_curve_alone():
     sigma = sh.cbs_shaping_curve(ctx, "L", 5)
     # burst c_max - c_min = 9132 + 3044 = 12176, rate 75
     for t in (0.5, 10.0, 100.0):
-        assert mp.evaluate(sigma, t) == pytest.approx(12176.0 + 75.0 * t)
+        assert sigma.evaluate(t) == pytest.approx(12176.0 + 75.0 * t)
 
 
 def test_cbs_shaping_combined_empty_gcl_reduces():
@@ -356,7 +356,7 @@ def test_cbs_shaping_combined_empty_gcl_reduces():
     alone = sh.cbs_shaping_curve(make_ctx(net, "CBS"), "L", 5)
     combined = sh.cbs_shaping_curve(make_ctx(net, "TAS+CBS", "frozen"), "L", 5)
     for t in np.linspace(0.5, H, 100):
-        assert mp.evaluate(combined, t) == pytest.approx(mp.evaluate(alone, t), abs=1e-9)
+        assert combined.evaluate(t) == pytest.approx(alone.evaluate(t), abs=1e-9)
 
 
 def test_cbs_shaping_combined_below_shifted_alone():
@@ -368,7 +368,7 @@ def test_cbs_shaping_combined_below_shifted_alone():
     assert seg.is_nondecreasing()
     alone = sh.cbs_shaping_curve(make_ctx(net, "CBS"), "L", 5)
     for t in np.linspace(0.5, H, 100):
-        assert mp.evaluate(sigma, t) <= mp.evaluate(alone, t) + 1e-6
+        assert sigma.evaluate(t) <= alone.evaluate(t) + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +381,14 @@ def test_shared_queue_arrival_sums_committed_envelopes():
     ctx = make_ctx(net, "ATS")
     alpha = sh.shared_queue_arrival_ats(ctx, "L", 5)
     for t in (0.5, 10.0, 500.0):
-        assert mp.evaluate(alpha, t) == pytest.approx(3000.0 + 3.0 * t)
+        assert alpha.evaluate(t) == pytest.approx(3000.0 + 3.0 * t)
 
 
 def test_shared_queue_arrival_empty():
     net = port_network([])
     ctx = make_ctx(net, "ATS")
     alpha = sh.shared_queue_arrival_ats(ctx, "L", 5)
-    assert mp.evaluate(alpha, 100.0) == 0.0
+    assert alpha.evaluate(100.0) == 0.0
 
 
 def test_unshaped_arrival_single_upstream():
@@ -399,7 +399,7 @@ def test_unshaped_arrival_single_upstream():
     b, r = 1000.0, 1.0
     for t in (0.5, 5.0, 50.0, 1000.0):
         want = min(b + r * 50.0 + r * t, C * t + 1000.0)
-        assert mp.evaluate(alpha, t) == pytest.approx(want, abs=1e-9)
+        assert alpha.evaluate(t) == pytest.approx(want, abs=1e-9)
 
 
 def test_unshaped_arrival_source_flows_raw():
@@ -407,7 +407,7 @@ def test_unshaped_arrival_source_flows_raw():
     ctx = make_ctx(net, "SP")
     alpha = sh.unshaped_queue_arrival(ctx, "L", 5, [], [(net.flows["a"], 1000.0)])
     for t in (0.5, 77.7):
-        assert mp.evaluate(alpha, t) == pytest.approx(1000.0 + 1.0 * t)
+        assert alpha.evaluate(t) == pytest.approx(1000.0 + 1.0 * t)
 
 
 def test_unshaped_arrival_cbs_below_operands():
@@ -419,10 +419,10 @@ def test_unshaped_arrival_cbs_below_operands():
     b, r = nm.leaky_bucket_of(net.flows["a"])
     sigma = sh.cbs_shaping_curve(ctx, "L", 5)
     for t in np.linspace(0.5, 2000.0, 50):
-        v = mp.evaluate(alpha, t)
+        v = alpha.evaluate(t)
         assert v <= b + r * delay + r * t + 1e-6
         assert v <= C * t + 12176.0 + 1e-6
-        assert v <= mp.evaluate(sigma, t) + 12176.0 + 1e-6
+        assert v <= sigma.evaluate(t) + 12176.0 + 1e-6
 
 
 def test_shaped_queue_delay_identity():
@@ -523,9 +523,9 @@ def test_arrival_curves_nondecreasing_and_weakly_subadditive():
                 alpha = sh.shared_queue_arrival_ats(ctx, lid, prio)
                 seg = alpha.segments
                 assert seg.is_nondecreasing()
-                assert mp.evaluate(alpha, 0.0) == 0.0
+                assert alpha.evaluate(0.0) == 0.0
                 for _ in range(5):
                     t = float(rng.uniform(1.0, ctx.horizon))
                     s = float(rng.uniform(0.5, t))
-                    assert (mp.evaluate(alpha, t)
-                            <= mp.evaluate(alpha, s) + mp.evaluate(alpha, t - s) + 1e-6)
+                    assert (alpha.evaluate(t)
+                            <= alpha.evaluate(s) + alpha.evaluate(t - s) + 1e-6)
