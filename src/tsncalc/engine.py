@@ -8,6 +8,9 @@ bounds with the constant link delays.
 
 from __future__ import annotations
 
+import functools
+import graphlib
+import heapq
 import json
 import logging
 from dataclasses import dataclass, field
@@ -84,23 +87,21 @@ class AnalysisReport:
 # ---------------------------------------------------------------------------
 
 def queue_dependency_graph(network: nm.Network):
-    """Nodes are (link, priority) queues of event traffic; an edge A -> B
-    means some flow traverses A immediately before B, refined so that a
-    queue also waits for the upstream queues its service curve consults
-    (all higher-or-equal priorities at the upstream port feeding this port)."""
-    nodes = set()
-    for link_id in network.links:
-        for p in nm.event_priorities(network, link_id):
-            nodes.add((link_id, p))
-    edges = {n: set() for n in nodes}
+    """Map each (link, priority) queue of event traffic to the set of queues
+    it depends on: for every flow that traverses A immediately before B, the
+    queue of B at each priority at or below the flow's waits for A's queue of
+    the flow's priority, because its arrival or service curve uses that
+    queue's delay bound."""
+    graph = {(link_id, p): set()
+             for link_id in network.links for p in nm.event_priorities(network, link_id)}
     for f in network.flows.values():
         if f.kind not in ("SP", "AVB"):
             continue
         for a, b in zip(f.route, f.route[1:]):
             for r in nm.event_priorities(network, b):
                 if r <= f.priority:
-                    edges[(a, f.priority)].add((b, r))
-    return nodes, edges
+                    graph[(b, r)].add((a, f.priority))
+    return graph
 
 
 def _queue_sort_key(network: nm.Network, node):
@@ -109,43 +110,24 @@ def _queue_sort_key(network: nm.Network, node):
     return (link.src, link_id, -prio)
 
 
-def _topological_order(network: nm.Network, nodes, edges):
-    indeg = {n: 0 for n in nodes}
-    for srcs in edges.values():
-        for dst in srcs:
-            indeg[dst] += 1
-    ready = sorted((n for n in nodes if indeg[n] == 0),
-                   key=lambda n: _queue_sort_key(network, n))
-    order = []
-    while ready:
-        n = ready.pop(0)
+def _dependency_order(graph, key):
+    """Queues in dependency order, taking the smallest ready queue by ``key``
+    first; raises CycleError with one cycle, first queue repeated last."""
+    # sorted input keeps the reported cycle independent of set order
+    sorter = graphlib.TopologicalSorter(
+        {n: sorted(graph[n], key=key) for n in sorted(graph, key=key)})
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        raise CycleError(exc.args[1]) from None
+    ready, order = [], []
+    while sorter.is_active():
+        for n in sorter.get_ready():
+            heapq.heappush(ready, (key(n), n))
+        _, n = heapq.heappop(ready)
         order.append(n)
-        changed = False
-        for m in edges[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-                changed = True
-        if changed:
-            ready.sort(key=lambda n: _queue_sort_key(network, n))
-    if len(order) < len(nodes):
-        raise CycleError(_find_cycle(nodes, edges, set(order)))
+        sorter.done(n)
     return order
-
-
-def _find_cycle(nodes, edges, done):
-    remaining = sorted(nodes - done)
-    rem = set(remaining)
-    for start in remaining:
-        seen = []
-        node = start
-        while node is not None and node not in seen:
-            seen.append(node)
-            nxt = sorted(m for m in edges[node] if m in rem)
-            node = nxt[0] if nxt else None
-        if node is not None:
-            return seen[seen.index(node):] + [node]
-    return remaining
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +190,7 @@ def _analyze_at_horizon(network, arch, credit_mode, horizon, fixed_point):
         if arch.ats:
             _analyze_ats(ctx, report)
         else:
-            _analyze_feed_forward(ctx, report, fixed_point)
+            _analyze_unshaped(ctx, report, fixed_point)
         _assemble_event_flows(ctx, report)
     return report
 
@@ -221,18 +203,24 @@ def _transmission_floor(network, flow):
     return total - network.links[flow.route[-1]].fwd_delay
 
 
-def _queue_deviation(ctx, link_id, priority, alpha, beta):
+def _bound_queue(ctx, link_id, priority, alpha, alphas):
+    """Delay and backlog of one queue with arrival curve ``alpha``.
+
+    ``alphas`` holds the arrival curves of the queues already bounded in this
+    pass; under strict priority the service is what the port leaves after the
+    higher priorities among them.  ``alpha`` is added to it.
+    """
+    if ctx.arch.cbs:
+        beta = sh.cbs_service_curve(ctx, link_id, priority)
+    else:
+        higher = [alphas[(link_id, p)] for p in ctx.priorities_at(link_id) if p > priority]
+        beta = sh.sp_service_curve(ctx, link_id, priority, higher)
     try:
         dev = mp.deviations(alpha, beta)
     except InstabilityError as exc:
         raise InstabilityError(f"queue ({link_id}, P{priority}): {exc}") from exc
-    return dev.horizontal, dev.vertical
-
-
-def _service_curve(ctx, link_id, priority, higher_arrivals):
-    if ctx.arch.cbs:
-        return sh.cbs_service_curve(ctx, link_id, priority)
-    return sh.sp_service_curve(ctx, link_id, priority, higher_arrivals)
+    alphas[(link_id, priority)] = alpha
+    return QueueBounds(link_id, priority, dev.horizontal, dev.vertical)
 
 
 def _analyze_ats(ctx, report):
@@ -240,121 +228,95 @@ def _analyze_ats(ctx, report):
     committed envelopes, so no upstream bound is needed.  Shaped queues are
     then a reporting pass over the shared-queue results."""
     network = ctx.network
-    shared_delay = {}
+    alphas = {}
     for link_id in sorted(network.links):
-        prios = ctx.priorities_at(link_id)
-        arrivals = []
-        for priority in prios:
+        for priority in ctx.priorities_at(link_id):
             alpha = sh.shared_queue_arrival_ats(ctx, link_id, priority)
-            beta = _service_curve(ctx, link_id, priority, arrivals)
-            d, b = _queue_deviation(ctx, link_id, priority, alpha, beta)
-            report.queues[(link_id, priority)] = QueueBounds(link_id, priority, d, b)
-            shared_delay[(link_id, priority)] = d
-            arrivals.append(alpha)
+            report.queues[(link_id, priority)] = _bound_queue(ctx, link_id, priority, alpha, alphas)
     for link_id in sorted(network.links):
-        for (upstream, priority), flows in sorted(nm.shaped_queue_map(network, link_id).items()):
-            d_up = shared_delay.get((upstream, priority))
-            if d_up is None:
+        for upstream, priority in sorted(nm.shaped_queue_map(network, link_id)):
+            up = report.queues.get((upstream, priority))
+            if up is None:
                 raise DependencyError(
                     f"missing upstream bound for shaped queue ({link_id} <- {upstream}, P{priority})")
-            d_q, b_q = sh.shaped_queue_analysis(ctx, link_id, upstream, priority, d_up)
+            d_q, b_q = sh.shaped_queue_analysis(ctx, link_id, upstream, priority, up.delay)
             report.shaped_queues[(link_id, upstream, priority)] = ShapedQueueBounds(
                 link_id, upstream, priority, d_q, b_q)
 
 
-def _event_queue_inputs(ctx, link_id, priority, delays, bursts):
-    """Group this queue's flows by upstream port and collect their bursts."""
-    network = ctx.network
+def _arrival_inputs(ctx, link_id, priority, delays):
+    """Group a queue's flows by upstream port.  A flow's burst at its upstream
+    port is its committed burst plus its rate times each delay bound in
+    ``delays`` before that port, added in route order."""
     groups = {}
     source = []
-    for f in nm.event_flows_on(network, link_id):
+    for f in nm.event_flows_on(ctx.network, link_id):
         if f.priority != priority:
             continue
-        b, r = nm.leaky_bucket_of(f)
-        prev = network.previous_link(f, link_id)
-        if prev is None:
-            source.append((f, b))
-            bursts[(f.id, link_id)] = b
-        else:
-            d_up = delays.get((prev, priority))
-            if d_up is None:
-                raise DependencyError(
-                    f"queue ({link_id}, P{priority}) needs the bound of ({prev}, P{priority})")
-            burst_up = bursts.get((f.id, prev))
-            if burst_up is None:
-                raise DependencyError(f"flow {f.id} has no burst recorded at {prev}")
-            groups.setdefault(prev, []).append((f, burst_up))
-            bursts[(f.id, link_id)] = burst_up + r * d_up
+        burst, r = nm.leaky_bucket_of(f)
+        hop = f.route.index(link_id)
+        if hop == 0:
+            source.append((f, burst))
+            continue
+        prev = f.route[hop - 1]
+        if (prev, priority) not in delays:
+            raise DependencyError(
+                f"queue ({link_id}, P{priority}) needs the bound of ({prev}, P{priority})")
+        for up in f.route[:hop - 1]:
+            burst += r * delays[(up, priority)]
+        groups.setdefault(prev, []).append((f, burst))
     group_list = [(up, delays[(up, priority)], flows) for up, flows in sorted(groups.items())]
     return group_list, source
 
 
-def _analyze_feed_forward(ctx, report, fixed_point):
+def _sweep(ctx, order, delays, new_delays):
+    """Bound the queues of ``order`` in turn from the upstream delay bounds in
+    ``delays``, writing each queue's delay bound to ``new_delays``."""
+    alphas = {}
+    results = {}
+    for link_id, priority in order:
+        groups, source = _arrival_inputs(ctx, link_id, priority, delays)
+        alpha = sh.unshaped_queue_arrival(ctx, link_id, priority, groups, source)
+        qb = _bound_queue(ctx, link_id, priority, alpha, alphas)
+        results[(link_id, priority)] = qb
+        new_delays[(link_id, priority)] = qb.delay
+    return results
+
+
+def _analyze_unshaped(ctx, report, fixed_point):
+    """Queues without reshaping: one sweep in dependency order, in which each
+    queue reads the delays written before it, or on a cyclic graph with
+    ``fixed_point`` the fixed-point iteration."""
     network = ctx.network
-    nodes, edges = queue_dependency_graph(network)
+    key = functools.partial(_queue_sort_key, network)
+    graph = queue_dependency_graph(network)
     try:
-        order = _topological_order(network, nodes, edges)
+        order = _dependency_order(graph, key)
     except CycleError:
         if not fixed_point:
             raise
-        _analyze_fixed_point(ctx, report, nodes)
+        report.queues.update(_fixed_point(ctx, sorted(graph, key=key)))
         return
-
     delays = {}
-    bursts = {}
-    port_arrivals = {}
-    for link_id, priority in order:
-        groups, source = _event_queue_inputs(ctx, link_id, priority, delays, bursts)
-        alpha = sh.unshaped_queue_arrival(ctx, link_id, priority, groups, source)
-        higher = [port_arrivals[(link_id, p)] for p in ctx.priorities_at(link_id)
-                  if p > priority]
-        beta = _service_curve(ctx, link_id, priority, higher)
-        d, b = _queue_deviation(ctx, link_id, priority, alpha, beta)
-        report.queues[(link_id, priority)] = QueueBounds(link_id, priority, d, b)
-        delays[(link_id, priority)] = d
-        port_arrivals[(link_id, priority)] = alpha
+    report.queues.update(_sweep(ctx, order, delays, delays))
 
 
-def _analyze_fixed_point(ctx, report, nodes):
+def _fixed_point(ctx, queues):
     """Monotone iteration for cyclic dependency graphs: start every queue at
-    its minimum frame transmission time and resweep until bounds settle."""
-    network = ctx.network
-    queues = sorted(nodes, key=lambda n: _queue_sort_key(network, n))
+    its minimum frame transmission time and resweep, each sweep reading the
+    last sweep's delays, until bounds settle."""
     delays = {}
     for link_id, priority in queues:
-        flows = [f for f in nm.event_flows_on(network, link_id) if f.priority == priority]
-        l_min = min(f.size for f in flows)
-        delays[(link_id, priority)] = l_min / network.links[link_id].rate
+        _, l_min = ctx.class_frames(link_id, priority)
+        delays[(link_id, priority)] = l_min / ctx.link_rate(link_id)
 
     for _ in range(FIXED_POINT_MAX_ITER):
         new_delays = {}
-        results = {}
-        bursts = {}
-        for f in sorted(network.flows.values(), key=lambda f: f.id):
-            if f.kind not in ("SP", "AVB"):
-                continue
-            b, r = nm.leaky_bucket_of(f)
-            acc = b
-            for link_id in f.route:
-                bursts[(f.id, link_id)] = acc
-                acc += r * delays[(link_id, f.priority)]
-        for link_id, priority in queues:
-            groups, source = _event_queue_inputs(ctx, link_id, priority, delays, dict(bursts))
-            alpha = sh.unshaped_queue_arrival(ctx, link_id, priority, groups, source)
-            higher_alphas = []
-            for p in ctx.priorities_at(link_id):
-                if p > priority:
-                    g, s = _event_queue_inputs(ctx, link_id, p, delays, dict(bursts))
-                    higher_alphas.append(sh.unshaped_queue_arrival(ctx, link_id, p, g, s))
-            beta = _service_curve(ctx, link_id, priority, higher_alphas)
-            d, b = _queue_deviation(ctx, link_id, priority, alpha, beta)
-            new_delays[(link_id, priority)] = d
-            results[(link_id, priority)] = QueueBounds(link_id, priority, d, b)
+        results = _sweep(ctx, queues, delays, new_delays)
         worst = max(abs(new_delays[q] - delays[q]) for q in queues)
         delays = new_delays
         if worst < FIXED_POINT_EPS:
-            report.queues.update(results)
-            return
+            return results
     raise FixedPointError(
         f"fixed-point iteration did not converge within {FIXED_POINT_MAX_ITER} sweeps "
         f"(last change {worst:.4f} us)")

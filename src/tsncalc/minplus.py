@@ -9,8 +9,8 @@ the point and the right limit, and curves are left-continuous at jumps
 Units are microseconds for time and bits for data, so rates are bits/us
 (numerically equal to Mb/s).
 
-All operators (min, max, sum, scaling, non-negative and non-decreasing
-closures, horizontal/vertical deviation) are computed exactly at curve
+All operators (min, max, sum, scaling, the non-decreasing closure,
+horizontal/vertical deviation) are computed exactly at curve
 breakpoints; nothing is sampled.
 """
 
@@ -544,23 +544,6 @@ class Scale(Curve):
         return self.factor * self.curve.long_term_rate()
 
 
-class PosPart(Curve):
-    """[f(t)]^+ = max(f(t), 0)."""
-
-    __slots__ = ("curve",)
-
-    def __init__(self, curve: Curve):
-        super().__init__(curve.horizon)
-        self.curve = curve
-
-    def _build(self) -> Segments:
-        seg = self.curve.segments
-        return _combine(seg, _zero_segments(seg.horizon), "max").compress()
-
-    def long_term_rate(self) -> float:
-        return max(0.0, self.curve.long_term_rate())
-
-
 class UpClosure(Curve):
     """[f(t)]_up^+ = max(0, max_{0<=s<=t} f(s)): the non-decreasing closure."""
 
@@ -595,10 +578,6 @@ def sum_of(curves: Iterable[Curve]) -> Curve:
 
 def scale(factor: float, curve: Curve) -> Curve:
     return Scale(factor, curve)
-
-
-def pos_part(curve: Curve) -> Curve:
-    return PosPart(curve)
 
 
 def up_closure(curve: Curve) -> Curve:

@@ -266,12 +266,13 @@ def validate(network: Network):
             if a.dst != b.src:
                 out.append(Violation(
                     "DisconnectedRoute", f.id, f"link {a.id} ends at {a.dst} but {b.id} starts at {b.src}"))
+        repeated = sorted({l for l in f.route if f.route.count(l) > 1})
+        if repeated:
+            out.append(Violation(
+                "RepeatedLink", f.id, f"route crosses links {repeated} more than once"))
 
         if f.kind == "TT":
-            for l in f.route:
-                if l not in f.offsets:
-                    out.append(Violation("MissingOffset", f.id, f"no offset on link {l}"))
-            _check_offset_precedence(network, f, out)
+            out.extend(offset_violations(network, f))
 
     for link_id, gcl in network.gcls.items():
         if link_id not in network.links:
@@ -309,19 +310,23 @@ def validate(network: Network):
     return out
 
 
-def _check_offset_precedence(network: Network, f: Flow, out):
-    prev_link = None
-    for link_id in f.route:
-        if link_id not in f.offsets:
-            return
-        if prev_link is not None:
-            lk = network.links[prev_link]
-            earliest = f.offsets[prev_link] + f.size / lk.rate + lk.prop_delay + lk.fwd_delay
-            if f.offsets[link_id] < earliest - 1e-9:
-                out.append(Violation(
-                    "InfeasibleOffsets", f.id,
-                    f"offset on {link_id} precedes frame arrival from {prev_link}"))
-        prev_link = link_id
+def offset_violations(network: Network, flow: Flow):
+    """Offset violations of a scheduled flow on a route of known links: a
+    MissingOffset per link without one, and an InfeasibleOffsets per link
+    whose offset precedes the frame's arrival from the previous link, up to
+    the first link without an offset."""
+    out = [Violation("MissingOffset", flow.id, f"no offset on link {l}")
+           for l in flow.route if l not in flow.offsets]
+    for prev_link, link_id in zip(flow.route, flow.route[1:]):
+        if prev_link not in flow.offsets or link_id not in flow.offsets:
+            break
+        lk = network.links[prev_link]
+        earliest = flow.offsets[prev_link] + flow.size / lk.rate + lk.prop_delay + lk.fwd_delay
+        if flow.offsets[link_id] < earliest - 1e-9:
+            out.append(Violation(
+                "InfeasibleOffsets", flow.id,
+                f"offset on {link_id} precedes frame arrival from {prev_link}"))
+    return out
 
 
 def _check_explicit_shaped_queues(network: Network, out):

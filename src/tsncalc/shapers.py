@@ -8,6 +8,7 @@ bands, and strict priority, alone and in combination.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -172,9 +173,21 @@ def gb_envelope(gcl, guard_bands, rate: float):
 # Analysis context
 # ---------------------------------------------------------------------------
 
+def _memoized(method):
+    """Compute a ShaperContext method once per argument tuple, in the
+    context's one memo."""
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+    return cached
+
+
 class ShaperContext:
     """Immutable per-analysis state: architecture, credit mode, horizon, and
-    cached gate curves / credit bounds per egress port."""
+    one memo of the per-port gate curves, credit bounds and class curves."""
 
     def __init__(self, network: nm.Network, arch: Architecture, credit_mode, horizon: float):
         if arch.needs_credit_mode:
@@ -188,79 +201,71 @@ class ShaperContext:
         self.arch = arch
         self.credit_mode = credit_mode
         self.horizon = float(horizon)
-        self._tt_arrival = {}
-        self._tt_service = {}
-        self._guard_bands = {}
-        self._gb_envelope = {}
-        self._idle_slopes = {}
+        self._memo = {}
 
     # -- per-port gate state ------------------------------------------------
 
     def link_rate(self, link_id: str) -> float:
         return self.network.links[link_id].rate
 
+    @_memoized
     def guard_bands(self, link_id: str):
-        if link_id not in self._guard_bands:
-            self._guard_bands[link_id] = nm.guard_band_lengths(self.network, link_id)
-        return self._guard_bands[link_id]
+        return nm.guard_band_lengths(self.network, link_id)
 
     def _gcl(self, link_id: str):
         return self.network.gcl(link_id) if self.arch.tas else None
 
+    @_memoized
     def tt_arrival(self, link_id: str, variant: str) -> mp.Curve:
-        key = (link_id, variant)
-        if key not in self._tt_arrival:
-            self._tt_arrival[key] = tt_arrival_curve(
-                self._gcl(link_id), self.guard_bands(link_id), variant,
-                self.link_rate(link_id), self.horizon)
-        return self._tt_arrival[key]
+        return tt_arrival_curve(self._gcl(link_id), self.guard_bands(link_id), variant,
+                                self.link_rate(link_id), self.horizon)
 
+    @_memoized
     def tt_service(self, link_id: str) -> mp.Curve:
-        if link_id not in self._tt_service:
-            self._tt_service[link_id] = tt_service_curve(
-                self._gcl(link_id), self.link_rate(link_id), self.horizon)
-        return self._tt_service[link_id]
+        return tt_service_curve(self._gcl(link_id), self.link_rate(link_id), self.horizon)
 
+    @_memoized
     def envelope(self, link_id: str):
-        if link_id not in self._gb_envelope:
-            self._gb_envelope[link_id] = gb_envelope(
-                self._gcl(link_id), self.guard_bands(link_id), self.link_rate(link_id))
-        return self._gb_envelope[link_id]
+        return gb_envelope(self._gcl(link_id), self.guard_bands(link_id), self.link_rate(link_id))
 
     # -- per-port class structure --------------------------------------------
 
+    @_memoized
     def priorities_at(self, link_id: str):
         return nm.event_priorities(self.network, link_id)
 
+    @_memoized
     def class_frames(self, link_id: str, priority: int):
         sizes = [f.size for f in nm.event_flows_on(self.network, link_id) if f.priority == priority]
         return (max(sizes), min(sizes)) if sizes else (0.0, 0.0)
 
+    @_memoized
     def idle_slope(self, link_id: str, priority: int) -> float:
         """Configured idle slope, or the default reservable share split in
         proportion to class committed rates."""
-        key = (link_id, priority)
-        if key in self._idle_slopes:
-            return self._idle_slopes[key]
         explicit = self.network.idle_slopes.get(link_id, {})
         if priority in explicit:
-            slope = explicit[priority]
-        else:
-            budget = self.network.cbs_fraction * self.link_rate(link_id)
-            class_rates = {}
-            for f in nm.event_flows_on(self.network, link_id):
-                _, r = nm.leaky_bucket_of(f)
-                class_rates[f.priority] = class_rates.get(f.priority, 0.0) + r
-            total = sum(class_rates.values())
-            if priority not in class_rates or total <= 0.0:
-                raise ConfigurationError(
-                    f"no idle slope configured or derivable for priority {priority} at {link_id}")
-            if len(class_rates) == 1:
-                slope = budget
-            else:
-                slope = budget * class_rates[priority] / total
-        self._idle_slopes[key] = slope
-        return slope
+            return explicit[priority]
+        budget = self.network.cbs_fraction * self.link_rate(link_id)
+        class_rates = {}
+        for f in nm.event_flows_on(self.network, link_id):
+            _, r = nm.leaky_bucket_of(f)
+            class_rates[f.priority] = class_rates.get(f.priority, 0.0) + r
+        total = sum(class_rates.values())
+        if priority not in class_rates or total <= 0.0:
+            raise ConfigurationError(
+                f"no idle slope configured or derivable for priority {priority} at {link_id}")
+        if len(class_rates) == 1:
+            return budget
+        return budget * class_rates[priority] / total
+
+    @_memoized
+    def credit_bounds(self, link_id: str, priority: int) -> CreditBounds:
+        return cbs_credit_bounds(self, link_id, priority)
+
+    @_memoized
+    def shaping_curve(self, link_id: str, priority: int) -> mp.Curve:
+        return cbs_shaping_curve(self, link_id, priority)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +328,7 @@ def cbs_credit_bounds(ctx: ShaperContext, link_id: str, priority: int) -> Credit
 def cbs_service_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Curve:
     """Guaranteed service for one credit-shaped class; under gate schedules
     the gate-blocked envelope is subtracted before the closure."""
-    bounds = cbs_credit_bounds(ctx, link_id, priority)
+    bounds = ctx.credit_bounds(link_id, priority)
     idsl = ctx.idle_slope(link_id, priority)
     if not ctx.arch.tas:
         return mp.RateLatency(idsl, bounds.c_max / idsl, ctx.horizon)
@@ -341,7 +346,7 @@ def cbs_shaping_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Cur
     """Upper envelope of a class's departures; reused as an arrival constraint
     downstream.  Under gate schedules the service consumed by scheduled
     traffic is subtracted inside the closure."""
-    bounds = cbs_credit_bounds(ctx, link_id, priority)
+    bounds = ctx.credit_bounds(link_id, priority)
     idsl = ctx.idle_slope(link_id, priority)
     if not ctx.arch.tas:
         return mp.Affine(bounds.c_max - bounds.c_min, idsl, ctx.horizon)
@@ -385,7 +390,7 @@ def sp_service_curve(ctx: ShaperContext, link_id: str, priority: int,
     # the pure reshaping architecture keeps the plain non-negative part; gate
     # staircases make the inner term non-monotone and need the closure
     if ctx.arch.ats and not ctx.arch.tas:
-        return mp.pos_part(inner)
+        return mp.max_of([inner, mp.zero(ctx.horizon)])
     return mp.up_closure(inner)
 
 
@@ -434,12 +439,10 @@ def _upstream_capped(ctx: ShaperContext, upstream_id: str, priority: int,
     """Cap one upstream port's contribution to a priority: min(group, the
     upstream link's serialization, and for credit-shaped classes the
     upstream class shaping curve plus one frame)."""
-    up_lmax = max(
-        (f.size for f in nm.event_flows_on(ctx.network, upstream_id) if f.priority == priority),
-        default=0.0)
+    up_lmax, _ = ctx.class_frames(upstream_id, priority)
     candidates = [group, mp.Affine(up_lmax, ctx.link_rate(upstream_id), ctx.horizon)]
     if ctx.arch.cbs:
-        shaping = cbs_shaping_curve(ctx, upstream_id, priority)
+        shaping = ctx.shaping_curve(upstream_id, priority)
         candidates.append(mp.sum_of([shaping, mp.Affine(up_lmax, 0.0, ctx.horizon)]))
     return mp.min_of(candidates)
 
@@ -485,18 +488,9 @@ def tas_flow_bounds(network: nm.Network, flow: nm.Flow):
     straight from its offsets."""
     if flow.kind != "TT":
         raise ValueError(f"flow {flow.id} is not time-triggered")
-    for link_id in flow.route:
-        if link_id not in flow.offsets:
-            raise InfeasibleScheduleError(f"flow {flow.id} lacks an offset on {link_id}")
-    prev = None
-    for link_id in flow.route:
-        if prev is not None:
-            lk = network.links[prev]
-            earliest = flow.offsets[prev] + flow.size / lk.rate + lk.prop_delay + lk.fwd_delay
-            if flow.offsets[link_id] < earliest - 1e-9:
-                raise InfeasibleScheduleError(
-                    f"flow {flow.id}: offset on {link_id} precedes arrival from {prev}")
-        prev = link_id
+    violations = nm.offset_violations(network, flow)
+    if violations:
+        raise InfeasibleScheduleError(str(violations[0]))
     last = flow.route[-1]
     first = flow.route[0]
     delay = flow.offsets[last] + flow.size / network.links[last].rate - flow.offsets[first]

@@ -1,10 +1,14 @@
 """Orchestration: end-to-end assembly, dependency ordering, comparisons."""
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tsncalc import engine
 from tsncalc import netmodel as nm
+from tsncalc import shapers as sh
 from tsncalc import testgen as tg
 from tsncalc.errors import CycleError, InstabilityError
 
@@ -198,6 +202,64 @@ def test_cycle_detection_lists_cycle():
         engine.analyze(ring_net(), "SP")
     cycle_links = {q[0] for q in exc.value.cycle}
     assert {"R12", "R23", "R31"} <= cycle_links
+
+
+def test_cycle_listing_is_a_dependency_cycle():
+    net = tg.generate("MR", tg.GenSpec(target_load=0.4, priorities=(6, 5, 4), seed=7))
+    with pytest.raises(CycleError) as exc:
+        engine.analyze(net, "SP")
+    cycle = exc.value.cycle
+    assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+    graph = engine.queue_dependency_graph(net)
+    for a, b in zip(cycle, cycle[1:]):
+        assert a in graph[b]
+
+
+def _tagged(net, tag):
+    """The network with every node, link and flow id prefixed by ``tag``."""
+    out = nm.Network()
+    for n in net.nodes.values():
+        out.nodes[tag + n.id] = nm.Node(tag + n.id, n.kind)
+    for l in net.links.values():
+        out.links[tag + l.id] = dataclasses.replace(l, id=tag + l.id, src=tag + l.src,
+                                                    dst=tag + l.dst)
+    for f in net.flows.values():
+        out.flows[tag + f.id] = dataclasses.replace(f, id=tag + f.id,
+                                                    route=tuple(tag + l for l in f.route))
+    return out
+
+
+def test_fixed_point_matches_feed_forward_on_acyclic_part():
+    """Fixed-point sweeps over a ring plus a disjoint tree leave the tree's
+    queues exactly at their feed-forward bounds, on multi-priority ports."""
+    spec = dict(target_load=0.4, priorities=(6, 5, 4), seed=7)
+    ring = _tagged(tg.generate("MR", tg.GenSpec(**spec)), "r.")
+    tree = _tagged(tg.generate("MT", tg.GenSpec(**spec)), "t.")
+    both = nm.Network(nodes={**ring.nodes, **tree.nodes}, links={**ring.links, **tree.links},
+                      flows={**ring.flows, **tree.flows})
+    horizon = nm.hyperperiod_horizon(both)
+    assert any(len(nm.event_priorities(tree, l)) > 1 for l in tree.links)
+    for arch in ("SP", "CBS"):
+        with pytest.raises(CycleError):
+            engine.analyze(both, arch, horizon=horizon)
+        combined = engine.analyze(both, arch, horizon=horizon, fixed_point=True)
+        alone = engine.analyze(tree, arch, horizon=horizon, fixed_point=True)
+        assert alone.queues
+        for key, qb in alone.queues.items():
+            assert combined.queues[key] == qb
+
+
+def test_cbs_curves_built_once_per_class(monkeypatch):
+    net = tg.generate("MM", tg.GenSpec(target_load=0.3, seed=7))
+    builds = collections.Counter()
+    for name in ("cbs_credit_bounds", "cbs_shaping_curve"):
+        def counted(ctx, link_id, priority, _name=name, _build=getattr(sh, name)):
+            builds[(_name, link_id, priority)] += 1
+            return _build(ctx, link_id, priority)
+        monkeypatch.setattr(sh, name, counted)
+    engine.analyze(net, "CBS")
+    assert {name for name, _, _ in builds} == {"cbs_credit_bounds", "cbs_shaping_curve"}
+    assert max(builds.values()) == 1
 
 
 def test_fixed_point_mode_converges_on_ring():

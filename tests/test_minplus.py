@@ -182,7 +182,7 @@ def test_up_closure_nondecreasing_nonnegative():
 
 def test_pos_part_vs_up_closure_on_monotone_input():
     inner = mp.sum_of([mp.Affine(0.0, 50.0, H), mp.Affine(-4000.0, 0.0, H)])
-    pp = mp.pos_part(inner)
+    pp = mp.max_of([inner, mp.zero(H)])
     uc = mp.up_closure(inner)
     for t in np.linspace(0.0, H, 101):
         assert pp.evaluate(t) == pytest.approx(uc.evaluate(t), abs=1e-9)

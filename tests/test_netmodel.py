@@ -1,6 +1,7 @@
 """Network model: validation, traffic envelopes, guard bands, file format."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +62,22 @@ def test_validate_disconnected_route():
     net.flows["d"] = nm.Flow("d", "SP", 1000.0, 5, ("L1", "L3"), period=1000.0)
     codes = {v.code for v in nm.validate(net)}
     assert "DisconnectedRoute" in codes
+
+
+def test_validate_repeated_link():
+    """A route that crosses a link twice would be counted once at that link."""
+    net = nm.Network()
+    for nid, kind in [("ES1", "ES"), ("SW1", "SW"), ("SW2", "SW"), ("ES2", "ES")]:
+        net.nodes[nid] = nm.Node(nid, kind)
+    for lid, a, b in [("L0", "ES1", "SW1"), ("L1", "SW1", "SW2"), ("L2", "SW2", "SW1"),
+                      ("L3", "SW2", "ES2")]:
+        net.links[lid] = nm.Link(lid, a, b, rate=100.0)
+    net.flows["f"] = nm.Flow("f", "SP", 8000.0, 5, ("L0", "L1", "L2", "L1", "L3"), period=1000.0)
+    assert [v.code for v in nm.validate(net)] == ["RepeatedLink"]
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(nm.__file__).parent / "schema/network.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(nm.to_dict(net), schema)
 
 
 def test_validate_overlapping_windows():
