@@ -241,7 +241,9 @@ def sweep_csv(rows, failures, pair_label, loads, metrics) -> str:
             if vals:
                 lines.append(f"{load:.9g},all,{metric},{pair_label},{sum(vals) / len(vals):.9g}")
     for (load, seed), msg in sorted(failures.items()):
-        lines.append(f"{load:.9g},{seed},failed,{pair_label},{msg.split(':')[0]}")
+        # "Class: message" in one field: no commas, no line breaks
+        reason = " ".join(msg.replace(",", ";").splitlines())
+        lines.append(f"{load:.9g},{seed},failed,{pair_label},{reason}")
     return "\n".join(lines) + "\n"
 
 

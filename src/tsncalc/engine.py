@@ -92,13 +92,13 @@ def queue_dependency_graph(network: nm.Network):
     queue of B at each priority at or below the flow's waits for A's queue of
     the flow's priority, because its arrival or service curve uses that
     queue's delay bound."""
-    graph = {(link_id, p): set()
-             for link_id in network.links for p in nm.event_priorities(network, link_id)}
+    prios = {link_id: nm.event_priorities(network, link_id) for link_id in network.links}
+    graph = {(link_id, p): set() for link_id in network.links for p in prios[link_id]}
     for f in network.flows.values():
         if f.kind not in ("SP", "AVB"):
             continue
         for a, b in zip(f.route, f.route[1:]):
-            for r in nm.event_priorities(network, b):
+            for r in prios[b]:
                 if r <= f.priority:
                     graph[(b, r)].add((a, f.priority))
     return graph
@@ -146,6 +146,7 @@ def analyze(network: nm.Network, architecture: str, credit_mode: str | None = No
     violations = nm.validate(network)
     if violations:
         raise ValidationError(violations)
+    network = network.indexed()  # one per-link flow index, shared by every horizon tried
     arch = sh.parse_architecture(architecture)
     if credit_mode is None and arch.needs_credit_mode:
         credit_mode = "frozen"

@@ -1,17 +1,29 @@
 """Exact min-plus curve algebra for worst-case traffic analysis.
 
 Curves are non-decreasing functions of time, kept in a closed (symbolic)
-representation and compiled on demand to an exact piecewise-linear form on
-[0, horizon].  Jumps are first-class: every breakpoint carries the value at
-the point and the right limit, and curves are left-continuous at jumps
-(``Affine(b, r)`` is 0 at t = 0 and b + r*t for t > 0).
+representation: a tree of curve nodes.  Jumps are first-class, and curves
+are left-continuous at jumps (``Affine(b, r)`` is 0 at t = 0 and b + r*t
+for t > 0).
 
 Units are microseconds for time and bits for data, so rates are bits/us
 (numerically equal to Mb/s).
 
-All operators (min, max, sum, scaling, the non-decreasing closure,
-horizontal/vertical deviation) are computed exactly at curve
-breakpoints; nothing is sampled.
+A node has up to two exact representations, each computed lazily and
+cached on the node:
+
+- ``envelope``: the token-bucket family in closed form, for t > 0 the min
+  (concave) or the max (convex) of a few lines, and 0 at t = 0.  Affine and
+  rate-latency curves have one, and so do min, max, sum, scaling and the
+  non-decreasing closure of curves that have one, as long as the result
+  stays a min or a max of lines.  Gate staircases and TDMA curves have none.
+- ``segments``: a piecewise-linear function on [0, horizon] with jumps,
+  built from breakpoints.  Every curve has it.
+
+``deviations`` of a concave arrival curve against a convex or burst-delay
+service curve (the gate-free strict-priority, reshaping and credit-based
+analyses) are computed from the envelopes, from the line crossings; every
+other pair is computed from the segments.  Both are exact at breakpoints
+and restricted to the curves' horizons; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -321,19 +333,207 @@ def _vdev_segments(a: Segments, b: Segments):
 
 
 # ---------------------------------------------------------------------------
+# Closed form of the token-bucket family
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Envelope:
+    """f(0) = 0 and, for t > 0, the min (``sense`` 1, concave) or the max
+    (``sense`` -1, convex) of the lines ``intercept + slope*t`` in ``lines``.
+
+    ``lines`` is the envelope itself: each line is active on one interval,
+    in order of t, and no other line is ever active.  A single line is both
+    a min and a max (``sense`` 0).
+    """
+
+    sense: int
+    lines: tuple  # ((intercept, slope), ...)
+
+    def value(self, t: float) -> float:
+        """f(t) for t > 0."""
+        vals = [d + s * t for d, s in self.lines]
+        return max(vals) if self.sense < 0 else min(vals)
+
+    def kinks(self, horizon: float) -> list:
+        """Times in (0, horizon) where the active line changes."""
+        out = []
+        for (d0, s0), (d1, s1) in zip(self.lines, self.lines[1:]):
+            t = (d1 - d0) / (s0 - s1)
+            if t >= horizon:
+                break
+            out.append(t)
+        return out
+
+
+def _hull(sense: int, lines) -> Envelope:
+    """The lower (``sense`` 1) or upper (``sense`` -1) envelope over t > 0
+    of the lines (intercept, slope)."""
+    hull = []
+    # the lower envelope of the mirrored lines, steepest first; on a tie of
+    # slopes the lowest intercept is the only candidate
+    for d, s in sorted(((sense * d, sense * s) for d, s in lines), key=lambda l: (-l[1], l[0])):
+        if hull and hull[-1][1] == s:
+            continue
+        while hull:
+            d1, s1 = hull[-1]
+            if d <= d1:
+                hull.pop()  # lower and flatter: below the last line for all t > 0
+                continue
+            if len(hull) > 1:
+                d0, s0 = hull[-2]
+                # the new line takes over before the last one would
+                if (d - d1) * (s0 - s1) <= (d1 - d0) * (s1 - s):
+                    hull.pop()
+                    continue
+            break
+        hull.append((d, s))
+    return Envelope(sense if len(hull) > 1 else 0, tuple((sense * d, sense * s) for d, s in hull))
+
+
+def _sum_envelopes(envs) -> Envelope | None:
+    """Sum of envelopes that are all mins or all maxes: the min (max) over
+    every choice of one line per term."""
+    senses = {e.sense for e in envs} - {0}
+    if len(senses) > 1:
+        return None
+    sense = senses.pop() if senses else 1
+    env = envs[0]
+    for e in envs[1:]:
+        env = _hull(sense, [(d0 + d1, s0 + s1) for d0, s0 in env.lines for d1, s1 in e.lines])
+    return env
+
+
+class _LineOperand:
+    """A non-decreasing envelope on [0, horizon] as a deviation operand."""
+
+    def __init__(self, env: Envelope, horizon: float):
+        self.env = env
+        self.start = env.lines[0][0]  # f(0+)
+        self.top = env.value(horizon)  # f(horizon), its largest value there
+        self.kinks = env.kinks(horizon)
+        self.levels = [0.0, self.start, self.top] + [env.value(t) for t in self.kinks]
+
+    def value(self, t: float) -> float:
+        return self.env.value(t)
+
+    def inverse(self, y: float, strict: bool) -> float:
+        """First t in [0, horizon] at which the curve reaches (strict:
+        exceeds) level y >= 0; inf if it does not."""
+        if y > self.top or (strict and y >= self.top):
+            return INF
+        if y < self.start or (y == self.start and not strict):
+            return 0.0
+        # a min of lines reaches y once every line has; a max once one has
+        times = [(y - d) / s for d, s in self.env.lines if s > 0.0]
+        return max(times) if self.env.sense > 0 else min(times)
+
+
+class _DelayOperand:
+    """Burst-delay service curve with its delay inside the horizon: 0 up to
+    and including the delay, inf after."""
+
+    def __init__(self, delay: float):
+        self.delay = delay
+        self.start = INF if delay == 0.0 else 0.0
+        self.top = INF
+        self.kinks = [delay] if delay > 0.0 else []
+        self.levels = [0.0]
+
+    def value(self, t: float) -> float:
+        return 0.0 if t <= self.delay else INF
+
+    def inverse(self, y: float, strict: bool) -> float:
+        return 0.0 if y <= 0.0 and not strict else self.delay
+
+
+#: Marks a node whose closed form is not computed yet.
+_UNSET = object()
+
+#: The zero curve, for a burst delay at or beyond its horizon.
+_ZERO_ENVELOPE = Envelope(0, ((0.0, 0.0),))
+
+
+def _operand(curve: "Curve", concave: bool):
+    """A non-decreasing curve with a concave (arrival) or convex or
+    burst-delay (service) closed form, as a deviation operand; else None."""
+    if isinstance(curve, BurstDelay):
+        if concave:
+            return None
+        if curve.delay < curve.horizon:
+            return _DelayOperand(curve.delay)
+        env = _ZERO_ENVELOPE
+    else:
+        env = curve.envelope
+    if env is None or env.sense == (-1 if concave else 1):
+        return None
+    if env.lines[0][0] < 0.0 or min(s for _, s in env.lines) < 0.0:
+        return None
+    return _LineOperand(env, curve.horizon)
+
+
+def _first_max(cands):
+    """The largest value of (value, time) candidates, and as the witness the
+    time of the first candidate within rounding of it: exact ties (a flat
+    stretch) go to the earliest candidate, not to the rounding error."""
+    best = max(v for v, _ in cands)
+    tol = 1e-12 * max(1.0, abs(best))
+    return best, next(t for v, t in cands if v >= best - tol)
+
+
+def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
+    """Deviations of a concave arrival curve against a convex or burst-delay
+    service curve, from their closed forms; None for any other pair.
+
+    Takes the candidates the segment computation takes, in the same order:
+    the level breakpoints of either curve up to alpha(H) for the horizontal
+    deviation, the time breakpoints, 0+ and the horizon for the vertical
+    one.  The witness is the first maximum, and HorizonExceededError is
+    raised exactly when alpha(H) > beta(H).
+    """
+    b = _operand(beta, concave=False)  # first, so that gated curves fail fast
+    if b is None:
+        return None
+    a = _operand(alpha, concave=True)
+    if a is None:
+        return None
+    if a.top > b.top:
+        raise HorizonExceededError("service curve does not reach an arrival level within the horizon")
+
+    levels = sorted({min(max(y, 0.0), a.top) for y in a.levels + b.levels})
+    cands = []
+    for strict in (False, True):
+        for y in levels:
+            ta = a.inverse(y, strict)
+            g = b.inverse(y, strict) - ta
+            cands.append((g if math.isfinite(g) else -INF, ta))
+    g, h_witness = _first_max(cands)
+
+    h = min(alpha.horizon, beta.horizon)
+    grid = sorted({t for t in a.kinks + b.kinks if t <= h})
+    cands = [(0.0, 0.0)]
+    cands += [(a.value(t) - b.value(t), t) for t in grid]
+    cands.append((a.start - b.start, 0.0))
+    cands.append((a.value(h) - b.value(h), h))
+    v, v_witness = _first_max(cands)
+    return Deviation(horizontal=max(0.0, g), vertical=max(0.0, v),
+                     argmax_h=h_witness, argmax_v=v_witness)
+
+
+# ---------------------------------------------------------------------------
 # Curve nodes
 # ---------------------------------------------------------------------------
 
 class Curve:
     """A non-decreasing function on [0, horizon] in closed representation."""
 
-    __slots__ = ("horizon", "_segments")
+    __slots__ = ("horizon", "_segments", "_envelope")
 
     def __init__(self, horizon: float):
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         self.horizon = float(horizon)
         self._segments = None
+        self._envelope = _UNSET
 
     @property
     def segments(self) -> Segments:
@@ -341,8 +541,18 @@ class Curve:
             self._segments = self._build()
         return self._segments
 
+    @property
+    def envelope(self) -> Envelope | None:
+        """The closed form, or None outside the token-bucket family."""
+        if self._envelope is _UNSET:
+            self._envelope = self._closed_form()
+        return self._envelope
+
     def _build(self) -> Segments:
         raise NotImplementedError
+
+    def _closed_form(self) -> Envelope | None:
+        return None
 
     def long_term_rate(self) -> float:
         raise NotImplementedError
@@ -377,6 +587,9 @@ class Affine(Curve):
     def _build(self) -> Segments:
         return Segments([0.0], [0.0], [self.burst], [self.rate], self.horizon)
 
+    def _closed_form(self) -> Envelope:
+        return Envelope(0, ((self.burst, self.rate),))
+
     def long_term_rate(self) -> float:
         return self.rate
 
@@ -398,6 +611,9 @@ class RateLatency(Curve):
             slope = self.rate if self.latency == 0.0 else 0.0
             return Segments([0.0], [0.0], [0.0], [slope], self.horizon)
         return Segments([0.0, self.latency], [0.0, 0.0], [0.0, 0.0], [0.0, self.rate], self.horizon)
+
+    def _closed_form(self) -> Envelope:
+        return _hull(-1, [(0.0, 0.0), (-self.rate * self.latency, self.rate)])
 
     def long_term_rate(self) -> float:
         return self.rate
@@ -518,6 +734,17 @@ class Pointwise(Curve):
             seg = _combine(seg, c.segments, self.op)
         return seg.compress()
 
+    def _closed_form(self) -> Envelope | None:
+        envs = [c.envelope for c in self.curves]
+        if any(e is None for e in envs):
+            return None
+        if self.op == "sum":
+            return _sum_envelopes(envs)
+        sense = 1 if self.op == "min" else -1
+        if any(e.sense == -sense for e in envs):
+            return None
+        return _hull(sense, [line for e in envs for line in e.lines])
+
     def long_term_rate(self) -> float:
         return _RATE_OF[self.op](c.long_term_rate() for c in self.curves)
 
@@ -540,6 +767,15 @@ class Scale(Curve):
         f = self.factor
         return Segments(seg.t, seg.at * f, seg.right * f, seg.slope * f, seg.horizon)
 
+    def _closed_form(self) -> Envelope | None:
+        env = self.curve.envelope
+        if env is None:
+            return None
+        f = self.factor
+        sense = env.sense if f > 0.0 else -env.sense
+        # a single line (sense 0) is its own lower envelope
+        return _hull(sense or 1, [(d * f, s * f) for d, s in env.lines])
+
     def long_term_rate(self) -> float:
         return self.factor * self.curve.long_term_rate()
 
@@ -555,6 +791,14 @@ class UpClosure(Curve):
 
     def _build(self) -> Segments:
         return _up_closure_segments(self.curve.segments).compress()
+
+    def _closed_form(self) -> Envelope | None:
+        # a max of lines that starts at or below 0 at 0+: max(0, f) is
+        # convex with its minimum at 0, so it is already non-decreasing
+        env = self.curve.envelope
+        if env is None or env.sense > 0 or env.lines[0][0] > 0.0:
+            return None
+        return _hull(-1, env.lines + ((0.0, 0.0),))
 
     def long_term_rate(self) -> float:
         return max(0.0, self.curve.long_term_rate())
@@ -602,10 +846,18 @@ def deviations(alpha: Curve, beta: Curve) -> Deviation:
     """Both deviations between an arrival and a service curve, with witnesses.
 
     Computed exactly at the union of curve breakpoints, staircase jump points
-    and the level crossings they induce; raises InstabilityError when the
-    arrival's long-term rate exceeds the service rate.
+    and the level crossings they induce: from the closed forms when alpha is
+    concave and beta convex or a burst delay, else from the segments.  Raises
+    InstabilityError when the arrival's long-term rate exceeds the service
+    rate, and HorizonExceededError when alpha(H) > beta(H).
     """
     _check_rates(alpha, beta)
+    closed = _closed_deviations(alpha, beta)
+    return closed if closed is not None else _segment_deviations(alpha, beta)
+
+
+def _segment_deviations(alpha: Curve, beta: Curve) -> Deviation:
+    """Deviations computed from the segments; any pair of curves."""
     a = alpha.segments
     b = beta.segments
     if not np.all(np.isfinite(a.right)):

@@ -8,6 +8,7 @@ identical to bits/us, converted on load).  See ``schema/network.schema.json``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,12 +86,29 @@ class Network:
     precision: float = 0.0                         # clock precision, added once to TT e2e
     tt_queue_counts: dict = field(default_factory=dict)  # link id -> #TT queues
     ats_shaped_queues: dict = field(default_factory=dict)  # explicit maps, validation only
+    # link id -> flows crossing it, in flow order; only on the views that
+    # ``indexed`` returns
+    link_flows: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def gcl(self, link_id: str) -> Gcl | None:
         return self.gcls.get(link_id)
 
     def flows_on(self, link_id: str):
+        if self.link_flows is not None:
+            return self.link_flows.get(link_id, [])
         return [f for f in self.flows.values() if link_id in f.route]
+
+    def indexed(self) -> "Network":
+        """A view of this network that answers ``flows_on`` from a per-link
+        index built once, for one analysis.  The view shares every table
+        with this network and does not see flows added after it was made,
+        so build a new one for each analysis."""
+        view = dataclasses.replace(self)
+        view.link_flows = {}
+        for f in self.flows.values():
+            for link_id in dict.fromkeys(f.route):
+                view.link_flows.setdefault(link_id, []).append(f)
+        return view
 
     def previous_link(self, flow: Flow, link_id: str) -> str | None:
         i = flow.route.index(link_id)

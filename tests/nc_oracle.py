@@ -22,12 +22,14 @@ STEP = 0.1   # grid step, us
 class CurveSpec:
     """Parametric description of one test curve."""
 
-    kind: str  # affine | ratelatency | burstdelay | staircase
+    kind: str  # affine | ratelatency | burstdelay | staircase | minlines | maxlines | sum
     burst: float = 0.0
     rate: float = 0.0
     latency: float = 0.0
     delay: float = 0.0
-    terms: tuple = field(default_factory=tuple)  # (height, offset, period)
+    # staircase: (height, offset, period); minlines/maxlines: (intercept,
+    # slope); sum: CurveSpecs
+    terms: tuple = field(default_factory=tuple)
 
     def long_term_rate(self) -> float:
         if self.kind == "affine":
@@ -36,6 +38,12 @@ class CurveSpec:
             return self.rate
         if self.kind == "burstdelay":
             return math.inf
+        if self.kind == "minlines":
+            return min(s for _, s in self.terms)
+        if self.kind == "maxlines":
+            return max(s for _, s in self.terms)
+        if self.kind == "sum":
+            return sum(t.long_term_rate() for t in self.terms)
         return sum(h / p for h, _, p in self.terms)
 
 
@@ -53,6 +61,14 @@ def oracle_eval(spec: CurveSpec, ts: np.ndarray) -> np.ndarray:
         for height, offset, period in spec.terms:
             total += height * np.maximum(0.0, np.ceil((ts - offset) / period))
         return total
+    if spec.kind == "minlines":  # concave token-bucket envelope
+        lines = np.min([d + s * ts for d, s in spec.terms], axis=0)
+        return np.where(ts > 0, lines, 0.0)
+    if spec.kind == "maxlines":  # convex service curve, clamped at zero
+        lines = np.max([d + s * ts for d, s in spec.terms], axis=0)
+        return np.where(ts > 0, np.maximum(lines, 0.0), 0.0)
+    if spec.kind == "sum":
+        return np.sum([oracle_eval(t, ts) for t in spec.terms], axis=0)
     raise ValueError(spec.kind)
 
 

@@ -131,7 +131,13 @@ def test_sweep_records_infeasible_load_as_failed_cell(tmp_path, workers):
                    "--workers", workers, "--out", str(out)])
     assert rc == 0
     rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
-    assert ["0.9", "0", "failed", "TAS+SP-vs-TAS+SP", "GenerationError"] in rows
+    assert all(len(r) == 5 for r in rows)
+    failed = [r for r in rows if r[:4] == ["0.9", "0", "failed", "TAS+SP-vs-TAS+SP"]]
+    assert len(failed) == 1
+    # the whole reason, with the commas of "[0, 1)" turned into semicolons
+    assert failed[0][4].split(":")[0] == "GenerationError"
+    assert "target load 1.1" in failed[0][4]
+    assert "[0; 1)" in failed[0][4]
     assert not [r for r in rows if r[0] == "0.9" and r[2] != "failed"]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tsncalc import engine
+from tsncalc import minplus as mp
 from tsncalc import netmodel as nm
 from tsncalc import shapers as sh
 from tsncalc import testgen as tg
@@ -260,6 +261,42 @@ def test_cbs_curves_built_once_per_class(monkeypatch):
     engine.analyze(net, "CBS")
     assert {name for name, _, _ in builds} == {"cbs_credit_bounds", "cbs_shaping_curve"}
     assert max(builds.values()) == 1
+
+
+def test_gate_free_analyses_build_no_segments(monkeypatch):
+    mm = tg.generate("MM", tg.GenSpec(target_load=0.3, priorities=(6, 5, 4), seed=7))
+    ring = tg.generate("MR", tg.GenSpec(target_load=0.4, priorities=(6, 5, 4), seed=7))
+    gated = tg.generate("MM", tg.GenSpec(target_load=0.4, tt_load_fraction=0.3, seed=7))
+    built = collections.Counter()
+    init = mp.Segments.__init__
+
+    def counted(self, *args):
+        built["segments"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(mp.Segments, "__init__", counted)
+    # token-bucket and rate-latency curves only: every deviation is closed form
+    for arch in ("SP", "ATS", "CBS"):
+        assert engine.analyze(mm, arch).queues
+    with pytest.raises(CycleError):
+        engine.analyze(ring, "SP")
+    assert engine.analyze(ring, "SP", fixed_point=True).queues
+    assert built["segments"] == 0
+    # gate staircases still need the segments
+    engine.analyze(gated, "TAS+SP")
+    assert built["segments"] > 0
+
+
+def test_reanalysis_sees_flows_added_in_between():
+    net = single_hop_net()
+    before = engine.analyze(net, "SP")
+    net.flows["f2"] = nm.Flow("f2", "SP", 8000.0, 5, ("L1", "L2"), period=1000.0)
+    after = engine.analyze(net, "SP")
+    assert set(after.flows) == {"f1", "f2"}
+    assert after.flows["f2"].wcd > after.flows["f2"].lb > 0.0
+    # f1 now shares both of its queues with f2
+    assert after.flows["f1"].wcd > before.flows["f1"].wcd
+    assert net.link_flows is None
 
 
 def test_fixed_point_mode_converges_on_ring():

@@ -217,3 +217,293 @@ def test_randomized_deviations_match_oracle():
         assert dev.horizontal == pytest.approx(orc.oracle_hdev(a_spec, b_spec, horizon), abs=0.01)
         assert dev.vertical == pytest.approx(orc.oracle_vdev(a_spec, b_spec, horizon), abs=1.0)
 
+
+
+# ---------------------------------------------------------------------------
+# closed forms: the same deviations as the segments and the oracle
+# ---------------------------------------------------------------------------
+
+H_TOL = 0.01  # us, the oracle's tolerances
+V_TOL = 1.0   # bits
+CLOSED_H = 2000.0
+
+
+def _concave_lines(rng, n, rate_hi):
+    """Lines of a concave envelope with its kinks on the oracle's grid."""
+    rates = sorted(rng.uniform(0.05, rate_hi, n), reverse=True)
+    kinks = np.sort(rng.choice(np.arange(1, 4000), n - 1, replace=False)) * orc.STEP
+    lines = [(float(rng.uniform(0, 15000)), float(rates[0]))]
+    for r, t in zip(rates[1:], kinks):
+        d, s = lines[-1]
+        lines.append((d + (s - r) * float(t), float(r)))
+    return lines
+
+
+def _random_concave(rng):
+    """(curve, oracle spec): an affine, a min of affines or a sum of two."""
+    kind = rng.integers(3)
+    if kind == 0:
+        b, r = _concave_lines(rng, 1, 40.0)[0]
+        return mp.Affine(b, r, CLOSED_H), orc.CurveSpec("affine", burst=b, rate=r)
+    parts = [_concave_lines(rng, int(rng.integers(2, 4)), 20.0) for _ in range(kind)]
+    curves = [mp.min_of([mp.Affine(d, s, CLOSED_H) for d, s in p]) for p in parts]
+    specs = [orc.CurveSpec("minlines", terms=tuple(p)) for p in parts]
+    if kind == 1:
+        return curves[0], specs[0]
+    return mp.sum_of(curves), orc.CurveSpec("sum", terms=tuple(specs))
+
+
+def _random_convex(rng):
+    """(curve, oracle spec): rate-latency, burst-delay, or the leftover of a
+    link after higher-priority traffic, as closure or as positive part."""
+    kind = rng.integers(4)
+    if kind == 0:
+        rate, latency = float(rng.uniform(5, 100)), orc._snap(rng.uniform(0, 400))
+        return (mp.RateLatency(rate, latency, CLOSED_H),
+                orc.CurveSpec("ratelatency", rate=rate, latency=latency))
+    if kind == 1:
+        delay = orc._snap(rng.uniform(0, 400))
+        return mp.BurstDelay(delay, CLOSED_H), orc.CurveSpec("burstdelay", delay=delay)
+    link = float(rng.uniform(60, 100))
+    higher = _concave_lines(rng, int(rng.integers(1, 4)), 0.5 * link)
+    while True:
+        # the lower frame is chosen so that the service starts on the grid
+        start = orc._snap(rng.uniform(0, 400))
+        lower = link * start - min(d + s * start for d, s in higher)
+        if lower >= 0.0:
+            break
+    inner = mp.sum_of([mp.Affine(-lower, link, CLOSED_H),
+                       mp.scale(-1.0, mp.min_of([mp.Affine(d, s, CLOSED_H) for d, s in higher]))])
+    curve = mp.up_closure(inner) if kind == 2 else mp.max_of([inner, mp.zero(CLOSED_H)])
+    lines = tuple((-lower - d, link - s) for d, s in higher)
+    return curve, orc.CurveSpec("maxlines", terms=lines)
+
+
+def _h_at(a_spec, b_spec, w, horizon):
+    """Horizontal deviation just after time w, from the oracle's formulas:
+    beta's first time at alpha's level, by bisection."""
+    t = w + orc.TINY
+    y = orc.oracle_eval(a_spec, np.array([t]))[0]
+    lo, hi = 0.0, 2.0 * horizon
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if orc.oracle_eval(b_spec, np.array([mid]))[0] >= y:
+            hi = mid
+        else:
+            lo = mid
+    return hi - t
+
+
+def _v_at(a_spec, b_spec, w):
+    ts = np.array([w, w + orc.TINY])
+    with np.errstate(invalid="ignore"):
+        return float(np.max(orc.oracle_eval(a_spec, ts) - orc.oracle_eval(b_spec, ts)))
+
+
+def _both_paths(alpha, beta):
+    """The closed form's and the segments' deviations, or the exception type."""
+    out = []
+    for path in (mp._closed_deviations, mp._segment_deviations):
+        try:
+            out.append(path(alpha, beta))
+        except mp.HorizonExceededError:
+            out.append(mp.HorizonExceededError)
+    return out
+
+
+def _assert_same_deviations(alpha, beta, a_spec, b_spec, horizon):
+    closed, seg = _both_paths(alpha, beta)
+    assert closed is not None, "the pair should take the closed form"
+    if closed is mp.HorizonExceededError or seg is mp.HorizonExceededError:
+        assert closed is seg
+        return None, None
+    assert closed.horizontal == pytest.approx(seg.horizontal, rel=1e-9, abs=1e-9)
+    assert closed.vertical == pytest.approx(seg.vertical, rel=1e-9, abs=1e-9)
+    # every witness attains its deviation; on a flat stretch the two paths
+    # may pick different points of it
+    for w in {closed.argmax_h, seg.argmax_h}:
+        assert 0.0 <= w <= horizon
+        assert _h_at(a_spec, b_spec, w, horizon) == pytest.approx(closed.horizontal, abs=H_TOL)
+    for w in {closed.argmax_v, seg.argmax_v}:
+        assert 0.0 <= w <= horizon
+        assert _v_at(a_spec, b_spec, w) == pytest.approx(closed.vertical, abs=V_TOL)
+    return closed, seg
+
+
+def test_randomized_closed_form_matches_segments_and_oracle():
+    rng = np.random.default_rng(20241)
+    checked = 0
+    while checked < 60:
+        alpha, a_spec = _random_concave(rng)
+        beta, b_spec = _random_convex(rng)
+        if not a_spec.long_term_rate() <= 0.6 * b_spec.long_term_rate():
+            continue
+        ends = np.array([CLOSED_H])
+        if orc.oracle_eval(b_spec, ends)[0] < orc.oracle_eval(a_spec, ends)[0] + 1000.0:
+            continue
+        closed, seg = _assert_same_deviations(alpha, beta, a_spec, b_spec, CLOSED_H)
+        # random rates leave no flat stretch, so the witness is unique
+        assert closed.argmax_h == pytest.approx(seg.argmax_h, rel=1e-9, abs=1e-9)
+        assert closed.argmax_v == pytest.approx(seg.argmax_v, rel=1e-9, abs=1e-9)
+        assert closed.horizontal == pytest.approx(
+            orc.oracle_hdev(a_spec, b_spec, CLOSED_H), abs=H_TOL)
+        assert closed.vertical == pytest.approx(
+            orc.oracle_vdev(a_spec, b_spec, CLOSED_H), abs=V_TOL)
+        checked += 1
+
+
+def _rate_latency(rate, latency):
+    return mp.RateLatency(rate, latency, H), orc.CurveSpec("ratelatency", rate=rate, latency=latency)
+
+
+def _affine(burst, rate):
+    return mp.Affine(burst, rate, H), orc.CurveSpec("affine", burst=burst, rate=rate)
+
+
+def _burst_delay(delay):
+    return mp.BurstDelay(delay, H), orc.CurveSpec("burstdelay", delay=delay)
+
+
+def _min_affines(*lines):
+    return (mp.min_of([mp.Affine(d, s, H) for d, s in lines]),
+            orc.CurveSpec("minlines", terms=lines))
+
+
+def _max_affines(*lines):
+    return (mp.max_of([mp.Affine(d, s, H) for d, s in lines] + [mp.zero(H)]),
+            orc.CurveSpec("maxlines", terms=lines))
+
+
+def _link_leftover(link, lower):
+    # the lowest priority with nothing below it: one inner term, no burst
+    return (mp.up_closure(mp.sum_of([mp.Affine(-lower, link, H)])),
+            orc.CurveSpec("maxlines", terms=((-lower, link),)))
+
+
+TOL_RATE = 50.0 + 0.5 * mp.TOLERANCE
+
+CLOSED_EDGE_CASES = {
+    # name: (alpha, beta, (horizontal, vertical) or the exception both raise)
+    "zero arrival": (lambda: (mp.zero(H), orc.CurveSpec("affine")),
+                     lambda: _rate_latency(50.0, 30.0), (0.0, 0.0)),
+    "zero latency": (lambda: _affine(2000.0, 10.0), lambda: _rate_latency(100.0, 0.0),
+                     (20.0, 2000.0)),
+    "zero-burst inner term": (lambda: _affine(3000.0, 10.0), lambda: _link_leftover(100.0, 0.0),
+                              (30.0, 3000.0)),
+    "zero-burst arrival": (lambda: _affine(0.0, 10.0), lambda: _rate_latency(100.0, 30.0),
+                           (30.0, 300.0)),
+    "service kink above the burst": (lambda: _affine(1000.0, 20.0),
+                                     lambda: _max_affines((-500.0, 10.0), (-18500.0, 100.0)),
+                                     (175.0, 3500.0)),
+    "burst delay 0": (lambda: _affine(2000.0, 10.0), lambda: _burst_delay(0.0), (0.0, 0.0)),
+    "burst delay inside": (lambda: _affine(2000.0, 10.0), lambda: _burst_delay(150.0),
+                           (150.0, 3500.0)),
+    "burst delay at horizon": (lambda: _affine(2000.0, 10.0), lambda: _burst_delay(H),
+                               mp.HorizonExceededError),
+    "burst delay at horizon, no traffic": (lambda: (mp.zero(H), orc.CurveSpec("affine")),
+                                           lambda: _burst_delay(H), (0.0, 0.0)),
+    "burst delay beyond horizon": (lambda: _affine(1.0, 0.0), lambda: _burst_delay(2 * H),
+                                   mp.HorizonExceededError),
+    "first arrival rate equals service rate": (
+        lambda: _min_affines((1000.0, 100.0), (5000.0, 10.0)),
+        lambda: _rate_latency(100.0, 20.0), (30.0, 3000.0)),  # flat up to the kink at 44.4
+    "rates equal within tolerance": (lambda: _affine(500.0, TOL_RATE),
+                                     lambda: _affine(500.0, 50.0), mp.HorizonExceededError),
+    "identical token buckets": (lambda: _affine(500.0, 3.0), lambda: _affine(500.0, 3.0),
+                                (0.0, 0.0)),
+    "beyond the horizon": (lambda: _affine(5000.0, 10.0), lambda: _rate_latency(10.5, 300.0),
+                           mp.HorizonExceededError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_EDGE_CASES))
+def test_closed_form_edge_cases(name):
+    make_alpha, make_beta, want = CLOSED_EDGE_CASES[name]
+    (alpha, a_spec), (beta, b_spec) = make_alpha(), make_beta()
+    dev, _ = _assert_same_deviations(alpha, beta, a_spec, b_spec, H)
+    if want is mp.HorizonExceededError:
+        assert dev is None
+        with pytest.raises(mp.HorizonExceededError):
+            mp.deviations(alpha, beta)
+    else:
+        assert (dev.horizontal, dev.vertical) == pytest.approx(want, abs=1e-9)
+        assert mp.deviations(alpha, beta) == dev
+
+
+def test_closed_form_instability_precedes_both_paths():
+    alpha, beta = mp.Affine(0.0, 20.0, H), mp.RateLatency(10.0, 0.0, H)
+    assert alpha.envelope is not None and beta.envelope is not None
+    with pytest.raises(InstabilityError):
+        mp.deviations(alpha, beta)
+
+
+def test_closed_form_witness_is_the_first_maximum():
+    # the deviations are attained all along a flat stretch that starts at
+    # 0 (horizontal) and at the latency, 20 us (vertical)
+    alpha = mp.min_of([mp.Affine(1000.0, 100.0, H), mp.Affine(5000.0, 10.0, H)])
+    dev = mp.deviations(alpha, mp.RateLatency(100.0, 20.0, H))
+    assert (dev.argmax_h, dev.argmax_v) == (0.0, 20.0)
+
+
+def test_closed_form_refuses_a_decreasing_service():
+    higher = mp.min_of([mp.Affine(100.0, 30.0, H), mp.Affine(2000.0, 5.0, H)])
+    leftover = mp.sum_of([mp.Affine(-500.0, 50.0, H), mp.scale(-1.0, higher)])
+    assert leftover.envelope is not None  # negative from 0+ on: not a service curve
+    with pytest.raises(ValueError):
+        mp.deviations(mp.Affine(100.0, 1.0, H), leftover)
+
+
+def test_gated_service_keeps_segments():
+    gate = mp.Staircase([(20000.0, 0.0, 1000.0)], H)
+    beta = mp.up_closure(mp.sum_of([mp.Affine(-1000.0, 100.0, H), mp.scale(-1.0, gate)]))
+    assert beta.envelope is None
+    assert mp._closed_deviations(mp.Affine(1000.0, 5.0, H), beta) is None
+
+
+def _envelope_cases():
+    higher = mp.min_of([mp.Affine(100.0, 30.0, H), mp.Affine(2000.0, 5.0, H)])
+    leftover = mp.sum_of([mp.Affine(-500.0, 50.0, H), mp.scale(-1.0, higher)])
+    return {
+        "affine": mp.Affine(300.0, 2.0, H),
+        "rate-latency": mp.RateLatency(40.0, 25.0, H),
+        "rate-latency, no latency": mp.RateLatency(40.0, 0.0, H),
+        "rate-latency beyond the horizon": mp.RateLatency(40.0, 2 * H, H),
+        "min": higher,
+        "sum of mins": mp.sum_of([higher, mp.min_of([mp.Affine(0.0, 80.0, H),
+                                                    mp.Affine(900.0, 1.0, H)])]),
+        "scaled": mp.scale(2.5, higher),
+        "leftover": leftover,
+        "leftover closure": mp.up_closure(leftover),
+        "leftover positive part": mp.max_of([leftover, mp.zero(H)]),
+        "closure of a line": mp.up_closure(mp.Affine(-100.0, 3.0, H)),
+        "max of mins": mp.max_of([mp.Affine(50.0, 1.0, H), mp.Affine(-10.0, 4.0, H)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_envelope_cases()))
+def test_envelope_matches_segments(name):
+    curve = _envelope_cases()[name]
+    env = curve.envelope
+    assert env is not None
+    ts = np.concatenate([np.linspace(0.01, H, 157), env.kinks(H)])
+    ts = np.concatenate([ts, np.clip(ts + 1e-3, 0.0, H), np.clip(ts - 1e-3, 1e-6, H)])
+    want = curve.segments.value_many(ts)
+    got = np.array([env.value(t) for t in ts])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+
+
+def test_envelope_absent_outside_the_token_bucket_family():
+    gate = mp.Staircase([(2000.0, 0.0, 100.0)], H)
+    falling = mp.sum_of([mp.Affine(500.0, 10.0, H), mp.scale(-1.0, mp.Affine(0.0, 20.0, H))])
+    concave = mp.min_of([mp.Affine(100.0, 30.0, H), mp.Affine(2000.0, 5.0, H)])
+    assert gate.envelope is None
+    assert mp.BurstDelay(10.0, H).envelope is None
+    assert mp.sum_of([mp.Affine(0.0, 100.0, H), mp.scale(-1.0, gate)]).envelope is None
+    # the closure of a curve that jumps up at 0 and then falls stays flat,
+    # which no max of lines is
+    assert falling.envelope is not None
+    assert mp.up_closure(falling).envelope is None
+    # a min of lines is not a max of lines: no closure, no max with them
+    assert mp.up_closure(mp.scale(-1.0, mp.scale(-1.0, concave))).envelope is None
+    assert mp.max_of([concave, mp.zero(H)]).envelope is None
+    assert mp.sum_of([concave, mp.scale(-1.0, concave)]).envelope is None
