@@ -3,9 +3,9 @@ compare architectures and run load sweeps.
 
 Every flag can also be set through an environment variable prefixed
 ``TSNCALC_`` (e.g. ``TSNCALC_ARCH``).  Exit codes: 1 parse or generation
-error, and any other analysis failure (horizon exhausted, fixed point not
-converged, missing upstream dependency); 2 validation/configuration error;
-3 instability/starvation; 4 dependency cycle.
+error, and any other analysis failure (horizon of gated curves exhausted,
+fixed point not converged, missing upstream dependency); 2 validation or
+configuration error; 3 instability/starvation; 4 dependency cycle.
 """
 
 from __future__ import annotations

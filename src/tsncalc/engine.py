@@ -141,7 +141,8 @@ def analyze(network: nm.Network, architecture: str, credit_mode: str | None = No
     ``credit_mode`` defaults to "frozen" where gates and credit shaping
     coexist.  The curve horizon defaults to four times the longest schedule
     or flow period and is doubled (a bounded number of times) when a
-    deviation is not attained within it.
+    deviation between gated curves is not attained within it; gate-free
+    deviations hold for all t.
     """
     violations = nm.validate(network)
     if violations:

@@ -19,11 +19,14 @@ cached on the node:
 - ``segments``: a piecewise-linear function on [0, horizon] with jumps,
   built from breakpoints.  Every curve has it.
 
-``deviations`` of a concave arrival curve against a convex or burst-delay
-service curve (the gate-free strict-priority, reshaping and credit-based
-analyses) are computed from the envelopes, from the line crossings; every
-other pair is computed from the segments.  Both are exact at breakpoints
-and restricted to the curves' horizons; nothing is sampled.
+``deviations`` has three cases, all exact; nothing is sampled:
+
+- against a burst-delay service (shaped queues), a formula, over all t;
+- a concave arrival curve against a convex service curve (the gate-free
+  strict-priority, reshaping and credit-based analyses), the line crossings
+  of the envelopes, over all t;
+- every other pair (gate staircases, TDMA service), the segments on
+  [0, horizon].  Only this case can raise HorizonExceededError.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ class Segments:
 
     ``t`` are strictly increasing breakpoints with t[0] == 0.  For each k,
     ``at[k]`` is f(t[k]), ``right[k]`` is f(t[k]+) and ``slope[k]`` applies on
-    (t[k], t[k+1]); the last slope extends to the horizon.  ``inf`` values are
-    permitted (burst-delay curves) and always ride on zero slopes.
+    (t[k], t[k+1]); the last slope extends to the horizon.  Only a burst
+    delay's own segments hold ``inf`` (on a zero slope), for ``evaluate``; the
+    operators and deviations below take finite values.
     """
 
     __slots__ = ("t", "at", "right", "slope", "horizon")
@@ -94,13 +98,11 @@ class Segments:
 
     def is_nondecreasing(self, tol: float | None = None) -> bool:
         if tol is None:
-            finite = self.right[np.isfinite(self.right)]
-            scale = float(np.max(np.abs(finite), initial=1.0))
-            tol = max(TOLERANCE, 1e-12 * scale)
+            tol = max(TOLERANCE, 1e-12 * float(np.max(np.abs(self.right), initial=1.0)))
         left = self.left_values()
         if np.any(self.right - self.at < -tol) or np.any(self.at - left < -tol):
             return False
-        return bool(np.all(self.slope[np.isfinite(self.right)] >= -tol))
+        return bool(np.all(self.slope >= -tol))
 
     def restrict(self, horizon: float) -> "Segments":
         if horizon >= self.horizon:
@@ -115,12 +117,11 @@ class Segments:
             return self
         left = self.left_values()
         keep = np.ones(n, dtype=bool)
-        finite = np.isfinite(self.at) & np.isfinite(self.right) & np.isfinite(left)
         no_jump = (np.abs(self.at - left) <= tol) & (np.abs(self.right - self.at) <= tol)
         same_slope = np.empty(n, dtype=bool)
         same_slope[0] = False
         same_slope[1:] = np.abs(self.slope[1:] - self.slope[:-1]) <= tol
-        keep[1:] = ~(finite[1:] & no_jump[1:] & same_slope[1:])
+        keep[1:] = ~(no_jump[1:] & same_slope[1:])
         keep[0] = True
         return Segments(self.t[keep], self.at[keep], self.right[keep], self.slope[keep], self.horizon)
 
@@ -155,7 +156,7 @@ def _combine(a: Segments, b: Segments, op: str) -> Segments:
         dt = ends - grid
         d0 = ra[1] - rb[1]
         d1 = (ra[1] + ra[2] * dt) - (rb[1] + rb[2] * dt)
-        cross = np.isfinite(d0) & np.isfinite(d1) & (d0 * d1 < 0.0)
+        cross = d0 * d1 < 0.0
         if np.any(cross):
             frac = d0[cross] / (d0[cross] - d1[cross])
             extra = grid[cross] + frac * dt[cross]
@@ -199,10 +200,6 @@ def _up_closure_segments(seg: Segments) -> Segments:
         right_k = max(at_k, seg.right[k])
         f_start = seg.right[k]
         slope_k = seg.slope[k]
-        if not math.isfinite(f_start):
-            emit(t0, at_k, INF, 0.0)
-            run = INF
-            continue
         if f_start >= right_k - 0.0 and slope_k > 0.0:
             # f is (weakly) the running max and rising: follow it.
             emit(t0, at_k, right_k, slope_k)
@@ -279,13 +276,17 @@ def _check_rates(alpha: "Curve", beta: "Curve") -> None:
         )
 
 
+def _first_max_at(values: np.ndarray):
+    """The largest value and the index of the first value within rounding
+    of it, as ``_first_max`` picks its witness."""
+    best = float(np.max(values))
+    return best, int(np.argmax(values >= best - 1e-12 * max(1.0, abs(best))))
+
+
 def _hdev_segments(a: Segments, b: Segments):
-    levels = np.concatenate([a.at, a.right, a.end_left(), b.at, b.right, b.end_left()])
-    levels = levels[np.isfinite(levels)]
-    a_sup = max(np.max(a.at), np.max(a.right), np.max(a.end_left()[np.isfinite(a.end_left())], initial=0.0))
-    levels = np.unique(np.clip(levels, 0.0, a_sup))
-    if len(levels) == 0:
-        return 0.0, 0.0
+    a_levels = np.concatenate([a.at, a.right, a.end_left()])
+    levels = np.concatenate([a_levels, b.at, b.right, b.end_left()])
+    levels = np.unique(np.clip(levels, 0.0, np.max(a_levels)))
     ta = _pinv(a, levels, strict=False)
     tb = _pinv(b, levels, strict=False)
     ta_plus = _pinv(a, levels, strict=True)
@@ -298,16 +299,14 @@ def _hdev_segments(a: Segments, b: Segments):
         g_plus = tb_plus - ta_plus
     g_plus[~np.isfinite(g_plus)] = -INF
     g[~np.isfinite(g)] = -INF
-    all_g = np.concatenate([g, g_plus])
-    i = int(np.argmax(all_g))
-    best = max(0.0, float(all_g[i]))
+    best, i = _first_max_at(np.concatenate([g, g_plus]))
     if i < len(levels):
         witness = ta[i]
     else:
         witness = ta_plus[i - len(levels)]
     if not np.isfinite(witness):
         witness = 0.0
-    return best, float(witness)
+    return max(0.0, best), float(witness)
 
 
 def _vdev_segments(a: Segments, b: Segments):
@@ -318,18 +317,11 @@ def _vdev_segments(a: Segments, b: Segments):
     a_at, a_right, a_slope = _resample(a, grid)
     b_at, b_right, b_slope = _resample(b, grid)
     ends = np.append(grid[1:], horizon)
-    with np.errstate(invalid="ignore"):
-        d_at = a_at - b_at
-        d_right = a_right - b_right
-        d_end = (a_right + a_slope * (ends - grid)) - (b_right + b_slope * (ends - grid))
-    for d in (d_at, d_right, d_end):
-        d[~np.isfinite(d)] = -INF
-    stack = np.stack([d_at, d_right, d_end])
-    flat = int(np.argmax(stack))
-    best = max(0.0, float(stack.flat[flat]))
+    d_end = (a_right + a_slope * (ends - grid)) - (b_right + b_slope * (ends - grid))
+    stack = np.stack([a_at - b_at, a_right - b_right, d_end])
+    best, flat = _first_max_at(stack.ravel())
     which, idx = divmod(flat, len(grid))
-    witness = float(grid[idx] if which < 2 else ends[idx])
-    return best, witness
+    return max(0.0, best), float(grid[idx] if which < 2 else ends[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +346,33 @@ class Envelope:
         vals = [d + s * t for d, s in self.lines]
         return max(vals) if self.sense < 0 else min(vals)
 
-    def kinks(self, horizon: float) -> list:
-        """Times in (0, horizon) where the active line changes."""
-        out = []
-        for (d0, s0), (d1, s1) in zip(self.lines, self.lines[1:]):
-            t = (d1 - d0) / (s0 - s1)
-            if t >= horizon:
-                break
-            out.append(t)
-        return out
+    def kinks(self) -> list:
+        """Every time t > 0 where the active line changes, in order."""
+        return [(d1 - d0) / (s0 - s1) for (d0, s0), (d1, s1) in zip(self.lines, self.lines[1:])]
+
+    @property
+    def start(self) -> float:
+        """f(0+)."""
+        return self.lines[0][0]
+
+    @property
+    def sup(self) -> float:
+        """The supremum of a non-decreasing envelope: the last line's
+        intercept when that line is flat, else inf."""
+        d, s = self.lines[-1]
+        return INF if s > 0.0 else d
+
+    def inverse(self, y: float, strict: bool) -> float:
+        """First t at which a non-decreasing envelope reaches (strict:
+        exceeds) level y >= 0; inf if it never does."""
+        top = self.sup
+        if y > top or (strict and y >= top):
+            return INF
+        if y < self.start or (y == self.start and not strict):
+            return 0.0
+        # a min of lines reaches y once every line has; a max once one has
+        times = [(y - d) / s for d, s in self.lines if s > 0.0]
+        return max(times) if self.sense > 0 else min(times)
 
 
 def _hull(sense: int, lines) -> Envelope:
@@ -403,72 +413,19 @@ def _sum_envelopes(envs) -> Envelope | None:
     return env
 
 
-class _LineOperand:
-    """A non-decreasing envelope on [0, horizon] as a deviation operand."""
-
-    def __init__(self, env: Envelope, horizon: float):
-        self.env = env
-        self.start = env.lines[0][0]  # f(0+)
-        self.top = env.value(horizon)  # f(horizon), its largest value there
-        self.kinks = env.kinks(horizon)
-        self.levels = [0.0, self.start, self.top] + [env.value(t) for t in self.kinks]
-
-    def value(self, t: float) -> float:
-        return self.env.value(t)
-
-    def inverse(self, y: float, strict: bool) -> float:
-        """First t in [0, horizon] at which the curve reaches (strict:
-        exceeds) level y >= 0; inf if it does not."""
-        if y > self.top or (strict and y >= self.top):
-            return INF
-        if y < self.start or (y == self.start and not strict):
-            return 0.0
-        # a min of lines reaches y once every line has; a max once one has
-        times = [(y - d) / s for d, s in self.env.lines if s > 0.0]
-        return max(times) if self.env.sense > 0 else min(times)
-
-
-class _DelayOperand:
-    """Burst-delay service curve with its delay inside the horizon: 0 up to
-    and including the delay, inf after."""
-
-    def __init__(self, delay: float):
-        self.delay = delay
-        self.start = INF if delay == 0.0 else 0.0
-        self.top = INF
-        self.kinks = [delay] if delay > 0.0 else []
-        self.levels = [0.0]
-
-    def value(self, t: float) -> float:
-        return 0.0 if t <= self.delay else INF
-
-    def inverse(self, y: float, strict: bool) -> float:
-        return 0.0 if y <= 0.0 and not strict else self.delay
-
-
 #: Marks a node whose closed form is not computed yet.
 _UNSET = object()
 
-#: The zero curve, for a burst delay at or beyond its horizon.
-_ZERO_ENVELOPE = Envelope(0, ((0.0, 0.0),))
 
-
-def _operand(curve: "Curve", concave: bool):
-    """A non-decreasing curve with a concave (arrival) or convex or
-    burst-delay (service) closed form, as a deviation operand; else None."""
-    if isinstance(curve, BurstDelay):
-        if concave:
-            return None
-        if curve.delay < curve.horizon:
-            return _DelayOperand(curve.delay)
-        env = _ZERO_ENVELOPE
-    else:
-        env = curve.envelope
+def _operand(curve: "Curve", concave: bool) -> Envelope | None:
+    """The closed form of a non-decreasing curve that is concave (arrival)
+    or convex (service); else None."""
+    env = curve.envelope
     if env is None or env.sense == (-1 if concave else 1):
         return None
-    if env.lines[0][0] < 0.0 or min(s for _, s in env.lines) < 0.0:
+    if env.start < 0.0 or min(s for _, s in env.lines) < 0.0:
         return None
-    return _LineOperand(env, curve.horizon)
+    return env
 
 
 def _first_max(cands):
@@ -481,14 +438,18 @@ def _first_max(cands):
 
 
 def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
-    """Deviations of a concave arrival curve against a convex or burst-delay
+    """Deviations over all t of a concave arrival curve against a convex
     service curve, from their closed forms; None for any other pair.
 
-    Takes the candidates the segment computation takes, in the same order:
-    the level breakpoints of either curve up to alpha(H) for the horizontal
-    deviation, the time breakpoints, 0+ and the horizon for the vertical
-    one.  The witness is the first maximum, and HorizonExceededError is
-    raised exactly when alpha(H) > beta(H).
+    Between kinks the horizontal deviation is linear in the level and the
+    vertical one in time, and past the last kinks neither grows, so the
+    maxima lie among these candidates: for the horizontal deviation the
+    levels 0, alpha(0+) and either curve's value at its kinks, up to
+    alpha's supremum, each with the first and the strict inverse; for the
+    vertical one every kink and 0+.  The witness is the first maximum.
+    Raises InstabilityError when the deviations are unbounded: alpha's
+    supremum above beta's, or alpha's last slope above beta's, which only
+    the tolerance of ``_check_rates`` lets through.
     """
     b = _operand(beta, concave=False)  # first, so that gated curves fail fast
     if b is None:
@@ -496,10 +457,13 @@ def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
     a = _operand(alpha, concave=True)
     if a is None:
         return None
-    if a.top > b.top:
-        raise HorizonExceededError("service curve does not reach an arrival level within the horizon")
+    top = a.sup
+    if top > b.sup or a.lines[-1][1] > b.lines[-1][1]:
+        raise InstabilityError("the arrival curve outgrows the service curve")
 
-    levels = sorted({min(max(y, 0.0), a.top) for y in a.levels + b.levels})
+    a_kinks, b_kinks = a.kinks(), b.kinks()
+    levels = [0.0, a.start] + [a.value(t) for t in a_kinks] + [b.value(t) for t in b_kinks]
+    levels = sorted({min(y, top) for y in levels})
     cands = []
     for strict in (False, True):
         for y in levels:
@@ -508,15 +472,34 @@ def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
             cands.append((g if math.isfinite(g) else -INF, ta))
     g, h_witness = _first_max(cands)
 
-    h = min(alpha.horizon, beta.horizon)
-    grid = sorted({t for t in a.kinks + b.kinks if t <= h})
     cands = [(0.0, 0.0)]
-    cands += [(a.value(t) - b.value(t), t) for t in grid]
+    cands += [(a.value(t) - b.value(t), t) for t in sorted(set(a_kinks + b_kinks))]
     cands.append((a.start - b.start, 0.0))
-    cands.append((a.value(h) - b.value(h), h))
     v, v_witness = _first_max(cands)
     return Deviation(horizontal=max(0.0, g), vertical=max(0.0, v),
                      argmax_h=h_witness, argmax_v=v_witness)
+
+
+def _burst_delay_deviations(alpha: "Curve", delay: float) -> Deviation:
+    """Deviations of any arrival curve against the burst delay delta_D.
+
+    With t0 the first time alpha exceeds 0, the horizontal deviation is
+    D - t0 (0 when t0 >= D) and the vertical one alpha(D); the witnesses
+    are t0 (0 when the deviation is 0) and D.  A segment curve gives
+    alpha(D) only within its horizon.
+    """
+    env = _operand(alpha, concave=True)
+    if env is not None:
+        t0 = env.inverse(0.0, strict=True)
+        backlog = env.value(delay) if delay > 0.0 else 0.0
+    else:
+        seg = alpha.segments
+        if not seg.is_nondecreasing():
+            raise ValueError("deviations require non-decreasing curves")
+        t0 = float(_pinv(seg, np.zeros(1), strict=True)[0])
+        backlog = alpha.evaluate(delay)
+    h = max(0.0, delay - t0)
+    return Deviation(horizontal=h, vertical=backlog, argmax_h=t0 if h > 0.0 else 0.0, argmax_v=delay)
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +745,6 @@ class Scale(Curve):
 
     def _build(self) -> Segments:
         seg = self.curve.segments
-        if not np.all(np.isfinite(seg.right)) and self.factor < 0:
-            raise ValueError("cannot negate a curve with infinite values")
         f = self.factor
         return Segments(seg.t, seg.at * f, seg.right * f, seg.slope * f, seg.horizon)
 
@@ -845,13 +826,17 @@ def vdev(alpha: Curve, beta: Curve) -> float:
 def deviations(alpha: Curve, beta: Curve) -> Deviation:
     """Both deviations between an arrival and a service curve, with witnesses.
 
-    Computed exactly at the union of curve breakpoints, staircase jump points
-    and the level crossings they induce: from the closed forms when alpha is
-    concave and beta convex or a burst delay, else from the segments.  Raises
-    InstabilityError when the arrival's long-term rate exceeds the service
-    rate, and HorizonExceededError when alpha(H) > beta(H).
+    Three cases, each exact and sampling nothing: a burst-delay service by
+    its formula; a concave arrival against a convex service from the line
+    crossings of their closed forms, over all t; every other pair from the
+    segments on [0, H], at the union of curve breakpoints, staircase jump
+    points and the level crossings they induce.  Raises InstabilityError
+    when the deviations are unbounded, and HorizonExceededError when the
+    segments' alpha(H) > beta(H).
     """
     _check_rates(alpha, beta)
+    if isinstance(beta, BurstDelay):
+        return _burst_delay_deviations(alpha, beta.delay)
     closed = _closed_deviations(alpha, beta)
     return closed if closed is not None else _segment_deviations(alpha, beta)
 

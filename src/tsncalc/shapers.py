@@ -386,12 +386,7 @@ def sp_service_curve(ctx: ShaperContext, link_id: str, priority: int,
         raise StarvationError(
             f"priority {priority} at {link_id} has no residual service "
             f"(residual rate {rate_budget:.6g} bits/us)")
-    inner = mp.sum_of(terms)
-    # the pure reshaping architecture keeps the plain non-negative part; gate
-    # staircases make the inner term non-monotone and need the closure
-    if ctx.arch.ats and not ctx.arch.tas:
-        return mp.max_of([inner, mp.zero(ctx.horizon)])
-    return mp.up_closure(inner)
+    return mp.up_closure(mp.sum_of(terms))
 
 
 # ---------------------------------------------------------------------------

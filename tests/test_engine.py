@@ -394,3 +394,14 @@ def test_horizon_override_respected():
     rep = engine.analyze(net, "SP", horizon=64000.0)
     assert rep.horizon == 64000.0
     assert rep.flows["f1"].wcd == pytest.approx(2 * 121.76 + 2 + 4 - 2)
+
+
+def test_gate_free_bounds_need_no_longer_horizon():
+    # a high-load draw whose CBS bounds once took four horizon doublings;
+    # gate-free curves are exact for all t, so the default horizon holds
+    net = tg.generate("MM", tg.GenSpec(0.7, flow_count=120, priorities=(6, 5, 4), seed=13))
+    for arch in ("SP", "ATS", "CBS"):
+        rep = engine.analyze(net, arch)
+        assert rep.horizon == nm.hyperperiod_horizon(net)
+        long = engine.analyze(net, arch, horizon=640000.0)
+        assert (rep.flows, rep.queues, rep.shaped_queues) == (long.flows, long.queues, long.shaped_queues)

@@ -300,34 +300,24 @@ def _v_at(a_spec, b_spec, w):
         return float(np.max(orc.oracle_eval(a_spec, ts) - orc.oracle_eval(b_spec, ts)))
 
 
-def _both_paths(alpha, beta):
-    """The closed form's and the segments' deviations, or the exception type."""
-    out = []
-    for path in (mp._closed_deviations, mp._segment_deviations):
-        try:
-            out.append(path(alpha, beta))
-        except mp.HorizonExceededError:
-            out.append(mp.HorizonExceededError)
-    return out
+def _assert_same_deviations(dev, seg):
+    """The same deviations and witnesses from the closed form and the
+    segments; on a flat stretch both take its first point."""
+    assert dev.horizontal == pytest.approx(seg.horizontal, rel=1e-9, abs=1e-9)
+    assert dev.vertical == pytest.approx(seg.vertical, rel=1e-9, abs=1e-9)
+    assert dev.argmax_h == pytest.approx(seg.argmax_h, rel=1e-9, abs=1e-9)
+    assert dev.argmax_v == pytest.approx(seg.argmax_v, rel=1e-9, abs=1e-9)
 
 
-def _assert_same_deviations(alpha, beta, a_spec, b_spec, horizon):
-    closed, seg = _both_paths(alpha, beta)
-    assert closed is not None, "the pair should take the closed form"
-    if closed is mp.HorizonExceededError or seg is mp.HorizonExceededError:
-        assert closed is seg
-        return None, None
-    assert closed.horizontal == pytest.approx(seg.horizontal, rel=1e-9, abs=1e-9)
-    assert closed.vertical == pytest.approx(seg.vertical, rel=1e-9, abs=1e-9)
-    # every witness attains its deviation; on a flat stretch the two paths
-    # may pick different points of it
-    for w in {closed.argmax_h, seg.argmax_h}:
-        assert 0.0 <= w <= horizon
-        assert _h_at(a_spec, b_spec, w, horizon) == pytest.approx(closed.horizontal, abs=H_TOL)
-    for w in {closed.argmax_v, seg.argmax_v}:
-        assert 0.0 <= w <= horizon
-        assert _v_at(a_spec, b_spec, w) == pytest.approx(closed.vertical, abs=V_TOL)
-    return closed, seg
+def _assert_matches_oracle(dev, a_spec, b_spec, horizon):
+    """The oracle's deviations on [0, horizon], and witnesses in it that
+    attain them under the oracle's formulas."""
+    assert dev.horizontal == pytest.approx(orc.oracle_hdev(a_spec, b_spec, horizon), abs=H_TOL)
+    assert dev.vertical == pytest.approx(orc.oracle_vdev(a_spec, b_spec, horizon), abs=V_TOL)
+    assert 0.0 <= dev.argmax_h <= horizon
+    assert _h_at(a_spec, b_spec, dev.argmax_h, horizon) == pytest.approx(dev.horizontal, abs=H_TOL)
+    assert 0.0 <= dev.argmax_v <= horizon
+    assert _v_at(a_spec, b_spec, dev.argmax_v) == pytest.approx(dev.vertical, abs=V_TOL)
 
 
 def test_randomized_closed_form_matches_segments_and_oracle():
@@ -341,93 +331,129 @@ def test_randomized_closed_form_matches_segments_and_oracle():
         ends = np.array([CLOSED_H])
         if orc.oracle_eval(b_spec, ends)[0] < orc.oracle_eval(a_spec, ends)[0] + 1000.0:
             continue
-        closed, seg = _assert_same_deviations(alpha, beta, a_spec, b_spec, CLOSED_H)
-        # random rates leave no flat stretch, so the witness is unique
-        assert closed.argmax_h == pytest.approx(seg.argmax_h, rel=1e-9, abs=1e-9)
-        assert closed.argmax_v == pytest.approx(seg.argmax_v, rel=1e-9, abs=1e-9)
-        assert closed.horizontal == pytest.approx(
-            orc.oracle_hdev(a_spec, b_spec, CLOSED_H), abs=H_TOL)
-        assert closed.vertical == pytest.approx(
-            orc.oracle_vdev(a_spec, b_spec, CLOSED_H), abs=V_TOL)
+        dev = mp.deviations(alpha, beta)
+        if b_spec.kind != "burstdelay":
+            assert mp._closed_deviations(alpha, beta) == dev
+            _assert_same_deviations(dev, mp._segment_deviations(alpha, beta))
+        _assert_matches_oracle(dev, a_spec, b_spec, CLOSED_H)
         checked += 1
 
 
+# each maker takes the horizon and returns (curve, oracle spec)
+
 def _rate_latency(rate, latency):
-    return mp.RateLatency(rate, latency, H), orc.CurveSpec("ratelatency", rate=rate, latency=latency)
+    return lambda h: (mp.RateLatency(rate, latency, h),
+                      orc.CurveSpec("ratelatency", rate=rate, latency=latency))
 
 
 def _affine(burst, rate):
-    return mp.Affine(burst, rate, H), orc.CurveSpec("affine", burst=burst, rate=rate)
+    return lambda h: (mp.Affine(burst, rate, h), orc.CurveSpec("affine", burst=burst, rate=rate))
 
 
 def _burst_delay(delay):
-    return mp.BurstDelay(delay, H), orc.CurveSpec("burstdelay", delay=delay)
+    return lambda h: (mp.BurstDelay(delay, h), orc.CurveSpec("burstdelay", delay=delay))
 
 
 def _min_affines(*lines):
-    return (mp.min_of([mp.Affine(d, s, H) for d, s in lines]),
-            orc.CurveSpec("minlines", terms=lines))
+    return lambda h: (mp.min_of([mp.Affine(d, s, h) for d, s in lines]),
+                      orc.CurveSpec("minlines", terms=lines))
 
 
 def _max_affines(*lines):
-    return (mp.max_of([mp.Affine(d, s, H) for d, s in lines] + [mp.zero(H)]),
-            orc.CurveSpec("maxlines", terms=lines))
+    return lambda h: (mp.max_of([mp.Affine(d, s, h) for d, s in lines] + [mp.zero(h)]),
+                      orc.CurveSpec("maxlines", terms=lines))
+
+
+def _staircase(*terms):
+    return lambda h: (mp.Staircase(terms, h), orc.CurveSpec("staircase", terms=terms))
 
 
 def _link_leftover(link, lower):
     # the lowest priority with nothing below it: one inner term, no burst
-    return (mp.up_closure(mp.sum_of([mp.Affine(-lower, link, H)])),
-            orc.CurveSpec("maxlines", terms=((-lower, link),)))
+    return lambda h: (mp.up_closure(mp.sum_of([mp.Affine(-lower, link, h)])),
+                      orc.CurveSpec("maxlines", terms=((-lower, link),)))
 
 
 TOL_RATE = 50.0 + 0.5 * mp.TOLERANCE
 
 CLOSED_EDGE_CASES = {
-    # name: (alpha, beta, (horizontal, vertical) or the exception both raise)
-    "zero arrival": (lambda: (mp.zero(H), orc.CurveSpec("affine")),
-                     lambda: _rate_latency(50.0, 30.0), (0.0, 0.0)),
-    "zero latency": (lambda: _affine(2000.0, 10.0), lambda: _rate_latency(100.0, 0.0),
-                     (20.0, 2000.0)),
-    "zero-burst inner term": (lambda: _affine(3000.0, 10.0), lambda: _link_leftover(100.0, 0.0),
-                              (30.0, 3000.0)),
-    "zero-burst arrival": (lambda: _affine(0.0, 10.0), lambda: _rate_latency(100.0, 30.0),
-                           (30.0, 300.0)),
-    "service kink above the burst": (lambda: _affine(1000.0, 20.0),
-                                     lambda: _max_affines((-500.0, 10.0), (-18500.0, 100.0)),
+    # name: (alpha, beta, (horizontal, vertical) or the exception raised)
+    "zero arrival": (_affine(0.0, 0.0), _rate_latency(50.0, 30.0), (0.0, 0.0)),
+    "zero latency": (_affine(2000.0, 10.0), _rate_latency(100.0, 0.0), (20.0, 2000.0)),
+    "zero-burst inner term": (_affine(3000.0, 10.0), _link_leftover(100.0, 0.0), (30.0, 3000.0)),
+    "zero-burst arrival": (_affine(0.0, 10.0), _rate_latency(100.0, 30.0), (30.0, 300.0)),
+    "service kink above the burst": (_affine(1000.0, 20.0),
+                                     _max_affines((-500.0, 10.0), (-18500.0, 100.0)),
                                      (175.0, 3500.0)),
-    "burst delay 0": (lambda: _affine(2000.0, 10.0), lambda: _burst_delay(0.0), (0.0, 0.0)),
-    "burst delay inside": (lambda: _affine(2000.0, 10.0), lambda: _burst_delay(150.0),
-                           (150.0, 3500.0)),
-    "burst delay at horizon": (lambda: _affine(2000.0, 10.0), lambda: _burst_delay(H),
-                               mp.HorizonExceededError),
-    "burst delay at horizon, no traffic": (lambda: (mp.zero(H), orc.CurveSpec("affine")),
-                                           lambda: _burst_delay(H), (0.0, 0.0)),
-    "burst delay beyond horizon": (lambda: _affine(1.0, 0.0), lambda: _burst_delay(2 * H),
-                                   mp.HorizonExceededError),
+    "burst delay 0": (_affine(2000.0, 10.0), _burst_delay(0.0), (0.0, 0.0)),
+    "burst delay inside": (_affine(2000.0, 10.0), _burst_delay(150.0), (150.0, 3500.0)),
+    "burst delay at horizon": (_affine(2000.0, 10.0), _burst_delay(H), (H, 42000.0)),
+    "burst delay at horizon, no traffic": (_affine(0.0, 0.0), _burst_delay(H), (0.0, 0.0)),
+    "burst delay beyond horizon": (_affine(1.0, 0.0), _burst_delay(2 * H), (2 * H, 1.0)),
+    # arrival curves without a closed form: alpha first exceeds 0 at 120 us
+    "burst delay up to the first arrival": (_staircase((3000.0, 120.0, 500.0)),
+                                            _burst_delay(120.0), (0.0, 0.0)),
+    "burst delay after the first arrival": (_staircase((3000.0, 120.0, 500.0)),
+                                            _burst_delay(300.0), (180.0, 3000.0)),
+    "burst delay inside the latency": (_rate_latency(20.0, 80.0), _burst_delay(50.0), (0.0, 0.0)),
     "first arrival rate equals service rate": (
-        lambda: _min_affines((1000.0, 100.0), (5000.0, 10.0)),
-        lambda: _rate_latency(100.0, 20.0), (30.0, 3000.0)),  # flat up to the kink at 44.4
-    "rates equal within tolerance": (lambda: _affine(500.0, TOL_RATE),
-                                     lambda: _affine(500.0, 50.0), mp.HorizonExceededError),
-    "identical token buckets": (lambda: _affine(500.0, 3.0), lambda: _affine(500.0, 3.0),
-                                (0.0, 0.0)),
-    "beyond the horizon": (lambda: _affine(5000.0, 10.0), lambda: _rate_latency(10.5, 300.0),
-                           mp.HorizonExceededError),
+        _min_affines((1000.0, 100.0), (5000.0, 10.0)),
+        _rate_latency(100.0, 20.0), (30.0, 3000.0)),  # flat up to the kink at 44.4
+    "rates equal within tolerance": (_affine(500.0, TOL_RATE), _affine(500.0, 50.0),
+                                     InstabilityError),
+    "identical token buckets": (_affine(500.0, 3.0), _affine(500.0, 3.0), (0.0, 0.0)),
+    "flat service below a flat arrival": (_affine(500.0, 0.0), _max_affines((400.0, 0.0)),
+                                          InstabilityError),
+    # alpha(H) > beta(H), but the deviations are attained early
+    "beyond the horizon": (_affine(5000.0, 10.0), _rate_latency(10.5, 300.0),
+                           (300.0 + 5000.0 / 10.5, 8000.0)),
 }
+
+#: A horizon at which the segments reach every finite case's deviations.
+SEGMENTS_H = 16 * H
+#: The oracle's horizon: past every delay and witness of the cases.
+ORACLE_H = 2 * H
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_EDGE_CASES))
 def test_closed_form_edge_cases(name):
     make_alpha, make_beta, want = CLOSED_EDGE_CASES[name]
-    (alpha, a_spec), (beta, b_spec) = make_alpha(), make_beta()
-    dev, _ = _assert_same_deviations(alpha, beta, a_spec, b_spec, H)
-    if want is mp.HorizonExceededError:
-        assert dev is None
-        with pytest.raises(mp.HorizonExceededError):
+    (alpha, a_spec), (beta, b_spec) = make_alpha(H), make_beta(H)
+    if not isinstance(want, tuple):
+        with pytest.raises(want):
             mp.deviations(alpha, beta)
-    else:
-        assert (dev.horizontal, dev.vertical) == pytest.approx(want, abs=1e-9)
-        assert mp.deviations(alpha, beta) == dev
+        return
+    dev = mp.deviations(alpha, beta)
+    assert (dev.horizontal, dev.vertical) == pytest.approx(want, abs=1e-9)
+    _assert_matches_oracle(dev, a_spec, b_spec, ORACLE_H)
+    if b_spec.kind != "burstdelay":
+        assert mp._closed_deviations(alpha, beta) == dev
+        seg = mp._segment_deviations(make_alpha(SEGMENTS_H)[0], make_beta(SEGMENTS_H)[0])
+        _assert_same_deviations(dev, seg)
+
+
+def test_segment_witness_is_the_first_maximum():
+    # a pair from a gate-free analysis: the horizontal deviation is attained
+    # from level alpha(0+) (time 0) up to alpha's kink at 13.95 us, and
+    # rounding puts the largest float among the segments' candidates at the
+    # kink
+    h = 40000.0
+    alpha = mp.min_of([mp.Affine(11747.0, 100.0, h), mp.Affine(13064.00424, 5.608, h)])
+    beta = mp.RateLatency(100.0, 97.15, h)
+    closed = mp._closed_deviations(alpha, beta)
+    seg = mp._segment_deviations(alpha, beta)
+    assert (closed.argmax_h, closed.argmax_v) == (0.0, 97.15)
+    assert (seg.argmax_h, seg.argmax_v) == (closed.argmax_h, closed.argmax_v)
+    assert (seg.horizontal, seg.vertical) == pytest.approx((closed.horizontal, closed.vertical), rel=1e-12)
+
+
+def test_closed_form_is_horizon_free():
+    # alpha(10) > beta(10), yet a 10-us horizon gives the deviations of any
+    def pair(h):
+        return (mp.min_of([mp.Affine(5000.0, 40.0, h), mp.Affine(9000.0, 10.0, h)]),
+                mp.RateLatency(10.5, 300.0, h))
+
+    assert mp.deviations(*pair(10.0)) == mp.deviations(*pair(1e7))
 
 
 def test_closed_form_instability_precedes_both_paths():
@@ -485,7 +511,7 @@ def test_envelope_matches_segments(name):
     curve = _envelope_cases()[name]
     env = curve.envelope
     assert env is not None
-    ts = np.concatenate([np.linspace(0.01, H, 157), env.kinks(H)])
+    ts = np.concatenate([np.linspace(0.01, H, 157), [t for t in env.kinks() if t < H]])
     ts = np.concatenate([ts, np.clip(ts + 1e-3, 0.0, H), np.clip(ts - 1e-3, 1e-6, H)])
     want = curve.segments.value_many(ts)
     got = np.array([env.value(t) for t in ts])
