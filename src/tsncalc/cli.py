@@ -139,7 +139,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    net = nm.load(args.network)
+    net = nm.load(args.network).indexed()  # both analyses share its gate curves
     r1 = engine.analyze(net, args.arch, credit_mode=args.credit_mode,
                         horizon=args.horizon_us, fixed_point=args.fixed_point)
     mode2 = args.credit_mode if sh.parse_architecture(args.arch2).needs_credit_mode else None
@@ -191,7 +191,7 @@ def _sweep_point(template, load, tt_load, kind, seed, arch1, arch2, credit_mode,
         spec = tg.GenSpec(target_load=total,
                           tt_load_fraction=tt_load / total if total > 0 else 0.0,
                           kind=kind, seed=seed)
-        net = tg.generate(template, spec)
+        net = tg.generate(template, spec).indexed()  # both analyses share its gate curves
         mode1 = credit_mode if sh.parse_architecture(arch1).needs_credit_mode else None
         mode2 = credit_mode if sh.parse_architecture(arch2).needs_credit_mode else None
         r1 = engine.analyze(net, arch1, credit_mode=mode1)

@@ -138,6 +138,8 @@ def analyze(network: nm.Network, architecture: str, credit_mode: str | None = No
             horizon: float | None = None, fixed_point: bool = False) -> AnalysisReport:
     """Worst-case bounds for every flow and queue under one architecture.
 
+    ``network`` may be a view from ``Network.indexed``, which the analyses
+    of an unchanged network can share, and with it their gate curves.
     ``credit_mode`` defaults to "frozen" where gates and credit shaping
     coexist.  The curve horizon defaults to four times the longest schedule
     or flow period and is doubled (a bounded number of times) when a
@@ -147,7 +149,10 @@ def analyze(network: nm.Network, architecture: str, credit_mode: str | None = No
     violations = nm.validate(network)
     if violations:
         raise ValidationError(violations)
-    network = network.indexed()  # one per-link flow index, shared by every horizon tried
+    if network.gate_memo is None:
+        # a snapshot with one flow index and gate memo for every horizon
+        # tried; a view handed in is shared with the caller's other analyses
+        network = network.indexed()
     arch = sh.parse_architecture(architecture)
     if credit_mode is None and arch.needs_credit_mode:
         credit_mode = "frozen"

@@ -318,9 +318,10 @@ def _vdev_segments(a: Segments, b: Segments):
     b_at, b_right, b_slope = _resample(b, grid)
     ends = np.append(grid[1:], horizon)
     d_end = (a_right + a_slope * (ends - grid)) - (b_right + b_slope * (ends - grid))
+    # in order of time: f(t[k]), f(t[k]+), then the left limit at the end
     stack = np.stack([a_at - b_at, a_right - b_right, d_end])
-    best, flat = _first_max_at(stack.ravel())
-    which, idx = divmod(flat, len(grid))
+    best, flat = _first_max_at(stack.ravel(order="F"))
+    idx, which = divmod(flat, 3)
     return max(0.0, best), float(grid[idx] if which < 2 else ends[idx])
 
 
@@ -446,7 +447,7 @@ def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
     maxima lie among these candidates: for the horizontal deviation the
     levels 0, alpha(0+) and either curve's value at its kinks, up to
     alpha's supremum, each with the first and the strict inverse; for the
-    vertical one every kink and 0+.  The witness is the first maximum.
+    vertical one 0+ and every kink.  The witness is the earliest maximum.
     Raises InstabilityError when the deviations are unbounded: alpha's
     supremum above beta's, or alpha's last slope above beta's, which only
     the tolerance of ``_check_rates`` lets through.
@@ -472,9 +473,8 @@ def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
             cands.append((g if math.isfinite(g) else -INF, ta))
     g, h_witness = _first_max(cands)
 
-    cands = [(0.0, 0.0)]
+    cands = [(0.0, 0.0), (a.start - b.start, 0.0)]
     cands += [(a.value(t) - b.value(t), t) for t in sorted(set(a_kinks + b_kinks))]
-    cands.append((a.start - b.start, 0.0))
     v, v_witness = _first_max(cands)
     return Deviation(horizontal=max(0.0, g), vertical=max(0.0, v),
                      argmax_h=h_witness, argmax_v=v_witness)
@@ -624,45 +624,77 @@ class BurstDelay(Curve):
         return INF
 
 
-class Staircase(Curve):
-    """Sum of periodic step terms height * ceil((t - offset)/period), each
-    clamped below at zero; the shape of gate-window arrival envelopes."""
+def _staircase_terms(terms) -> np.ndarray:
+    """Step terms as rows (height, offset, period), offsets clamped at 0."""
+    terms = np.array(terms, dtype=float).reshape(-1, 3)
+    height, offset, period = terms.T
+    if np.any(height < 0) or np.any(offset < -TOLERANCE) or np.any(period <= 0):
+        raise ValueError("staircase terms need height >= 0, offset >= 0, period > 0")
+    terms[:, 1] = np.maximum(0.0, offset)
+    return terms
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: Sequence[tuple], horizon: float):
+def _staircase_jumps(terms: np.ndarray, horizon: float):
+    """Jump times of one sum of step terms on [0, horizon], with 0 first,
+    and the sum's value at and right after each: (t, at, right)."""
+    height, offset, period = terms[(terms[:, 0] != 0.0) & (terms[:, 1] <= horizon)].T
+    if not len(height):
+        return np.zeros(1), np.zeros(1), np.zeros(1)
+    counts = np.floor((horizon - offset) / period).astype(int) + 1
+    steps = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    raw_t = np.repeat(offset, counts) + np.repeat(period, counts) * steps
+    times, inverse = np.unique(raw_t, return_inverse=True)
+    jumps = np.zeros(len(times))
+    np.add.at(jumps, inverse, np.repeat(height, counts))
+    if times[0] != 0.0:
+        times = np.concatenate([[0.0], times])
+        jumps = np.concatenate([[0.0], jumps])
+    right = np.cumsum(jumps)
+    return times, right - jumps, right
+
+
+class StaircaseMax(Curve):
+    """Pointwise max over ``rotations`` of sums of periodic step terms
+    height * ceil((t - offset)/period), each clamped below at zero: the
+    shape of gate-window arrival envelopes, one sum per window rotation.
+    Each rotation is a sequence of (height, offset, period) terms."""
+
+    __slots__ = ("rotations",)
+
+    def __init__(self, rotations, horizon: float):
         super().__init__(horizon)
-        cleaned = []
-        for height, offset, period in terms:
-            if height < 0 or offset < -TOLERANCE or period <= 0:
-                raise ValueError("staircase terms need height >= 0, offset >= 0, period > 0")
-            cleaned.append((float(height), max(0.0, float(offset)), float(period)))
-        self.terms = tuple(cleaned)
+        self.rotations = tuple(_staircase_terms(terms) for terms in rotations)
+        if not self.rotations:
+            raise ValueError("a staircase max needs at least one rotation")
 
     def _build(self) -> Segments:
-        jump_times, jump_heights = [], []
-        for height, offset, period in self.terms:
-            if height == 0.0 or offset > self.horizon:
-                continue
-            n = int(math.floor((self.horizon - offset) / period)) + 1
-            jump_times.append(offset + period * np.arange(n))
-            jump_heights.append(np.full(n, height))
-        if not jump_times:
-            return _zero_segments(self.horizon)
-        raw_t = np.concatenate(jump_times)
-        raw_h = np.concatenate(jump_heights)
-        times, inverse = np.unique(raw_t, return_inverse=True)
-        jumps = np.zeros(len(times))
-        np.add.at(jumps, inverse, raw_h)
-        if times[0] != 0.0:
-            times = np.concatenate([[0.0], times])
-            jumps = np.concatenate([[0.0], jumps])
-        right = np.cumsum(jumps)
-        at = right - jumps
-        return Segments(times, at, right, np.zeros_like(times), self.horizon)
+        sums = [_staircase_jumps(terms, self.horizon) for terms in self.rotations]
+        if len(sums) == 1:
+            times, at, right = sums[0]
+            return Segments(times, at, right, np.zeros_like(times), self.horizon)
+        # one pass on the union of jump times; each sum is read there as
+        # _resample reads it: the value at its own jump times, elsewhere the
+        # value after its last jump
+        grid = np.unique(np.concatenate([times for times, _, _ in sums]))
+        ats, rights = [], []
+        for times, at, right in sums:
+            k = np.searchsorted(times, grid, side="right") - 1
+            ats.append(np.where(times[k] == grid, at[k], right[k]))
+            rights.append(right[k])
+        return Segments(grid, np.max(ats, axis=0), np.max(rights, axis=0),
+                        np.zeros_like(grid), self.horizon).compress()
 
     def long_term_rate(self) -> float:
-        return sum(h / p for h, _, p in self.terms)
+        return max(sum((terms[:, 0] / terms[:, 2]).tolist()) for terms in self.rotations)
+
+
+class Staircase(StaircaseMax):
+    """One sum of periodic step terms: the staircase max of one rotation."""
+
+    __slots__ = ()
+
+    def __init__(self, terms, horizon: float):
+        super().__init__([terms], horizon)
 
 
 class PiecewiseLinear(Curve):

@@ -86,9 +86,10 @@ class Network:
     precision: float = 0.0                         # clock precision, added once to TT e2e
     tt_queue_counts: dict = field(default_factory=dict)  # link id -> #TT queues
     ats_shaped_queues: dict = field(default_factory=dict)  # explicit maps, validation only
-    # link id -> flows crossing it, in flow order; only on the views that
-    # ``indexed`` returns
+    # only on the views that ``indexed`` returns: link id -> flows crossing
+    # it, in flow order, and the gate quantities of the view's analyses
     link_flows: dict | None = field(default=None, init=False, repr=False, compare=False)
+    gate_memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def gcl(self, link_id: str) -> Gcl | None:
         return self.gcls.get(link_id)
@@ -99,11 +100,15 @@ class Network:
         return [f for f in self.flows.values() if link_id in f.route]
 
     def indexed(self) -> "Network":
-        """A view of this network that answers ``flows_on`` from a per-link
-        index built once, for one analysis.  The view shares every table
-        with this network and does not see flows added after it was made,
-        so build a new one for each analysis."""
+        """A snapshot view of this network that answers ``flows_on`` from a
+        per-link index built once.  It also carries the gate memo: the gate
+        curves, guard bands and guard-band envelopes its analyses build,
+        which do not depend on the architecture.  The view shares every
+        table with this network and does not see changes made after it was
+        made, so callers may share one view across the analyses of an
+        unchanged network, and must build a new one after a change."""
         view = dataclasses.replace(self)
+        view.gate_memo = {}
         view.link_flows = {}
         for f in self.flows.values():
             for link_id in dict.fromkeys(f.route):

@@ -62,20 +62,17 @@ def tt_arrival_curve(gcl, guard_bands, variant: str, rate: float, horizon: float
         raise ValueError(f"unknown variant {variant!r}")
     n = len(gcl.windows)
     period = gcl.period
-    offs = [w.offset for w in gcl.windows]
-    lens = [w.length for w in gcl.windows]
-    gbs = list(guard_bands) if variant == "GB+TT" else [0.0] * n
-    rotations = []
-    for i in range(n):
-        terms = []
-        for jj in range(i, i + n):
-            j = jj % n
-            oj = offs[j] + (period if jj >= n else 0.0)
-            height = (lens[j] + gbs[j]) * rate
-            offset = oj - offs[i] + gbs[i] - gbs[j]
-            terms.append((height, max(0.0, offset), period))
-        rotations.append(mp.Staircase(terms, horizon))
-    return rotations[0] if n == 1 else mp.max_of(rotations)
+    offs = np.array([w.offset for w in gcl.windows])
+    lens = np.array([w.length for w in gcl.windows])
+    gbs = np.array(guard_bands, dtype=float) if variant == "GB+TT" else np.zeros(n)
+    # rotation i, term m: window j = (i + m) mod n, one period later once wrapped
+    ij = np.arange(n)[:, None] + np.arange(n)[None, :]
+    j = ij % n
+    oj = offs[j] + np.where(ij >= n, period, 0.0)
+    offset = oj - offs[:, None] + gbs[:, None] - gbs[j]
+    terms = np.stack([(lens[j] + gbs[j]) * rate, np.maximum(0.0, offset),
+                      np.full((n, n), period)], axis=-1)
+    return mp.StaircaseMax(terms, horizon)
 
 
 def _tdma_curve(rate: float, period: float, length: float, t0: float, horizon: float) -> mp.Curve:
@@ -185,9 +182,33 @@ def _memoized(method):
     return cached
 
 
+def _per_view(by_horizon: bool):
+    """Compute a gate quantity of a ShaperContext once per network view, in
+    the view's gate memo, keyed by the arguments and, ``by_horizon``, the
+    horizon.  Gate quantities do not depend on the architecture, so the
+    gated analyses of one view share them; gate-free architectures, whose
+    gate quantities are zero, never reach the memo."""
+    def decorate(method):
+        @functools.wraps(method)
+        def cached(self, *args):
+            if not self.arch.tas:
+                return method(self, *args)
+            key = (method.__name__, *args) + ((self.horizon,) if by_horizon else ())
+            memo = self.network.gate_memo
+            if key not in memo:
+                memo[key] = method(self, *args)
+            return memo[key]
+        return cached
+    return decorate
+
+
 class ShaperContext:
-    """Immutable per-analysis state: architecture, credit mode, horizon, and
-    one memo of the per-port gate curves, credit bounds and class curves."""
+    """Per-analysis state: architecture, credit mode, horizon, and one memo
+    of the credit bounds and class curves, which depend on the architecture.
+
+    The gate quantities live in the gate memo of the network view (see
+    ``Network.indexed``); a plain network gets a view of its own.
+    """
 
     def __init__(self, network: nm.Network, arch: Architecture, credit_mode, horizon: float):
         if arch.needs_credit_mode:
@@ -197,7 +218,7 @@ class ShaperContext:
         elif credit_mode is not None:
             raise ConfigurationError(
                 f"credit_mode only applies when gates and credit shaping are combined, not {arch.name}")
-        self.network = network
+        self.network = network if network.gate_memo is not None else network.indexed()
         self.arch = arch
         self.credit_mode = credit_mode
         self.horizon = float(horizon)
@@ -208,23 +229,23 @@ class ShaperContext:
     def link_rate(self, link_id: str) -> float:
         return self.network.links[link_id].rate
 
-    @_memoized
+    @_per_view(by_horizon=False)
     def guard_bands(self, link_id: str):
         return nm.guard_band_lengths(self.network, link_id)
 
     def _gcl(self, link_id: str):
         return self.network.gcl(link_id) if self.arch.tas else None
 
-    @_memoized
+    @_per_view(by_horizon=True)
     def tt_arrival(self, link_id: str, variant: str) -> mp.Curve:
         return tt_arrival_curve(self._gcl(link_id), self.guard_bands(link_id), variant,
                                 self.link_rate(link_id), self.horizon)
 
-    @_memoized
+    @_per_view(by_horizon=True)
     def tt_service(self, link_id: str) -> mp.Curve:
         return tt_service_curve(self._gcl(link_id), self.link_rate(link_id), self.horizon)
 
-    @_memoized
+    @_per_view(by_horizon=False)
     def envelope(self, link_id: str):
         return gb_envelope(self._gcl(link_id), self.guard_bands(link_id), self.link_rate(link_id))
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
+import collections
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 from tsncalc import cli
 from tsncalc import netmodel as nm
+from tsncalc import shapers as sh
 from tsncalc import testgen as tg
 
 
@@ -172,3 +174,44 @@ def test_compare_emits_csv(net_file, tmp_path):
     text = (out / "compare.csv").read_text()
     assert text.startswith("metric,item,ratio")
     assert "delay,mean," in text
+
+
+def _count_gate_builds(monkeypatch):
+    """Count the calls of each gate builder on a gated port per argument
+    tuple: the port, told by its schedule object, and the variant, rate and
+    horizon where the builder takes them (guard bands are a list)."""
+    builds = collections.Counter()
+
+    def counting(name, build):
+        def counted(gcl, *args):
+            if gcl is not None and gcl.windows:
+                builds[(name, id(gcl), *(a for a in args if not isinstance(a, list)))] += 1
+            return build(gcl, *args)
+        return counted
+
+    for name in ("tt_arrival_curve", "tt_service_curve", "gb_envelope"):
+        monkeypatch.setattr(sh, name, counting(name, getattr(sh, name)))
+    return builds
+
+
+def test_sweep_cell_builds_each_gate_curve_once(monkeypatch):
+    builds = _count_gate_builds(monkeypatch)
+    # a criterion-6b cell: both architectures block the same gate windows
+    res = cli._sweep_point("MM", 0.2, 0.2, "SP", 0, "TAS+ATS+SP", "TAS+SP", None,
+                           ("delay", "backlog"))
+    assert "error" not in res
+    assert {key[0] for key in builds} == {"tt_arrival_curve"}
+    assert max(builds.values()) == 1
+
+
+def test_compare_builds_each_gate_quantity_once(monkeypatch, tmp_path):
+    net = tg.generate("MM", tg.GenSpec(target_load=0.4, tt_load_fraction=0.3, seed=7))
+    path = tmp_path / "net.json"
+    nm.save(net, path)
+    builds = _count_gate_builds(monkeypatch)
+    rc = cli.main(["compare", "--network", str(path), "--arch", "TAS+CBS",
+                   "--arch2", "TAS+ATS+CBS", "--credit-mode", "frozen",
+                   "--out-dir", str(tmp_path / "o")])
+    assert rc == 0
+    assert {key[0] for key in builds} == {"tt_arrival_curve", "tt_service_curve", "gb_envelope"}
+    assert max(builds.values()) == 1

@@ -447,6 +447,18 @@ def test_segment_witness_is_the_first_maximum():
     assert (seg.horizontal, seg.vertical) == pytest.approx((closed.horizontal, closed.vertical), rel=1e-12)
 
 
+def test_vertical_witness_is_the_earliest_maximum():
+    # a pair from a gate-free analysis: the backlog 9524 bits holds on all
+    # of (0, 103.56], so the first maximum in time is 0+
+    alpha = mp.min_of([mp.Affine(9524.0, 100.0, H), mp.Affine(19260.489362, 5.9813, H)])
+    beta = mp.RateLatency(100.0, 0.0, H)
+    closed = mp._closed_deviations(alpha, beta)
+    seg = mp._segment_deviations(alpha, beta)
+    assert closed.vertical == pytest.approx(9524.0, rel=1e-12)
+    assert seg.vertical == pytest.approx(9524.0, rel=1e-12)
+    assert closed.argmax_v == seg.argmax_v == 0.0
+
+
 def test_closed_form_is_horizon_free():
     # alpha(10) > beta(10), yet a 10-us horizon gives the deviations of any
     def pair(h):

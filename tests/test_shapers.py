@@ -76,6 +76,105 @@ def test_tt_arrival_two_windows_matches_enumeration():
                 _window_start_oracle(gcl, gbs, variant, t), abs=1e-6)
 
 
+def _looped_staircase(terms, horizon):
+    """(t, at, right) of one sum of step terms, accumulated term by term."""
+    times, heights = [], []
+    for height, offset, period in terms:
+        if height == 0.0 or offset > horizon:
+            continue
+        n = int(np.floor((horizon - offset) / period)) + 1
+        times.append(offset + period * np.arange(n))
+        heights.append(np.full(n, height))
+    t, inverse = np.unique(np.concatenate(times), return_inverse=True)
+    jumps = np.zeros(len(t))
+    np.add.at(jumps, inverse, np.concatenate(heights))
+    if t[0] != 0.0:
+        t, jumps = np.concatenate([[0.0], t]), np.concatenate([[0.0], jumps])
+    right = np.cumsum(jumps)
+    return t, right - jumps, right
+
+
+def _folded_tt_arrival(gcl, guard_bands, variant, rate, horizon):
+    """The gate curve as one staircase per window rotation, folded by a
+    pairwise max: the reference the one-pass build must match bit for bit.
+    Each staircase is checked against the term-by-term accumulation."""
+    n = len(gcl.windows)
+    offs = [w.offset for w in gcl.windows]
+    lens = [w.length for w in gcl.windows]
+    gbs = list(guard_bands) if variant == "GB+TT" else [0.0] * n
+    rotations = []
+    for i in range(n):
+        terms = []
+        for jj in range(i, i + n):
+            j = jj % n
+            oj = offs[j] + (gcl.period if jj >= n else 0.0)
+            offset = oj - offs[i] + gbs[i] - gbs[j]
+            terms.append(((lens[j] + gbs[j]) * rate, max(0.0, offset), gcl.period))
+        rotations.append(mp.Staircase(terms, horizon))
+        seg = rotations[-1].segments
+        for got, want in zip((seg.t, seg.at, seg.right), _looped_staircase(terms, horizon)):
+            assert np.array_equal(got, want)
+    return rotations[0] if n == 1 else mp.max_of(rotations)
+
+
+def _random_schedules(rng, count):
+    """(gcl, guard bands, rate, horizon): 1-12 windows, some back to back,
+    some starting at 0, some guard bands 0, horizons off the period grid."""
+    for _ in range(count):
+        period = float(rng.choice([250.0, 1000.0, 2000.0]))
+        n = int(rng.integers(1, 13))
+        cuts = np.sort(rng.uniform(0.0, period, 2 * n))
+        if rng.random() < 0.3:
+            cuts -= cuts[0]  # a window at offset 0
+        windows, gbs = [], []
+        for k in range(n):
+            start, end = cuts[2 * k], cuts[2 * k + 1]
+            if k and rng.random() < 0.3:
+                start = windows[-1].end  # back to back
+            windows.append(nm.GclWindow(float(start), float(end - start)))
+        for k, w in enumerate(windows):
+            prev_end = windows[k - 1].end - (period if k == 0 else 0.0)
+            gap = w.offset - prev_end
+            gbs.append(0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, gap)))
+        horizon = period * int(rng.integers(1, 9)) + float(rng.uniform(0.0, period))
+        yield nm.Gcl(period, tuple(windows)), gbs, float(rng.choice([10.0, 100.0, 1000.0])), horizon
+
+
+def test_tt_arrival_one_pass_is_bit_identical_to_the_fold():
+    # evenly spaced windows give coincident jump times in every rotation; a
+    # guard band that reaches back to the previous window's start gives two
+    # terms of one rotation the same jump times
+    even = nm.Gcl(1000.0, tuple(nm.GclWindow(250.0 * k, 100.0) for k in range(4)))
+    cases = [(even, [0.0, 150.0, 150.0, 150.0], 100.0, 4000.0),
+             (nm.Gcl(1000.0, (nm.GclWindow(0.0, 100.0), nm.GclWindow(300.0, 50.0))),
+              [0.0, 300.0], 100.0, 2500.0)]
+    cases += list(_random_schedules(np.random.default_rng(20240611), 150))
+    for gcl, gbs, rate, horizon in cases:
+        for variant in ("TT", "GB+TT"):
+            got = sh.tt_arrival_curve(gcl, gbs, variant, rate, horizon)
+            want = _folded_tt_arrival(gcl, gbs, variant, rate, horizon)
+            for name in ("t", "at", "right", "slope"):
+                assert np.array_equal(getattr(got.segments, name), getattr(want.segments, name)), \
+                    (gcl, gbs, variant, name)
+            assert got.long_term_rate() == want.long_term_rate()
+
+
+def test_gate_memo_is_shared_per_view_and_horizon():
+    net = port_network(event_flows=[("e1", "SP", 8000.0, 5, 1000.0)],
+                       tt_windows=[(0.0, 100.0), (500.0, 50.0)])
+    view = net.indexed()
+    gate = make_ctx(view, "TAS+SP").tt_arrival("L", "GB+TT")
+    # another architecture on the same view reuses it, another horizon or
+    # another view builds its own
+    assert make_ctx(view, "TAS+ATS+SP").tt_arrival("L", "GB+TT") is gate
+    assert make_ctx(view, "TAS+SP", horizon=2 * H).tt_arrival("L", "GB+TT").horizon == 2 * H
+    assert make_ctx(net.indexed(), "TAS+SP").tt_arrival("L", "GB+TT") is not gate
+    # gate-free architectures see no gates and leave the memo alone
+    keys = set(view.gate_memo)
+    assert make_ctx(view, "SP").tt_arrival("L", "GB+TT").long_term_rate() == 0.0
+    assert set(view.gate_memo) == keys
+
+
 def test_tt_service_single_window():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(0.0, 100.0),))
     b = sh.tt_service_curve(gcl, C, H)
