@@ -1,5 +1,6 @@
 """Command-line front end: validate/analyze networks, generate fixtures,
-compare architectures and run load sweeps.
+compare architectures and run load sweeps, whose (load, seed) cells run in
+worker processes when ``--workers`` is above one.
 
 Every flag can also be set through an environment variable prefixed
 ``TSNCALC_`` (e.g. ``TSNCALC_ARCH``).  Exit codes: 1 parse or generation
@@ -108,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seeds", type=int, default=int(_env("seeds", "20")))
     sp.add_argument("--kind", default="SP", choices=("SP", "AVB"))
     sp.add_argument("--metrics", default="delay,backlog")
-    sp.add_argument("--workers", type=int, default=int(_env("workers", "1")))
+    sp.add_argument("--workers", type=int, default=int(_env("workers", "1")),
+                    help="worker processes running the sweep cells")
     sp.add_argument("--out", default=_env("out", "sweep.csv"))
     return p
 
@@ -208,7 +210,9 @@ def run_sweep(template, loads, seeds, arch1, arch2, credit_mode=None, tt_load=0.
     cells = [(load, seed) for load in loads for seed in range(seeds)]
     results = {}
     if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        # processes, not threads: a cell is pure Python, which the
+        # interpreter lock would run one thread at a time
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futs = {
                 pool.submit(_sweep_point, template, load, tt_load, kind, seed,
                             arch1, arch2, credit_mode, metrics): (load, seed)

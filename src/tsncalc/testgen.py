@@ -5,6 +5,7 @@ and a loader for external flow tables."""
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -109,6 +110,28 @@ def shortest_route(network: nm.Network, src_es: str, dst_es: str):
     raise GenerationError(f"no route from {src_es} to {dst_es}")
 
 
+class _Routes(dict):
+    """`shortest_route` on one topology, keyed (src, dst), each pair searched
+    on its first lookup only."""
+
+    def __init__(self, network: nm.Network):
+        super().__init__()
+        self.network = network
+
+    def __missing__(self, pair):
+        self[pair] = route = shortest_route(self.network, *pair)
+        return route
+
+
+@functools.lru_cache(maxsize=None)
+def _template(kind: str):
+    """The topology of a template kind and its route table, built on first
+    use and shared by every later `generate` in the process.  The topology
+    never leaves `generate`: it copies the dicts of frozen nodes and links."""
+    base = build_topology(kind)
+    return base, _Routes(base)
+
+
 # ---------------------------------------------------------------------------
 # Load accounting
 # ---------------------------------------------------------------------------
@@ -139,12 +162,6 @@ def max_link_load(network: nm.Network) -> float:
     return max(loads.values(), default=0.0)
 
 
-def _tt_only_load(network: nm.Network, flows) -> float:
-    probe = nm.Network(nodes=network.nodes, links=network.links,
-                       flows={f.id: f for f in flows if f.kind == "TT"})
-    return max_link_load(probe)
-
-
 # ---------------------------------------------------------------------------
 # Random generation
 # ---------------------------------------------------------------------------
@@ -171,21 +188,27 @@ class GenSpec:
             raise GenerationError("event flows must be SP or AVB")
 
 
-def _draw_flows(network: nm.Network, spec: GenSpec, rng, count: int):
+def _draw_flows(network: nm.Network, routes: _Routes, spec: GenSpec, rng, count: int):
+    # Indexing by rng.integers(0, n), or choice on n itself, draws the same
+    # stream as rng.choice on the sequence, for less work per call.
     es_nodes = sorted(n.id for n in network.nodes.values() if n.kind == "ES")
     flows = {}
     tt_target = spec.target_load * spec.tt_load_fraction
+    tt_loads = {}  # link id -> scheduled load, summed in draw order as link_loads does
     for i in range(count):
         fid = f"f{i:03d}"
-        src, dst = rng.choice(es_nodes, size=2, replace=False)
-        route = shortest_route(network, str(src), str(dst))
+        src, dst = rng.choice(len(es_nodes), size=2, replace=False)
+        route = routes[es_nodes[src], es_nodes[dst]]
         size = float(rng.integers(spec.size_range[0], spec.size_range[1] + 1))
-        period = float(rng.choice(spec.periods))
-        priority = int(rng.choice(spec.priorities))
+        period = float(spec.periods[rng.integers(0, len(spec.periods))])
+        priority = int(spec.priorities[rng.integers(0, len(spec.priorities))])
         make_tt = (spec.tt_load_fraction > 0.0
-                   and _tt_only_load(network, flows.values()) < tt_target)
+                   and max(tt_loads.values(), default=0.0) < tt_target)
         if make_tt:
             flows[fid] = nm.Flow(fid, "TT", size, 7, route, period=period)
+            rate = size / period
+            for link_id in route:
+                tt_loads[link_id] = tt_loads.get(link_id, 0.0) + rate / network.links[link_id].rate
         elif rng.random() < spec.sporadic_fraction:
             flows[fid] = nm.Flow(fid, spec.kind, size, priority, route,
                                  burst=size, rate=size / period)
@@ -197,8 +220,11 @@ def _draw_flows(network: nm.Network, spec: GenSpec, rng, count: int):
 def generate(template: str | nm.Network, spec: GenSpec) -> nm.Network:
     """A random network on a template topology whose achieved average load
     falls within the tolerance band around the target; the flow population is
-    redrawn (and, when no count is pinned, resized) until it does."""
-    base = build_topology(template) if isinstance(template, str) else template
+    redrawn (and, when no count is pinned, resized) until it does.  Routes
+    are `shortest_route`'s, searched once per template kind in a process, or
+    once per call for a network given as the template."""
+    base, routes = (_template(template) if isinstance(template, str)
+                    else (template, _Routes(template)))
     rng = np.random.default_rng(spec.seed)
     if spec.target_load == 0.0:
         net = nm.Network(nodes=dict(base.nodes), links=dict(base.links))
@@ -209,7 +235,7 @@ def generate(template: str | nm.Network, spec: GenSpec) -> nm.Network:
     best_achieved = 0.0
     for _ in range(spec.max_attempts):
         net = nm.Network(nodes=dict(base.nodes), links=dict(base.links))
-        net.flows = _draw_flows(net, spec, rng, count)
+        net.flows = _draw_flows(net, routes, spec, rng, count)
         net.be_interferer = spec.be_interferer
         achieved = max_link_load(net)
         err = abs(achieved - spec.target_load)

@@ -124,6 +124,18 @@ def test_sweep_deterministic_across_workers(tmp_path):
     assert out1.read_bytes() == out4.read_bytes()
 
 
+def test_gated_sweep_identical_in_worker_processes():
+    # a criterion-6b grid: gate curves and routes are built inside each worker
+    loads, metrics = [0.1, 0.2], ("delay", "backlog")
+    texts = []
+    for workers in (1, 2):
+        rows, failures = cli.run_sweep("MM", loads, 2, "TAS+ATS+SP", "TAS+SP", tt_load=0.2,
+                                       metrics=metrics, workers=workers)
+        assert not failures
+        texts.append(cli.sweep_csv(rows, failures, "TAS+ATS+SP-vs-TAS+SP", loads, metrics))
+    assert texts[0] == texts[1]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_records_infeasible_load_as_failed_cell(tmp_path, workers):
     # 0.9 + 0.2 scheduled load is a target above 1: that cell fails, the rest run
