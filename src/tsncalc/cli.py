@@ -2,11 +2,17 @@
 compare architectures and run load sweeps, whose (load, seed) cells run in
 worker processes when ``--workers`` is above one.
 
-Every flag can also be set through an environment variable prefixed
-``TSNCALC_`` (e.g. ``TSNCALC_ARCH``).  Exit codes: 1 parse or generation
-error, and any other analysis failure (horizon of gated curves exhausted,
-fixed point not converged, missing upstream dependency); 2 validation or
-configuration error; 3 instability/starvation; 4 dependency cycle.
+Twelve flags default to an environment variable, ``TSNCALC_`` and the flag
+in capitals with dashes as underscores: --network, --arch, --arch2,
+--credit-mode, --out-dir, --horizon-us (``TSNCALC_HORIZON_US``), --template,
+--load, --seed, --seeds, --workers and --out.  A number there that does not
+parse is a usage error of the subcommand that takes the flag, and only of
+it; the other flags read no variable.
+
+Exit codes: 1 parse or generation error, and any other analysis failure
+(horizon of gated curves exhausted, fixed point not converged, missing
+upstream dependency); 2 validation or configuration error; 3
+instability/starvation; 4 dependency cycle.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("generate", help="emit a random network fixture")
     sp.add_argument("--template", default=_env("template", "MM"), choices=tg.TOPOLOGY_KINDS)
-    sp.add_argument("--load", type=float, default=float(_env("load", "0.3")))
+    sp.add_argument("--load", type=float, default=_env("load", "0.3"))
     sp.add_argument("--flows", type=int, default=None)
     sp.add_argument("--tt-fraction", type=float, default=0.0, dest="tt_fraction",
                     help="share of the target load carried by scheduled flows")
@@ -93,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", default="SP", choices=("SP", "AVB"))
     sp.add_argument("--sporadic-fraction", type=float, default=0.0, dest="sporadic_fraction")
     sp.add_argument("--be-interferer", action="store_true", dest="be_interferer")
-    sp.add_argument("--seed", type=int, default=int(_env("seed", "0")))
+    sp.add_argument("--seed", type=int, default=_env("seed", "0"))
     sp.add_argument("--flow-table", default=None, dest="flow_table",
                     help="external flow table CSV routed onto the template")
     sp.add_argument("--out", default=_env("out", "network.json"))
@@ -106,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--loads", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     sp.add_argument("--tt-load", type=float, default=0.0, dest="tt_load",
                     help="scheduled load added on top of each sweep load")
-    sp.add_argument("--seeds", type=int, default=int(_env("seeds", "20")))
+    sp.add_argument("--seeds", type=int, default=_env("seeds", "20"))
     sp.add_argument("--kind", default="SP", choices=("SP", "AVB"))
     sp.add_argument("--metrics", default="delay,backlog")
-    sp.add_argument("--workers", type=int, default=int(_env("workers", "1")),
+    sp.add_argument("--workers", type=int, default=_env("workers", "1"),
                     help="worker processes running the sweep cells")
     sp.add_argument("--out", default=_env("out", "sweep.csv"))
     return p

@@ -15,7 +15,8 @@ cached on the node:
   (concave) or the max (convex) of a few lines, and 0 at t = 0.  Affine and
   rate-latency curves have one, and so do min, max, sum, scaling and the
   non-decreasing closure of curves that have one, as long as the result
-  stays a min or a max of lines.  Gate staircases and TDMA curves have none.
+  stays a min or a max of lines.  Gate staircases and TDMA curves, given
+  by one period of terms or windows, have none.
 - ``segments``: a piecewise-linear function on [0, horizon] with jumps,
   built from breakpoints.  Every curve has it.
 
@@ -25,8 +26,9 @@ cached on the node:
 - a concave arrival curve against a convex service curve (the gate-free
   strict-priority, reshaping and credit-based analyses), the line crossings
   of the envelopes, over all t;
-- every other pair (gate staircases, TDMA service), the segments on
-  [0, horizon].  Only this case can raise HorizonExceededError.
+- every other pair (gate staircases, TDMA service), the segments, with
+  each period unrolled up to the horizon.  Only this case can raise
+  HorizonExceededError.
 """
 
 from __future__ import annotations
@@ -697,33 +699,56 @@ class Staircase(StaircaseMax):
         super().__init__([terms], horizon)
 
 
-class PiecewiseLinear(Curve):
-    """Explicit breakpoints (t, value, right-slope); value holds at the point
-    and the segment continues with the given slope until the next breakpoint."""
+def running_integral(times, steps):
+    """A piecewise-linear function given by the changes of its slope: its
+    slope is 0 before the first of ``times`` and changes by steps[k] at
+    times[k] (equal times add their steps).  Returns the distinct times in
+    order, the slope from each on, and the function's value there, counted
+    from 0 at the first."""
+    t, inverse = np.unique(np.asarray(times, dtype=float), return_inverse=True)
+    slope = np.zeros(len(t))
+    np.add.at(slope, inverse, steps)
+    slope = np.cumsum(slope)
+    return t, slope, np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(t))])
 
-    __slots__ = ("breakpoints",)
 
-    def __init__(self, breakpoints: Sequence[tuple], horizon: float):
+class TdmaService(Curve):
+    """``rate`` times the time on [0, t] that a gate is open, for windows of
+    ``lengths`` that open at ``starts`` and repeat every ``period``: the
+    service of a TDMA schedule, given by one period of windows.
+
+    Starts a rounding error below 0, as back-to-back windows give, are
+    clamped to 0, as staircase offsets are.  The slope follows a running
+    count of open windows, not the order of the starts and ends: one
+    window's end and the next one's start may lie an ulp apart either way.
+    """
+
+    __slots__ = ("rate", "period", "starts", "lengths")
+
+    def __init__(self, rate: float, period: float, starts, lengths, horizon: float):
         super().__init__(horizon)
-        pts = [(float(t), float(v), float(s)) for t, v, s in breakpoints]
-        if not pts:
-            raise ValueError("need at least one breakpoint")
-        ts = [p[0] for p in pts]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("breakpoints must be strictly increasing in t")
-        if pts[0][0] > 0.0:
-            pts.insert(0, (0.0, 0.0, 0.0))
-        self.breakpoints = tuple(pts)
+        starts = np.asarray(starts, dtype=float)
+        lengths = np.asarray(lengths, dtype=float)
+        if rate < 0 or period <= 0 or np.any(lengths < 0) or np.any(starts < -TOLERANCE):
+            raise ValueError("TDMA windows need rate >= 0, period > 0, start >= 0, length >= 0")
+        self.rate = float(rate)
+        self.period = float(period)
+        self.starts = np.maximum(0.0, starts)
+        self.lengths = lengths
 
     def _build(self) -> Segments:
-        t = np.array([p[0] for p in self.breakpoints])
-        v = np.array([p[1] for p in self.breakpoints])
-        s = np.array([p[2] for p in self.breakpoints])
-        keep = t <= self.horizon
-        return Segments(t[keep], v[keep], v[keep], s[keep], self.horizon)
+        reps = self.period * np.arange(int(self.horizon // self.period) + 1)[:, None]
+        opens = (self.starts + reps).ravel()
+        closes = (self.starts + self.lengths + reps).ravel()
+        times = np.concatenate([[0.0], opens, closes])
+        steps = np.concatenate([[0.0], np.ones(len(opens)), -np.ones(len(closes))])
+        keep = times <= self.horizon
+        t, count, open_time = running_integral(times[keep], steps[keep])
+        value = self.rate * open_time
+        return Segments(t, value, value, self.rate * count, self.horizon).compress()
 
     def long_term_rate(self) -> float:
-        return self.breakpoints[-1][2]
+        return self.rate * float(np.sum(self.lengths)) / self.period
 
 
 #: Long-term rate of a pointwise combination, from its operands' rates.

@@ -4,12 +4,16 @@ Covers gate-driven time-triggered transmission (staircase arrival envelopes
 and TDMA-style leftover service), per-hop reshaping with shaped/shared
 queues, credit-based shaping with frozen or non-frozen credit during guard
 bands, and strict priority, alone and in combination.
+
+Every gate quantity of a port comes from one period of its window table,
+seen from each window in turn: the staircases and TDMA curves as one
+period of terms or windows per rotation, and the guard-band envelope from
+one period of interval ends.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +53,16 @@ def parse_architecture(name: str) -> Architecture:
 # Time-triggered gate curves
 # ---------------------------------------------------------------------------
 
+def _rotations(gcl):
+    """The window table seen from each window: row i holds windows
+    i, i + 1, ..., i + n - 1 (mod n), those that wrap one period later, as
+    (window index, offset) arrays of shape (n, n)."""
+    n = len(gcl.windows)
+    offs = np.array([w.offset for w in gcl.windows])
+    ij = np.arange(n)[:, None] + np.arange(n)[None, :]
+    return ij % n, offs[ij % n] + np.where(ij >= n, gcl.period, 0.0)
+
+
 def tt_arrival_curve(gcl, guard_bands, variant: str, rate: float, horizon: float) -> mp.Curve:
     """Upper envelope of link time blocked for lower-priority traffic by the
     gate windows, as a max over window rotations of periodic burst staircases.
@@ -61,70 +75,38 @@ def tt_arrival_curve(gcl, guard_bands, variant: str, rate: float, horizon: float
     if variant not in ("TT", "GB+TT"):
         raise ValueError(f"unknown variant {variant!r}")
     n = len(gcl.windows)
-    period = gcl.period
-    offs = np.array([w.offset for w in gcl.windows])
     lens = np.array([w.length for w in gcl.windows])
     gbs = np.array(guard_bands, dtype=float) if variant == "GB+TT" else np.zeros(n)
-    # rotation i, term m: window j = (i + m) mod n, one period later once wrapped
-    ij = np.arange(n)[:, None] + np.arange(n)[None, :]
-    j = ij % n
-    oj = offs[j] + np.where(ij >= n, period, 0.0)
-    offset = oj - offs[:, None] + gbs[:, None] - gbs[j]
+    j, oj = _rotations(gcl)
+    # how long after the burst of window i, the first of row i, each burst starts
+    offset = oj - oj[:, :1] + gbs[:, None] - gbs[j]
     terms = np.stack([(lens[j] + gbs[j]) * rate, np.maximum(0.0, offset),
-                      np.full((n, n), period)], axis=-1)
+                      np.full((n, n), gcl.period)], axis=-1)
     return mp.StaircaseMax(terms, horizon)
-
-
-def _tdma_curve(rate: float, period: float, length: float, t0: float, horizon: float) -> mp.Curve:
-    """One window of ``length`` per ``period``, observed from a clock that
-    starts ``t0`` before the worst-case alignment point: plateau/ramp curve
-    with value rate*length gained per full period."""
-    pts = {0.0: (0.0, 0.0)}
-    k = 0
-    while True:
-        ramp_start = (k + 1) * period - length - t0
-        ramp_end = (k + 1) * period - t0
-        if ramp_start > horizon:
-            break
-        if ramp_start >= 0.0:
-            pts[ramp_start] = (k * length * rate, rate)
-        if 0.0 <= ramp_end <= horizon:
-            pts[ramp_end] = ((k + 1) * length * rate, 0.0)
-        k += 1
-    bps = [(t, v, s) for t, (v, s) in sorted(pts.items())]
-    return mp.PiecewiseLinear(bps, horizon)
 
 
 def tt_service_curve(gcl, rate: float, horizon: float) -> mp.Curve:
     """Minimum service obtained by gate-scheduled traffic over any interval:
-    the worst rotation of per-window TDMA curves, observed from the end of
-    the previous window."""
+    the min over window rotations of the gate-open time since the end of the
+    window before, each built from one period of the window table."""
     if gcl is None or not gcl.windows:
         return mp.zero(horizon)
-    n = len(gcl.windows)
-    period = gcl.period
-    offs = [w.offset for w in gcl.windows]
-    lens = [w.length for w in gcl.windows]
-    rotations = []
-    for i in range(n):
-        prev = (i - 1) % n
-        prev_end = offs[prev] + lens[prev] - (period if i == 0 else 0.0)
-        pieces = []
-        for jj in range(i, i + n):
-            j = jj % n
-            oj = offs[j] + (period if jj >= n else 0.0)
-            t0 = period - lens[j] - oj + prev_end
-            pieces.append(_tdma_curve(rate, period, lens[j], t0, horizon))
-        rotations.append(mp.sum_of(pieces))
-    return rotations[0] if n == 1 else mp.min_of(rotations)
+    j, oj = _rotations(gcl)
+    lens = np.array([w.length for w in gcl.windows])[j]
+    # rotation i starts where window i - 1, its last, ends one period earlier
+    starts = oj - (oj[:, -1:] + lens[:, -1:] - gcl.period)
+    rotations = [mp.TdmaService(rate, gcl.period, row_starts, row_lens, horizon)
+                 for row_starts, row_lens in zip(starts, lens)]
+    return rotations[0] if len(rotations) == 1 else mp.min_of(rotations)
 
 
 def gb_envelope(gcl, guard_bands, rate: float):
     """Tightest linear envelope (sigma, rho) of guard-band link time:
     rate * gb_time(s, t) <= sigma + rho * (t - s - tt_time(s, t)) for all
     intervals.  rho is pinned to the per-period guard-band share of non-TT
-    time; sigma is fitted over all window-aligned interval pairs spanning up
-    to two schedule rotations.  Checked against random intervals in tests.
+    time, so F(x) = rate * gb_time(0, x) - rho * (x - tt_time(0, x)) repeats
+    every period, and sigma, the largest rise of F, is max F - min F over
+    one period's interval ends.  Checked against random intervals in tests.
     """
     if gcl is None or not gcl.windows:
         return 0.0, 0.0
@@ -139,31 +121,17 @@ def gb_envelope(gcl, guard_bands, rate: float):
         return 0.0, 0.0
     rho = rate * total_gb / non_tt
 
-    gb_iv, tt_iv = [], []
-    for rep in range(-1, 3):
-        base = rep * period
-        for w, gb in zip(gcl.windows, gbs):
-            tt_iv.append((base + w.offset, base + w.end))
-            if gb > 0.0:
-                gb_iv.append((base + w.offset - gb, base + w.offset))
-    points = np.unique(np.array(
-        [p for iv in itertools.chain(gb_iv, tt_iv) for p in iv], dtype=float))
-
-    def measure(intervals):
-        pref = np.zeros_like(points)
-        for lo, hi in intervals:
-            pref += np.clip(points, lo, hi) - lo
-        return pref
-
-    m_gb = measure(gb_iv)
-    m_tt = measure(tt_iv)
-    span = points[None, :] - points[:, None]
-    ok = (span > 0) & (span <= 2 * period)
-    d_gb = m_gb[None, :] - m_gb[:, None]
-    d_tt = m_tt[None, :] - m_tt[:, None]
-    slack = rate * d_gb - rho * (span - d_tt)
-    sigma = float(np.max(slack[ok], initial=0.0))
-    return max(0.0, sigma), rho
+    # this period's guard bands and windows and the next period's: the first
+    # guard band may start before 0, and one period later it lies in [0, P]
+    reps = np.array([[0.0], [period]])
+    offs = np.array([w.offset for w in gcl.windows]) + reps
+    ends = np.array([w.end for w in gcl.windows]) + reps
+    times = np.concatenate([(offs - np.array(gbs)).ravel(), offs.ravel(), ends.ravel()])
+    x, _, gb_time = mp.running_integral(times, np.repeat([1.0, -1.0, 0.0], offs.size))
+    _, _, tt_time = mp.running_integral(times, np.repeat([0.0, 1.0, -1.0], offs.size))
+    f = rate * gb_time - rho * (x - x[0] - tt_time)
+    one = f[(x >= 0.0) & (x <= period)]
+    return float(np.max(one) - np.min(one)), rho
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,27 @@ def test_env_variable_defaults(net_file, tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "report.json").exists()
 
 
+def test_bad_environment_number_fails_only_the_subcommand_that_reads_it(
+        net_file, tmp_path, monkeypatch, capsys):
+    workdir = tmp_path / "wd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    readers = {"LOAD": ("generate", "--load"), "SEED": ("generate", "--seed"),
+               "SEEDS": ("sweep", "--seeds"), "WORKERS": ("sweep", "--workers")}
+    for var, (command, flag) in readers.items():
+        monkeypatch.setenv(f"TSNCALC_{var}", "two")
+        assert cli.main(["validate", "--network", str(net_file)]) == 0
+        argv = [command] + (["--arch", "SP", "--arch2", "SP"] if command == "sweep" else [])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tsncalc {command}")
+        assert f"argument {flag}: invalid" in err
+        monkeypatch.delenv(f"TSNCALC_{var}")
+    assert list(workdir.iterdir()) == []
+
+
 def test_generate_flow_table(tmp_path):
     table = tmp_path / "flows.csv"
     table.write_text(

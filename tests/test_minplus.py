@@ -37,6 +37,34 @@ def test_evaluate_staircase_single_term():
     assert c.evaluate(1000.5) == pytest.approx(2e4)
 
 
+def test_tdma_service_from_one_period_of_windows():
+    # windows [100, 250) and [500, 580) every 1000 us, at 10 bits/us
+    c = mp.TdmaService(10.0, 1000.0, [100.0, 500.0], [150.0, 80.0], H)
+    assert c.evaluate(100.0) == 0.0
+    assert c.evaluate(200.0) == pytest.approx(1000.0)
+    assert c.evaluate(1000.0) == pytest.approx(2300.0)
+    assert c.evaluate(3540.0) == pytest.approx(3 * 2300.0 + 1500.0 + 400.0)
+    assert c.long_term_rate() == pytest.approx(2.3)
+
+
+def test_tdma_service_windows_an_ulp_apart():
+    # a start a rounding error below 0 is clamped to 0, and a start an ulp
+    # before the previous window's end counts both windows open for that ulp
+    c = mp.TdmaService(10.0, 1000.0, [-1e-13, np.nextafter(250.0, 0.0)], [250.0, 100.0], H)
+    assert c.segments.is_nondecreasing()
+    assert c.evaluate(350.0) == pytest.approx(3500.0)
+    assert c.evaluate(1350.0) == pytest.approx(7000.0)
+    with pytest.raises(ValueError):
+        mp.TdmaService(10.0, 1000.0, [-1.0], [10.0], H)
+
+
+def test_running_integral_adds_the_steps_of_equal_times():
+    t, slope, value = mp.running_integral([2.0, 0.0, 2.0, 5.0], [1.0, 3.0, -2.0, 0.0])
+    assert t.tolist() == [0.0, 2.0, 5.0]
+    assert slope.tolist() == [3.0, 2.0, 2.0]
+    assert value.tolist() == [0.0, 6.0, 12.0]
+
+
 def test_evaluate_beyond_horizon_raises():
     c = mp.Affine(1.0, 1.0, 100.0)
     with pytest.raises(mp.HorizonExceededError):

@@ -191,6 +191,21 @@ def test_tt_service_always_open_gate():
         assert b.evaluate(t) == pytest.approx(C * t)
 
 
+def _slot_enumeration(gcl, rate, ts):
+    """Least gate-open service over any interval of each length in ``ts``:
+    every interval starting at a window boundary of one period, against the
+    windows unrolled over enough periods."""
+    period = gcl.period
+    reps = np.arange(-1, int(np.max(ts) // period) + 3)[:, None] * period
+    lo = (np.array([w.offset for w in gcl.windows]) + reps).ravel()
+    hi = (np.array([w.end for w in gcl.windows]) + reps).ravel()
+    aligns = np.unique(np.concatenate([lo, hi]) % period)
+    s0 = aligns[:, None, None]
+    t = np.asarray(ts)[None, :, None]
+    open_time = np.clip(np.minimum(hi, s0 + t) - np.maximum(lo, s0), 0.0, None).sum(axis=2)
+    return rate * open_time.min(axis=0)
+
+
 def test_tt_service_two_windows_matches_slot_enumeration():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(100.0, 150.0), nm.GclWindow(500.0, 80.0)))
     windows = [(rep * 1000.0 + w.offset, rep * 1000.0 + w.end)
@@ -207,6 +222,119 @@ def test_tt_service_two_windows_matches_slot_enumeration():
     b = sh.tt_service_curve(gcl, C, H)
     for t in np.arange(0.0, 3000.0, 11.3):
         assert b.evaluate(t) == pytest.approx(oracle(t), abs=1e-6)
+
+    # random schedules: back-to-back windows, a window at 0, 1 to 12 windows
+    cases = list(_random_schedules(np.random.default_rng(20240611), 150))
+    assert any(w.offset == 0.0 for gcl, *_ in cases for w in gcl.windows)
+    assert any(w0.end == w1.offset for gcl, *_ in cases for w0, w1 in zip(gcl.windows, gcl.windows[1:]))
+    assert {len(gcl.windows) for gcl, *_ in cases} == set(range(1, 13))
+    for gcl, _, rate, horizon in cases:
+        ts = np.linspace(0.0, min(2.5 * gcl.period, horizon), 23)
+        b = sh.tt_service_curve(gcl, rate, horizon)
+        want = _slot_enumeration(gcl, rate, ts)
+        for t, v in zip(ts, want):
+            assert b.evaluate(t) == pytest.approx(v, abs=1e-6), (gcl, rate, t)
+
+
+class _Breakpoints(mp.Curve):
+    """The reference's curve node: explicit breakpoints (t, value,
+    right-slope) of a continuous curve."""
+
+    def __init__(self, breakpoints, horizon):
+        super().__init__(horizon)
+        pts = [(float(t), float(v), float(s)) for t, v, s in breakpoints]
+        if pts[0][0] > 0.0:
+            pts.insert(0, (0.0, 0.0, 0.0))
+        self.breakpoints = tuple(pts)
+
+    def _build(self):
+        t, v, s = (np.array(col) for col in zip(*self.breakpoints))
+        keep = t <= self.horizon
+        return mp.Segments(t[keep], v[keep], v[keep], s[keep], self.horizon)
+
+    def long_term_rate(self):
+        return self.breakpoints[-1][2]
+
+
+def _per_period_tdma(rate, period, length, t0, horizon):
+    """One window of ``length`` per ``period``, observed from a clock that
+    starts ``t0`` before the worst-case alignment point, one breakpoint pair
+    per period."""
+    pts = {0.0: (0.0, 0.0)}
+    k = 0
+    while True:
+        ramp_start = (k + 1) * period - length - t0
+        ramp_end = (k + 1) * period - t0
+        if ramp_start > horizon:
+            break
+        if ramp_start >= 0.0:
+            pts[ramp_start] = (k * length * rate, rate)
+        if 0.0 <= ramp_end <= horizon:
+            pts[ramp_end] = ((k + 1) * length * rate, 0.0)
+        k += 1
+    return _Breakpoints([(t, v, s) for t, (v, s) in sorted(pts.items())], horizon)
+
+
+def _per_period_tt_service(gcl, rate, horizon):
+    """The TDMA service as a sum of one per-period curve per window for each
+    rotation, folded pairwise, then the min over rotations: the reference
+    the one-period build must match."""
+    n = len(gcl.windows)
+    period = gcl.period
+    offs = [w.offset for w in gcl.windows]
+    lens = [w.length for w in gcl.windows]
+    rotations = []
+    for i in range(n):
+        prev = (i - 1) % n
+        prev_end = offs[prev] + lens[prev] - (period if i == 0 else 0.0)
+        pieces = []
+        for jj in range(i, i + n):
+            j = jj % n
+            oj = offs[j] + (period if jj >= n else 0.0)
+            t0 = period - lens[j] - oj + prev_end
+            pieces.append(_per_period_tdma(rate, period, lens[j], t0, horizon))
+        rotations.append(mp.sum_of(pieces))
+    return rotations[0] if n == 1 else mp.min_of(rotations)
+
+
+def test_tt_service_one_period_matches_the_per_period_build():
+    cases = [(nm.Gcl(1000.0, (nm.GclWindow(100.0, 150.0), nm.GclWindow(500.0, 80.0))), C, H),
+             (nm.Gcl(1000.0, (nm.GclWindow(0.0, 1000.0),)), C, H)]
+    cases += [(gcl, rate, horizon) for gcl, _, rate, horizon
+              in _random_schedules(np.random.default_rng(20240611), 150)]
+    for gcl, rate, horizon in cases:
+        got = sh.tt_service_curve(gcl, rate, horizon)
+        want = _per_period_tt_service(gcl, rate, horizon)
+        assert got.segments.is_nondecreasing()
+        grid = np.unique(np.concatenate([got.segments.t, want.segments.t]))
+        v_got, v_want = got.segments.value_many(grid), want.segments.value_many(grid)
+        # relative to the value, or near 0, where the two builds may place a
+        # window start an ulp apart, to one period of service at full rate
+        scale = np.maximum(np.abs(v_want), rate * gcl.period)
+        assert np.all(np.abs(v_got - v_want) <= 1e-12 * scale), (gcl, rate, horizon)
+
+
+def test_tt_service_long_term_rate_is_exact_at_every_horizon():
+    # horizons in a closed gap and in an open window: the rate is the open
+    # share of a period at the link rate, not the slope at the horizon
+    gcl = nm.Gcl(1000.0, (nm.GclWindow(100.0, 150.0), nm.GclWindow(500.0, 80.0)))
+    net = port_network([("a", "AVB", 12176.0, 5, 1000.0)],
+                       tt_windows=[(100.0, 150.0), (500.0, 80.0)], idle_slopes={5: 40.0}, be=True)
+    for horizon in (4000.0, 4120.0, 4300.0, 4560.0, 4700.0, 8000.0):
+        assert sh.tt_service_curve(gcl, C, horizon).long_term_rate() == 23.0
+        for mode in sh.CREDIT_MODES:
+            shaping = sh.cbs_shaping_curve(make_ctx(net, "TAS+CBS", mode, horizon), "L", 5)
+            assert shaping.long_term_rate() == pytest.approx(40.0 * (1.0 - 230.0 / 1000.0))
+
+
+def _brute_gb_intervals(gcl, guard_bands, periods):
+    gb_iv, tt_iv = [], []
+    for rep in range(periods):
+        base = rep * gcl.period
+        for w, gb in zip(gcl.windows, guard_bands):
+            tt_iv.append((base + w.offset, base + w.end))
+            gb_iv.append((base + w.offset - gb, base + w.offset))
+    return gb_iv, tt_iv
 
 
 def test_gb_envelope_brute_force():
@@ -228,12 +356,7 @@ def test_gb_envelope_brute_force():
         gcl = nm.Gcl(1000.0, tuple(wins))
         gbs = [float(rng.uniform(0, 60)) for _ in wins]
         sigma, rho = sh.gb_envelope(gcl, gbs, C)
-        gb_iv, tt_iv = [], []
-        for rep in range(4):
-            for w, gb in zip(wins, gbs):
-                base = rep * 1000.0
-                tt_iv.append((base + w.offset, base + w.end))
-                gb_iv.append((base + w.offset - gb, base + w.offset))
+        gb_iv, tt_iv = _brute_gb_intervals(gcl, gbs, 4)
 
         def measure(ivs, s, t):
             return sum(max(0.0, min(hi, t) - max(lo, s)) for lo, hi in ivs)
@@ -243,6 +366,58 @@ def test_gb_envelope_brute_force():
             lhs = C * measure(gb_iv, s, t)
             rhs = sigma + rho * (t - s - measure(tt_iv, s, t))
             assert lhs <= rhs + 1e-6
+        # tight: an interval between two interval ends reaches sigma
+        ends = sorted({p for iv in gb_iv + tt_iv for p in iv if 0.0 <= p <= 4000.0})
+        slack = max(C * measure(gb_iv, s, t) - rho * (t - s - measure(tt_iv, s, t))
+                    for s in ends for t in ends if s < t)
+        assert slack <= sigma + 1e-6
+        assert slack >= sigma - 1e-6
+
+
+def _four_period_gb_envelope(gcl, guard_bands, rate):
+    """The guard-band envelope fitted over every pair of interval ends of
+    four periods at most two periods apart: the reference the one-period
+    build must match."""
+    gbs = list(guard_bands)
+    if all(g <= 0.0 for g in gbs):
+        return 0.0, 0.0
+    period = gcl.period
+    non_tt = period - sum(w.length for w in gcl.windows)
+    if non_tt <= 1e-12:
+        return 0.0, 0.0
+    rho = rate * sum(gbs) / non_tt
+    gb_iv, tt_iv = [], []
+    for rep in range(-1, 3):
+        base = rep * period
+        for w, gb in zip(gcl.windows, gbs):
+            tt_iv.append((base + w.offset, base + w.end))
+            if gb > 0.0:
+                gb_iv.append((base + w.offset - gb, base + w.offset))
+    points = np.unique(np.array([p for iv in gb_iv + tt_iv for p in iv], dtype=float))
+
+    def measure(intervals):
+        pref = np.zeros_like(points)
+        for lo, hi in intervals:
+            pref += np.clip(points, lo, hi) - lo
+        return pref
+
+    m_gb = measure(gb_iv)
+    m_tt = measure(tt_iv)
+    span = points[None, :] - points[:, None]
+    ok = (span > 0) & (span <= 2 * period)
+    d_gb = m_gb[None, :] - m_gb[:, None]
+    d_tt = m_tt[None, :] - m_tt[:, None]
+    slack = rate * d_gb - rho * (span - d_tt)
+    return max(0.0, float(np.max(slack[ok], initial=0.0))), rho
+
+
+def test_gb_envelope_one_period_matches_the_four_period_fit():
+    rng = np.random.default_rng(20240612)
+    for gcl, gbs, rate, _ in _random_schedules(rng, 1000):
+        sigma, rho = sh.gb_envelope(gcl, gbs, rate)
+        want_sigma, want_rho = _four_period_gb_envelope(gcl, gbs, rate)
+        assert rho == want_rho
+        assert sigma == pytest.approx(want_sigma, rel=1e-9), (gcl, gbs, rate)
 
 
 # ---------------------------------------------------------------------------
