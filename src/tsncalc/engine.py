@@ -221,7 +221,8 @@ def _bound_queue(ctx, link_id, priority, alpha, alphas):
         beta = sh.cbs_service_curve(ctx, link_id, priority)
     else:
         higher = [alphas[(link_id, p)] for p in ctx.priorities_at(link_id) if p > priority]
-        beta = sh.sp_service_curve(ctx, link_id, priority, higher)
+        beta = (sh.sp_service_curve(ctx, link_id, priority, higher) if higher
+                else ctx.top_sp_service(link_id, priority))
     try:
         dev = mp.deviations(alpha, beta)
     except InstabilityError as exc:

@@ -17,8 +17,12 @@ cached on the node:
   non-decreasing closure of curves that have one, as long as the result
   stays a min or a max of lines.  Gate staircases and TDMA curves, given
   by one period of terms or windows, have none.
-- ``segments``: a piecewise-linear function on [0, horizon] with jumps,
-  built from breakpoints.  Every curve has it.
+- ``segments``: a piecewise-linear function on [0, horizon] with jumps.
+  Every curve has it.  A curve with an envelope converts it, one segment
+  per line.  Any other curve builds it from its operands' segments: a sum
+  of any number of curves on one union grid, a min or max folded pairwise,
+  the closure with one running maximum, and a gate staircase in one pass
+  over all its rotations.
 
 ``deviations`` has three cases, all exact; nothing is sampled:
 
@@ -143,32 +147,41 @@ def _resample(seg: Segments, grid: np.ndarray):
     return at, right, seg.slope[k]
 
 
+def _sum_segments(segs: Sequence[Segments]) -> Segments:
+    """Pointwise sum of segment functions, exactly: each is resampled once on
+    the union of their breakpoints, and the values are added in order."""
+    horizon = min(s.horizon for s in segs)
+    segs = [s.restrict(horizon) for s in segs]
+    grid = np.unique(np.concatenate([s.t for s in segs]))
+    at, right, slope = _resample(segs[0], grid)
+    for s in segs[1:]:
+        s_at, s_right, s_slope = _resample(s, grid)
+        at, right, slope = at + s_at, right + s_right, slope + s_slope
+    return Segments(grid, at, right, slope, horizon)
+
+
 def _combine(a: Segments, b: Segments, op: str) -> Segments:
-    """Pointwise sum/min/max of two segment functions, exactly."""
+    """Pointwise min/max of two segment functions, exactly."""
     horizon = min(a.horizon, b.horizon)
     a = a.restrict(horizon)
     b = b.restrict(horizon)
     grid = np.unique(np.concatenate([a.t, b.t]))
 
-    if op in ("min", "max"):
-        # Locate sign changes of (a - b) strictly inside intervals.
-        ra = _resample(a, grid)
-        rb = _resample(b, grid)
-        ends = np.append(grid[1:], horizon)
-        dt = ends - grid
-        d0 = ra[1] - rb[1]
-        d1 = (ra[1] + ra[2] * dt) - (rb[1] + rb[2] * dt)
-        cross = d0 * d1 < 0.0
-        if np.any(cross):
-            frac = d0[cross] / (d0[cross] - d1[cross])
-            extra = grid[cross] + frac * dt[cross]
-            grid = np.unique(np.concatenate([grid, extra]))
+    # Locate sign changes of (a - b) strictly inside intervals.
+    ra = _resample(a, grid)
+    rb = _resample(b, grid)
+    ends = np.append(grid[1:], horizon)
+    dt = ends - grid
+    d0 = ra[1] - rb[1]
+    d1 = (ra[1] + ra[2] * dt) - (rb[1] + rb[2] * dt)
+    cross = d0 * d1 < 0.0
+    if np.any(cross):
+        frac = d0[cross] / (d0[cross] - d1[cross])
+        extra = grid[cross] + frac * dt[cross]
+        grid = np.unique(np.concatenate([grid, extra]))
 
     a_at, a_right, a_slope = _resample(a, grid)
     b_at, b_right, b_slope = _resample(b, grid)
-
-    if op == "sum":
-        return Segments(grid, a_at + b_at, a_right + b_right, a_slope + b_slope, horizon)
 
     fn = np.minimum if op == "min" else np.maximum
     ends = np.append(grid[1:], horizon)
@@ -184,46 +197,35 @@ def _combine(a: Segments, b: Segments, op: str) -> Segments:
 
 
 def _up_closure_segments(seg: Segments) -> Segments:
-    """Running maximum with zero: t -> max(0, sup_{0<=s<=t} f(s))."""
-    ts, ats, rights, slopes = [], [], [], []
-    n = len(seg.t)
-    run = max(0.0, seg.at[0])
+    """Running maximum with zero: t -> max(0, sup_{0<=s<=t} f(s)).
 
-    def emit(t, at, right, slope):
-        ts.append(t)
-        ats.append(at)
-        rights.append(right)
-        slopes.append(slope)
+    Each segment starts at the running maximum of the peaks before it and
+    follows f where f starts there and rises, else stays flat; a rising
+    segment that climbs back to the maximum inside it follows f from the
+    crossing on, which gets a breakpoint of its own.
+    """
+    t0 = seg.t
+    t1 = np.append(seg.t[1:], seg.horizon)
+    f_end = seg.right + seg.slope * (t1 - t0)
+    peak = np.maximum(np.maximum(seg.at, seg.right), f_end)
+    run = np.maximum.accumulate(np.concatenate([[max(0.0, seg.at[0])], peak[:-1]]))
+    at = np.maximum(run, seg.at)
+    right = np.maximum(at, seg.right)
+    rising = seg.slope > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_cross = t0 + (right - seg.right) / seg.slope
+    # f starts at the maximum, or below it by less than it climbs in the
+    # rounding of t0: the crossing is t0 itself
+    follow = rising & (t_cross <= t0)
+    cross = rising & ~follow & (f_end > right) & (t_cross < t1)
+    # each segment's row, then its crossing's where it has one
+    keep = np.stack([np.ones_like(cross), cross], axis=1).ravel()
 
-    for k in range(n):
-        t0 = seg.t[k]
-        t1 = seg.t[k + 1] if k + 1 < n else seg.horizon
-        at_k = max(run, seg.at[k])
-        right_k = max(at_k, seg.right[k])
-        f_start = seg.right[k]
-        slope_k = seg.slope[k]
-        if f_start >= right_k - 0.0 and slope_k > 0.0:
-            # f is (weakly) the running max and rising: follow it.
-            emit(t0, at_k, right_k, slope_k)
-            run = right_k + slope_k * (t1 - t0)
-        elif slope_k > 0.0:
-            f_end = f_start + slope_k * (t1 - t0)
-            if f_end > right_k:
-                # flat until f re-reaches the running max, then follow f
-                emit(t0, at_k, right_k, 0.0)
-                t_cross = t0 + (right_k - f_start) / slope_k
-                if t_cross > t0 and t_cross < t1:
-                    emit(t_cross, right_k, right_k, slope_k)
-                    run = right_k + slope_k * (t1 - t_cross)
-                else:
-                    run = max(right_k, f_end)
-            else:
-                emit(t0, at_k, right_k, 0.0)
-                run = right_k
-        else:
-            emit(t0, at_k, right_k, 0.0)
-            run = right_k
-    return Segments(np.array(ts), np.array(ats), np.array(rights), np.array(slopes), seg.horizon)
+    def rows(start, crossing):
+        return np.stack([start, crossing], axis=1).ravel()[keep]
+
+    return Segments(rows(t0, t_cross), rows(at, right), rows(right, right),
+                    rows(np.where(follow, seg.slope, 0.0), seg.slope), seg.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +405,19 @@ def _hull(sense: int, lines) -> Envelope:
     return Envelope(sense if len(hull) > 1 else 0, tuple((sense * d, sense * s) for d, s in hull))
 
 
+def _envelope_segments(env: Envelope, horizon: float) -> Segments:
+    """The segments of a closed form on [0, horizon]: 0 at t = 0, then one
+    segment per line that becomes active before the horizon, from its kink."""
+    start = np.concatenate([[0.0], env.kinks()])
+    live = start < horizon
+    t = start[live]
+    intercept, slope = np.array(env.lines)[live].T
+    right = intercept + slope * t
+    at = right.copy()
+    at[0] = 0.0
+    return Segments(t, at, right, slope, horizon)
+
+
 def _sum_envelopes(envs) -> Envelope | None:
     """Sum of envelopes that are all mins or all maxes: the min (max) over
     every choice of one line per term."""
@@ -522,8 +537,11 @@ class Curve:
 
     @property
     def segments(self) -> Segments:
+        """The curve on [0, horizon]: converted from the envelope when the
+        curve has one, else built from its operands by ``_build``."""
         if self._segments is None:
-            self._segments = self._build()
+            env = self.envelope
+            self._segments = self._build() if env is None else _envelope_segments(env, self.horizon)
         return self._segments
 
     @property
@@ -626,68 +644,67 @@ class BurstDelay(Curve):
         return INF
 
 
-def _staircase_terms(terms) -> np.ndarray:
-    """Step terms as rows (height, offset, period), offsets clamped at 0."""
-    terms = np.array(terms, dtype=float).reshape(-1, 3)
-    height, offset, period = terms.T
-    if np.any(height < 0) or np.any(offset < -TOLERANCE) or np.any(period <= 0):
-        raise ValueError("staircase terms need height >= 0, offset >= 0, period > 0")
-    terms[:, 1] = np.maximum(0.0, offset)
-    return terms
-
-
-def _staircase_jumps(terms: np.ndarray, horizon: float):
-    """Jump times of one sum of step terms on [0, horizon], with 0 first,
-    and the sum's value at and right after each: (t, at, right)."""
-    height, offset, period = terms[(terms[:, 0] != 0.0) & (terms[:, 1] <= horizon)].T
-    if not len(height):
-        return np.zeros(1), np.zeros(1), np.zeros(1)
-    counts = np.floor((horizon - offset) / period).astype(int) + 1
-    steps = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    raw_t = np.repeat(offset, counts) + np.repeat(period, counts) * steps
-    times, inverse = np.unique(raw_t, return_inverse=True)
-    jumps = np.zeros(len(times))
-    np.add.at(jumps, inverse, np.repeat(height, counts))
-    if times[0] != 0.0:
-        times = np.concatenate([[0.0], times])
-        jumps = np.concatenate([[0.0], jumps])
-    right = np.cumsum(jumps)
-    return times, right - jumps, right
-
-
 class StaircaseMax(Curve):
     """Pointwise max over ``rotations`` of sums of periodic step terms
     height * ceil((t - offset)/period), each clamped below at zero: the
     shape of gate-window arrival envelopes, one sum per window rotation.
-    Each rotation is a sequence of (height, offset, period) terms."""
+    Each rotation is a sequence of (height, offset, period) terms, the same
+    number in each."""
 
     __slots__ = ("rotations",)
 
     def __init__(self, rotations, horizon: float):
         super().__init__(horizon)
-        self.rotations = tuple(_staircase_terms(terms) for terms in rotations)
-        if not self.rotations:
+        if not len(rotations):
             raise ValueError("a staircase max needs at least one rotation")
+        terms = np.array(rotations, dtype=float).reshape(len(rotations), -1, 3)
+        height, offset, period = np.moveaxis(terms, -1, 0)
+        if np.any(height < 0) or np.any(offset < -TOLERANCE) or np.any(period <= 0):
+            raise ValueError("staircase terms need height >= 0, offset >= 0, period > 0")
+        terms[..., 1] = np.maximum(0.0, offset)
+        self.rotations = terms  # (rotation, term, (height, offset, period))
 
     def _build(self) -> Segments:
-        sums = [_staircase_jumps(terms, self.horizon) for terms in self.rotations]
-        if len(sums) == 1:
-            times, at, right = sums[0]
-            return Segments(times, at, right, np.zeros_like(times), self.horizon)
-        # one pass on the union of jump times; each sum is read there as
-        # _resample reads it: the value at its own jump times, elsewhere the
-        # value after its last jump
-        grid = np.unique(np.concatenate([times for times, _, _ in sums]))
-        ats, rights = [], []
-        for times, at, right in sums:
-            k = np.searchsorted(times, grid, side="right") - 1
-            ats.append(np.where(times[k] == grid, at[k], right[k]))
-            rights.append(right[k])
-        return Segments(grid, np.max(ats, axis=0), np.max(rights, axis=0),
-                        np.zeros_like(grid), self.horizon).compress()
+        """All rotations in one pass.  Each term's jumps on [0, horizon] are
+        summed per (rotation, time) in term order, as one rotation alone
+        would sum them, and accumulated along each rotation; every sum is
+        then read on the union of jump times: its value at its own jump
+        times, elsewhere the value after its last jump (0 before the first)."""
+        n_rot, n_terms, _ = self.rotations.shape
+        height, offset, period = np.moveaxis(self.rotations, -1, 0).reshape(3, -1)
+        live = (height != 0.0) & (offset <= self.horizon)
+        counts = np.where(live, np.floor((self.horizon - offset) / period).astype(int) + 1, 0)
+        total = int(counts.sum())
+        if not total:
+            return _zero_segments(self.horizon)
+        steps = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        raw_t = np.repeat(offset, counts) + np.repeat(period, counts) * steps
+        raw_rot = np.repeat(np.arange(n_rot).repeat(n_terms), counts)
+        order = np.lexsort((raw_t, raw_rot))
+        first = np.ones(total, dtype=bool)
+        first[1:] = (np.diff(raw_t[order]) != 0.0) | (np.diff(raw_rot[order]) != 0)
+        inverse = np.empty(total, dtype=int)
+        inverse[order] = np.cumsum(first) - 1
+        times, rot = raw_t[order][first], raw_rot[order][first]
+        jumps = np.zeros(len(times))
+        np.add.at(jumps, inverse, np.repeat(height, counts))
+        # accumulate each rotation's jumps along its own row
+        col = np.arange(len(times)) - np.searchsorted(rot, rot)
+        padded = np.zeros((n_rot, col.max() + 1))
+        padded[rot, col] = jumps
+        right = np.cumsum(padded, axis=1)[rot, col]
+        at = right - jumps
+        grid = np.unique(np.concatenate([[0.0], times]))
+        own = np.full((n_rot, len(grid)), -1)
+        own[rot, np.searchsorted(grid, times)] = np.arange(len(times))
+        last = np.maximum.accumulate(own, axis=1)
+        right_on = np.where(last >= 0, right[last], 0.0)
+        at_on = np.where(own >= 0, at[own], right_on)
+        seg = Segments(grid, at_on.max(axis=0), right_on.max(axis=0), np.zeros_like(grid), self.horizon)
+        return seg if n_rot == 1 else seg.compress()
 
     def long_term_rate(self) -> float:
-        return max(sum((terms[:, 0] / terms[:, 2]).tolist()) for terms in self.rotations)
+        return max(map(sum, (self.rotations[..., 0] / self.rotations[..., 2]).tolist()))
 
 
 class Staircase(StaircaseMax):
@@ -756,7 +773,8 @@ _RATE_OF = {"min": min, "max": max, "sum": sum}
 
 
 class Pointwise(Curve):
-    """Pointwise min, max or sum of curves, folded pairwise left to right."""
+    """Pointwise min, max or sum of curves: a sum on one union grid, a min
+    or max folded pairwise left to right."""
 
     __slots__ = ("op", "curves")
 
@@ -769,9 +787,12 @@ class Pointwise(Curve):
         self.curves = tuple(curves)
 
     def _build(self) -> Segments:
-        seg = self.curves[0].segments
-        for c in self.curves[1:]:
-            seg = _combine(seg, c.segments, self.op)
+        segs = [c.segments for c in self.curves]
+        if self.op == "sum":
+            return _sum_segments(segs).compress()
+        seg = segs[0]
+        for s in segs[1:]:
+            seg = _combine(seg, s, self.op)
         return seg.compress()
 
     def _closed_form(self) -> Envelope | None:

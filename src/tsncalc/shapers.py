@@ -217,6 +217,13 @@ class ShaperContext:
     def envelope(self, link_id: str):
         return gb_envelope(self._gcl(link_id), self.guard_bands(link_id), self.link_rate(link_id))
 
+    @_per_view(by_horizon=True)
+    def top_sp_service(self, link_id: str, priority: int) -> mp.Curve:
+        """The strict-priority service of a queue with no higher-priority
+        arrivals: the link less the gates and one lower frame, which depend
+        on the network view alone."""
+        return sp_service_curve(self, link_id, priority, ())
+
     # -- per-port class structure --------------------------------------------
 
     @_memoized

@@ -237,6 +237,25 @@ def test_sweep_cell_builds_each_gate_curve_once(monkeypatch):
     assert max(builds.values()) == 1
 
 
+def test_sweep_cell_builds_each_gated_service_once(monkeypatch):
+    # the service of a queue with no higher-priority arrivals is the link
+    # less the gates and one lower frame under both architectures
+    builds = collections.Counter()
+    build = sh.sp_service_curve
+
+    def counted(ctx, link_id, priority, higher_arrivals):
+        if ctx.arch.tas and not higher_arrivals:
+            builds[(link_id, priority, ctx.horizon)] += 1
+        return build(ctx, link_id, priority, higher_arrivals)
+
+    monkeypatch.setattr(sh, "sp_service_curve", counted)
+    res = cli._sweep_point("MM", 0.2, 0.2, "SP", 0, "TAS+ATS+SP", "TAS+SP", None,
+                           ("delay", "backlog"))
+    assert "error" not in res
+    assert builds
+    assert max(builds.values()) == 1
+
+
 def test_compare_builds_each_gate_quantity_once(monkeypatch, tmp_path):
     net = tg.generate("MM", tg.GenSpec(target_load=0.4, tt_load_fraction=0.3, seed=7))
     path = tmp_path / "net.json"

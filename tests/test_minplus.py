@@ -216,6 +216,119 @@ def test_pos_part_vs_up_closure_on_monotone_input():
         assert pp.evaluate(t) == pytest.approx(uc.evaluate(t), abs=1e-9)
 
 
+def _looped_up_closure(seg):
+    """The up-closure as a loop over the segments, carrying the running
+    maximum from one to the next: the reference for the one-pass closure.
+    It keeps a rising segment flat when f starts below the maximum by less
+    than the rounding of the crossing time, a case that
+    test_up_closure_follows_a_rise_that_starts_an_ulp_below_the_maximum
+    checks on its own."""
+    ts, ats, rights, slopes = [], [], [], []
+    n = len(seg.t)
+    run = max(0.0, seg.at[0])
+
+    def emit(t, at, right, slope):
+        ts.append(t)
+        ats.append(at)
+        rights.append(right)
+        slopes.append(slope)
+
+    for k in range(n):
+        t0 = seg.t[k]
+        t1 = seg.t[k + 1] if k + 1 < n else seg.horizon
+        at_k = max(run, seg.at[k])
+        right_k = max(at_k, seg.right[k])
+        f_start = seg.right[k]
+        slope_k = seg.slope[k]
+        if f_start >= right_k - 0.0 and slope_k > 0.0:
+            # f is (weakly) the running max and rising: follow it.
+            emit(t0, at_k, right_k, slope_k)
+            run = right_k + slope_k * (t1 - t0)
+        elif slope_k > 0.0:
+            f_end = f_start + slope_k * (t1 - t0)
+            if f_end > right_k:
+                # flat until f re-reaches the running max, then follow f
+                emit(t0, at_k, right_k, 0.0)
+                t_cross = t0 + (right_k - f_start) / slope_k
+                if t_cross > t0 and t_cross < t1:
+                    emit(t_cross, right_k, right_k, slope_k)
+                    run = right_k + slope_k * (t1 - t_cross)
+                else:
+                    run = max(right_k, f_end)
+            else:
+                emit(t0, at_k, right_k, 0.0)
+                run = right_k
+        else:
+            emit(t0, at_k, right_k, 0.0)
+            run = right_k
+    return mp.Segments(np.array(ts), np.array(ats), np.array(rights), np.array(slopes), seg.horizon)
+
+
+def _random_segments(rng, horizon=None):
+    """A segment function with jumps up and down and slopes of either sign.
+    Half are small integers, which give flat ties and crossings exactly at
+    a segment's end; the others are continuous draws."""
+    n = int(rng.integers(1, 13))
+    if rng.random() < 0.5:
+        t = np.sort(rng.choice(np.arange(1.0, 40.0), n - 1, replace=False))
+        at, right = rng.integers(-5, 6, (2, n)).astype(float)
+        slope = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0], n)
+        end = float(rng.integers(1, 10))
+    else:
+        t = np.sort(rng.uniform(0.0, 1000.0, n - 1))
+        at, right = rng.uniform(-500.0, 500.0, (2, n))
+        slope = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(-2.0, 3.0, n))
+        end = float(rng.uniform(1.0, 500.0))
+    t = np.concatenate([[0.0], t])
+    return mp.Segments(t, at, right, slope, horizon if horizon is not None else t[-1] + end)
+
+
+def _assert_same_function(got, want, scale):
+    """Values and right limits at every breakpoint of either segment
+    function, and at the horizon, agree within 1e-12 of ``scale``."""
+    assert got.horizon == want.horizon
+    grid = np.union1d(np.union1d(got.t, want.t), [got.horizon])
+    for g, w in zip(mp._resample(got, grid)[:2], mp._resample(want, grid)[:2]):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _magnitude(*segs):
+    return max(1.0, *(float(np.max(np.abs(np.concatenate([s.at, s.right, s.end_left()]))))
+                      for s in segs))
+
+
+def test_up_closure_matches_the_loop():
+    rng = np.random.default_rng(20260902)
+    for _ in range(2000):
+        seg = _random_segments(rng)
+        want = _looped_up_closure(seg)
+        _assert_same_function(mp._up_closure_segments(seg), want, _magnitude(seg, want))
+
+
+def test_up_closure_follows_a_rise_that_starts_an_ulp_below_the_maximum():
+    # the sum rises through the kink at 3190.48 us; its left limit there
+    # rounds an ulp above its value, so the crossing time rounds to the kink
+    seg = mp.sum_of([mp.RateLatency(8.119256087669434, 0.0, H),
+                     mp.RateLatency(42.27580136176452, 0.0, H),
+                     mp.RateLatency(88.6280763119632, 3190.4842426616087, H)]).segments
+    assert seg.end_left()[0] > seg.right[1]
+    closed = mp._up_closure_segments(seg)
+    want = seg.right[1] + seg.slope[1] * (H - seg.t[1])
+    assert closed.value(H) == pytest.approx(want, rel=1e-12)
+
+
+def test_k_way_sum_matches_the_pairwise_fold():
+    rng = np.random.default_rng(20260903)
+    for _ in range(500):
+        horizon = float(rng.uniform(1.0, 1200.0))
+        segs = [_random_segments(rng, horizon) for _ in range(int(rng.integers(3, 7)))]
+        want = segs[0]
+        for s in segs[1:]:
+            want = mp._sum_segments([want, s])
+        scale = sum(_magnitude(s) for s in segs)
+        _assert_same_function(mp._sum_segments(segs), want, scale)
+
+
 # ---------------------------------------------------------------------------
 # properties: monotonicity and randomized oracle agreement
 # ---------------------------------------------------------------------------
@@ -534,7 +647,10 @@ def _envelope_cases():
         "rate-latency": mp.RateLatency(40.0, 25.0, H),
         "rate-latency, no latency": mp.RateLatency(40.0, 0.0, H),
         "rate-latency beyond the horizon": mp.RateLatency(40.0, 2 * H, H),
+        "rate-latency with its kink at the horizon": mp.RateLatency(40.0, H, H),
         "min": higher,
+        "min with its kink beyond the horizon": mp.min_of([mp.Affine(100.0, 30.0, H),
+                                                           mp.Affine(2e5, 5.0, H)]),
         "sum of mins": mp.sum_of([higher, mp.min_of([mp.Affine(0.0, 80.0, H),
                                                     mp.Affine(900.0, 1.0, H)])]),
         "scaled": mp.scale(2.5, higher),
@@ -546,16 +662,66 @@ def _envelope_cases():
     }
 
 
+def _envelope_magnitude(curve, *segs):
+    """The largest term the values of ``curve`` and of ``segs`` are computed
+    from: the terms of each envelope line up to the horizon, and the values
+    of each segment function."""
+    lines = np.abs(np.array(curve.envelope.lines)) * [1.0, curve.horizon]
+    return max(float(np.max(lines)), _magnitude(*segs))
+
+
+def _children(curve):
+    return getattr(curve, "curves", ()) + ((curve.curve,) if hasattr(curve, "curve") else ())
+
+
+def _nodes(curve):
+    yield curve
+    for child in _children(curve):
+        yield from _nodes(child)
+
+
 @pytest.mark.parametrize("name", sorted(_envelope_cases()))
 def test_envelope_matches_segments(name):
+    # segments come from the envelope; _build folds the operands' segments
     curve = _envelope_cases()[name]
-    env = curve.envelope
-    assert env is not None
-    ts = np.concatenate([np.linspace(0.01, H, 157), [t for t in env.kinks() if t < H]])
-    ts = np.concatenate([ts, np.clip(ts + 1e-3, 0.0, H), np.clip(ts - 1e-3, 1e-6, H)])
-    want = curve.segments.value_many(ts)
-    got = np.array([env.value(t) for t in ts])
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+    assert curve.envelope is not None
+    want = curve._build()
+    _assert_same_function(curve.segments, want, _envelope_magnitude(curve, curve.segments, want))
+
+
+def _random_token_bucket_tree(rng, horizon, depth=0):
+    """A random tree of token-bucket nodes: Affine, RateLatency, sum, min,
+    max, scaling by either sign and the closure.  Kinks fall before, at and
+    beyond the horizon."""
+    kind = int(rng.integers(0, 7)) if depth < 3 else int(rng.integers(0, 2))
+    if kind == 0:
+        return mp.Affine(float(rng.uniform(-2000.0, 5000.0)), float(rng.uniform(0.0, 100.0)), horizon)
+    if kind == 1:
+        latency = float(rng.choice([0.0, horizon, rng.uniform(0.0, 2 * horizon)]))
+        return mp.RateLatency(float(rng.uniform(0.0, 100.0)), latency, horizon)
+    if kind <= 4:
+        children = [_random_token_bucket_tree(rng, horizon, depth + 1)
+                    for _ in range(int(rng.integers(2, 5)))]
+        return mp.Pointwise(("sum", "min", "max")[kind - 2], children)
+    child = _random_token_bucket_tree(rng, horizon, depth + 1)
+    if kind == 5:
+        return mp.scale(float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)), child)
+    return mp.up_closure(child)
+
+
+def test_random_envelope_trees_match_the_fold():
+    rng = np.random.default_rng(20260901)
+    compared = 0
+    for _ in range(400):
+        horizon = float(rng.choice([50.0, 500.0, H]))
+        for node in _nodes(_random_token_bucket_tree(rng, horizon)):
+            if node.envelope is None:
+                continue
+            operands = [c.segments for c in _children(node)]
+            want = node._build()
+            _assert_same_function(node.segments, want, _envelope_magnitude(node, want, *operands))
+            compared += 1
+    assert compared > 1000
 
 
 def test_envelope_absent_outside_the_token_bucket_family():
