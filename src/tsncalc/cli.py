@@ -9,10 +9,14 @@ in capitals with dashes as underscores: --network, --arch, --arch2,
 parse is a usage error of the subcommand that takes the flag, and only of
 it; the other flags read no variable.
 
+``compare`` and ``sweep`` give --credit-mode to each architecture that
+combines gates and credit shaping, and none to the other.
+
 Exit codes: 1 parse or generation error, and any other analysis failure
 (horizon of gated curves exhausted, fixed point not converged, missing
-upstream dependency); 2 validation or configuration error; 3
-instability/starvation; 4 dependency cycle.
+upstream dependency); 2 validation or configuration error, a horizon that
+is not positive and finite included; 3 instability/starvation; 4
+dependency cycle.
 """
 
 from __future__ import annotations
@@ -146,13 +150,17 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _credit_mode_for(arch: str, credit_mode):
+    """``credit_mode`` where ``arch`` combines gates and credit shaping,
+    else None."""
+    return credit_mode if sh.parse_architecture(arch).needs_credit_mode else None
+
+
 def cmd_compare(args) -> int:
-    net = nm.load(args.network).indexed()  # both analyses share its gate curves
-    r1 = engine.analyze(net, args.arch, credit_mode=args.credit_mode,
-                        horizon=args.horizon_us, fixed_point=args.fixed_point)
-    mode2 = args.credit_mode if sh.parse_architecture(args.arch2).needs_credit_mode else None
-    r2 = engine.analyze(net, args.arch2, credit_mode=mode2,
-                        horizon=args.horizon_us, fixed_point=args.fixed_point)
+    net = nm.load(args.network).indexed()  # both analyses share its memo
+    r1, r2 = (engine.analyze(net, arch, credit_mode=_credit_mode_for(arch, args.credit_mode),
+                             horizon=args.horizon_us, fixed_point=args.fixed_point)
+              for arch in (args.arch, args.arch2))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["metric,item,ratio"]
@@ -199,11 +207,9 @@ def _sweep_point(template, load, tt_load, kind, seed, arch1, arch2, credit_mode,
         spec = tg.GenSpec(target_load=total,
                           tt_load_fraction=tt_load / total if total > 0 else 0.0,
                           kind=kind, seed=seed)
-        net = tg.generate(template, spec).indexed()  # both analyses share its gate curves
-        mode1 = credit_mode if sh.parse_architecture(arch1).needs_credit_mode else None
-        mode2 = credit_mode if sh.parse_architecture(arch2).needs_credit_mode else None
-        r1 = engine.analyze(net, arch1, credit_mode=mode1)
-        r2 = engine.analyze(net, arch2, credit_mode=mode2)
+        net = tg.generate(template, spec).indexed()  # both analyses share its memo
+        r1, r2 = (engine.analyze(net, arch, credit_mode=_credit_mode_for(arch, credit_mode))
+                  for arch in (arch1, arch2))
         return {m: engine.difference_ratio(r1, r2, m)[1] for m in metrics}
     except TsnCalcError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}

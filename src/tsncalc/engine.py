@@ -13,6 +13,7 @@ import graphlib
 import heapq
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,18 +140,21 @@ def analyze(network: nm.Network, architecture: str, credit_mode: str | None = No
     """Worst-case bounds for every flow and queue under one architecture.
 
     ``network`` may be a view from ``Network.indexed``, which the analyses
-    of an unchanged network can share, and with it their gate curves.
+    of an unchanged network can share, and with it what they build in common.
     ``credit_mode`` defaults to "frozen" where gates and credit shaping
     coexist.  The curve horizon defaults to four times the longest schedule
     or flow period and is doubled (a bounded number of times) when a
     deviation between gated curves is not attained within it; gate-free
-    deviations hold for all t.
+    deviations hold for all t.  A horizon that is not a positive finite
+    number raises ConfigurationError before any curve is built.
     """
+    if horizon is not None and not 0.0 < horizon < math.inf:
+        raise ConfigurationError(f"curve horizon must be positive and finite, not {horizon} us")
     violations = nm.validate(network)
     if violations:
         raise ValidationError(violations)
-    if network.gate_memo is None:
-        # a snapshot with one flow index and gate memo for every horizon
+    if network.memo is None:
+        # a snapshot with one flow index and memo for every horizon
         # tried; a view handed in is shared with the caller's other analyses
         network = network.indexed()
     arch = sh.parse_architecture(architecture)
@@ -252,39 +256,13 @@ def _analyze_ats(ctx, report):
                 link_id, upstream, priority, d_q, b_q)
 
 
-def _arrival_inputs(ctx, link_id, priority, delays):
-    """Group a queue's flows by upstream port.  A flow's burst at its upstream
-    port is its committed burst plus its rate times each delay bound in
-    ``delays`` before that port, added in route order."""
-    groups = {}
-    source = []
-    for f in nm.event_flows_on(ctx.network, link_id):
-        if f.priority != priority:
-            continue
-        burst, r = nm.leaky_bucket_of(f)
-        hop = f.route.index(link_id)
-        if hop == 0:
-            source.append((f, burst))
-            continue
-        prev = f.route[hop - 1]
-        if (prev, priority) not in delays:
-            raise DependencyError(
-                f"queue ({link_id}, P{priority}) needs the bound of ({prev}, P{priority})")
-        for up in f.route[:hop - 1]:
-            burst += r * delays[(up, priority)]
-        groups.setdefault(prev, []).append((f, burst))
-    group_list = [(up, delays[(up, priority)], flows) for up, flows in sorted(groups.items())]
-    return group_list, source
-
-
 def _sweep(ctx, order, delays, new_delays):
     """Bound the queues of ``order`` in turn from the upstream delay bounds in
     ``delays``, writing each queue's delay bound to ``new_delays``."""
     alphas = {}
     results = {}
     for link_id, priority in order:
-        groups, source = _arrival_inputs(ctx, link_id, priority, delays)
-        alpha = sh.unshaped_queue_arrival(ctx, link_id, priority, groups, source)
+        alpha = sh.unshaped_queue_arrival(ctx, link_id, priority, delays)
         qb = _bound_queue(ctx, link_id, priority, alpha, alphas)
         results[(link_id, priority)] = qb
         new_delays[(link_id, priority)] = qb.delay

@@ -110,12 +110,6 @@ class Segments:
             return False
         return bool(np.all(self.slope >= -tol))
 
-    def restrict(self, horizon: float) -> "Segments":
-        if horizon >= self.horizon:
-            return self
-        keep = self.t <= horizon
-        return Segments(self.t[keep], self.at[keep], self.right[keep], self.slope[keep], horizon)
-
     def compress(self, tol: float = 1e-12) -> "Segments":
         """Drop breakpoints that carry neither a jump nor a slope change."""
         n = len(self.t)
@@ -150,27 +144,22 @@ def _resample(seg: Segments, grid: np.ndarray):
 def _sum_segments(segs: Sequence[Segments]) -> Segments:
     """Pointwise sum of segment functions, exactly: each is resampled once on
     the union of their breakpoints, and the values are added in order."""
-    horizon = min(s.horizon for s in segs)
-    segs = [s.restrict(horizon) for s in segs]
     grid = np.unique(np.concatenate([s.t for s in segs]))
     at, right, slope = _resample(segs[0], grid)
     for s in segs[1:]:
         s_at, s_right, s_slope = _resample(s, grid)
         at, right, slope = at + s_at, right + s_right, slope + s_slope
-    return Segments(grid, at, right, slope, horizon)
+    return Segments(grid, at, right, slope, segs[0].horizon)
 
 
 def _combine(a: Segments, b: Segments, op: str) -> Segments:
-    """Pointwise min/max of two segment functions, exactly."""
-    horizon = min(a.horizon, b.horizon)
-    a = a.restrict(horizon)
-    b = b.restrict(horizon)
+    """Pointwise min/max of two segment functions on one horizon, exactly."""
     grid = np.unique(np.concatenate([a.t, b.t]))
 
     # Locate sign changes of (a - b) strictly inside intervals.
     ra = _resample(a, grid)
     rb = _resample(b, grid)
-    ends = np.append(grid[1:], horizon)
+    ends = np.append(grid[1:], a.horizon)
     dt = ends - grid
     d0 = ra[1] - rb[1]
     d1 = (ra[1] + ra[2] * dt) - (rb[1] + rb[2] * dt)
@@ -184,7 +173,7 @@ def _combine(a: Segments, b: Segments, op: str) -> Segments:
     b_at, b_right, b_slope = _resample(b, grid)
 
     fn = np.minimum if op == "min" else np.maximum
-    ends = np.append(grid[1:], horizon)
+    ends = np.append(grid[1:], a.horizon)
     half = np.where(ends > grid, (ends - grid) * 0.5, 0.0)
     a_mid = a_right + a_slope * half
     b_mid = b_right + b_slope * half
@@ -193,7 +182,7 @@ def _combine(a: Segments, b: Segments, op: str) -> Segments:
     else:
         pick_a = a_mid >= b_mid
     slope = np.where(pick_a, a_slope, b_slope)
-    return Segments(grid, fn(a_at, b_at), fn(a_right, b_right), slope, horizon)
+    return Segments(grid, fn(a_at, b_at), fn(a_right, b_right), slope, a.horizon)
 
 
 def _up_closure_segments(seg: Segments) -> Segments:
@@ -314,13 +303,10 @@ def _hdev_segments(a: Segments, b: Segments):
 
 
 def _vdev_segments(a: Segments, b: Segments):
-    horizon = min(a.horizon, b.horizon)
-    a = a.restrict(horizon)
-    b = b.restrict(horizon)
     grid = np.unique(np.concatenate([a.t, b.t]))
     a_at, a_right, a_slope = _resample(a, grid)
     b_at, b_right, b_slope = _resample(b, grid)
-    ends = np.append(grid[1:], horizon)
+    ends = np.append(grid[1:], a.horizon)
     d_end = (a_right + a_slope * (ends - grid)) - (b_right + b_slope * (ends - grid))
     # in order of time: f(t[k]), f(t[k]+), then the left limit at the end
     stack = np.stack([a_at - b_at, a_right - b_right, d_end])
@@ -707,15 +693,6 @@ class StaircaseMax(Curve):
         return max(map(sum, (self.rotations[..., 0] / self.rotations[..., 2]).tolist()))
 
 
-class Staircase(StaircaseMax):
-    """One sum of periodic step terms: the staircase max of one rotation."""
-
-    __slots__ = ()
-
-    def __init__(self, terms, horizon: float):
-        super().__init__([terms], horizon)
-
-
 def running_integral(times, steps):
     """A piecewise-linear function given by the changes of its slope: its
     slope is 0 before the first of ``times`` and changes by steps[k] at
@@ -773,8 +750,8 @@ _RATE_OF = {"min": min, "max": max, "sum": sum}
 
 
 class Pointwise(Curve):
-    """Pointwise min, max or sum of curves: a sum on one union grid, a min
-    or max folded pairwise left to right."""
+    """Pointwise min, max or sum of curves on one horizon: a sum on one
+    union grid, a min or max folded pairwise left to right."""
 
     __slots__ = ("op", "curves")
 
@@ -782,7 +759,9 @@ class Pointwise(Curve):
         curves = list(curves)
         if not curves:
             raise ValueError(f"{op} of an empty curve list")
-        super().__init__(min(c.horizon for c in curves))
+        if any(c.horizon != curves[0].horizon for c in curves):
+            raise ValueError(f"{op} of curves on different horizons")
+        super().__init__(curves[0].horizon)
         self.op = op
         self.curves = tuple(curves)
 
@@ -891,16 +870,6 @@ def zero(horizon: float) -> Curve:
     return Affine(0.0, 0.0, horizon)
 
 
-def hdev(alpha: Curve, beta: Curve) -> float:
-    """Maximum horizontal deviation h(alpha, beta): the delay bound."""
-    return deviations(alpha, beta).horizontal
-
-
-def vdev(alpha: Curve, beta: Curve) -> float:
-    """Maximum vertical deviation v(alpha, beta): the backlog bound."""
-    return deviations(alpha, beta).vertical
-
-
 def deviations(alpha: Curve, beta: Curve) -> Deviation:
     """Both deviations between an arrival and a service curve, with witnesses.
 
@@ -920,7 +889,9 @@ def deviations(alpha: Curve, beta: Curve) -> Deviation:
 
 
 def _segment_deviations(alpha: Curve, beta: Curve) -> Deviation:
-    """Deviations computed from the segments; any pair of curves."""
+    """Deviations computed from the segments of any two curves on one horizon."""
+    if alpha.horizon != beta.horizon:
+        raise ValueError("deviations of curves on different horizons")
     a = alpha.segments
     b = beta.segments
     if not np.all(np.isfinite(a.right)):

@@ -87,9 +87,9 @@ class Network:
     tt_queue_counts: dict = field(default_factory=dict)  # link id -> #TT queues
     ats_shaped_queues: dict = field(default_factory=dict)  # explicit maps, validation only
     # only on the views that ``indexed`` returns: link id -> flows crossing
-    # it, in flow order, and the gate quantities of the view's analyses
+    # it, in flow order, and the memo of the view's analyses
     link_flows: dict | None = field(default=None, init=False, repr=False, compare=False)
-    gate_memo: dict | None = field(default=None, init=False, repr=False, compare=False)
+    memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def gcl(self, link_id: str) -> Gcl | None:
         return self.gcls.get(link_id)
@@ -101,14 +101,14 @@ class Network:
 
     def indexed(self) -> "Network":
         """A snapshot view of this network that answers ``flows_on`` from a
-        per-link index built once.  It also carries the gate memo: the gate
-        curves, guard bands and guard-band envelopes its analyses build,
-        which do not depend on the architecture.  The view shares every
+        per-link index built once.  It also carries the memo of its
+        analyses: the curves and bounds they build, keyed by what each
+        depends on (see ``shapers.ShaperContext``).  The view shares every
         table with this network and does not see changes made after it was
         made, so callers may share one view across the analyses of an
         unchanged network, and must build a new one after a change."""
         view = dataclasses.replace(self)
-        view.gate_memo = {}
+        view.memo = {}
         view.link_flows = {}
         for f in self.flows.values():
             for link_id in dict.fromkeys(f.route):

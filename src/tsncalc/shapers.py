@@ -14,13 +14,14 @@ one period of interval ends.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import minplus as mp
 from . import netmodel as nm
-from .errors import ConfigurationError, InfeasibleScheduleError, StarvationError
+from .errors import ConfigurationError, DependencyError, InfeasibleScheduleError, StarvationError
 
 ARCHITECTURES = (
     "TAS", "ATS", "CBS", "SP",
@@ -138,31 +139,17 @@ def gb_envelope(gcl, guard_bands, rate: float):
 # Analysis context
 # ---------------------------------------------------------------------------
 
-def _memoized(method):
-    """Compute a ShaperContext method once per argument tuple, in the
-    context's one memo."""
-    @functools.wraps(method)
-    def cached(self, *args):
-        key = (method.__name__, *args)
-        if key not in self._memo:
-            self._memo[key] = method(self, *args)
-        return self._memo[key]
-    return cached
+def _per_view(*attrs):
+    """Compute a ShaperContext quantity once per network view, in the view's
+    memo, keyed by the method, whether the architecture has gates, the
+    arguments, and the context ``attrs`` the quantity depends on."""
+    context = operator.attrgetter(*attrs) if attrs else (lambda ctx: None)
 
-
-def _per_view(by_horizon: bool):
-    """Compute a gate quantity of a ShaperContext once per network view, in
-    the view's gate memo, keyed by the arguments and, ``by_horizon``, the
-    horizon.  Gate quantities do not depend on the architecture, so the
-    gated analyses of one view share them; gate-free architectures, whose
-    gate quantities are zero, never reach the memo."""
     def decorate(method):
         @functools.wraps(method)
         def cached(self, *args):
-            if not self.arch.tas:
-                return method(self, *args)
-            key = (method.__name__, *args) + ((self.horizon,) if by_horizon else ())
-            memo = self.network.gate_memo
+            key = (method.__name__, self.arch.tas, args, context(self))
+            memo = self.network.memo
             if key not in memo:
                 memo[key] = method(self, *args)
             return memo[key]
@@ -171,11 +158,12 @@ def _per_view(by_horizon: bool):
 
 
 class ShaperContext:
-    """Per-analysis state: architecture, credit mode, horizon, and one memo
-    of the credit bounds and class curves, which depend on the architecture.
+    """Per-analysis state: architecture, credit mode and horizon.
 
-    The gate quantities live in the gate memo of the network view (see
-    ``Network.indexed``); a plain network gets a view of its own.
+    Every quantity it computes lives in the memo of the network view (see
+    ``Network.indexed``), so the analyses of one view share what they have
+    in common; a plain network gets a view of its own.  Every curve is
+    built at the context's horizon.
     """
 
     def __init__(self, network: nm.Network, arch: Architecture, credit_mode, horizon: float):
@@ -186,38 +174,37 @@ class ShaperContext:
         elif credit_mode is not None:
             raise ConfigurationError(
                 f"credit_mode only applies when gates and credit shaping are combined, not {arch.name}")
-        self.network = network if network.gate_memo is not None else network.indexed()
+        self.network = network if network.memo is not None else network.indexed()
         self.arch = arch
         self.credit_mode = credit_mode
         self.horizon = float(horizon)
-        self._memo = {}
 
     # -- per-port gate state ------------------------------------------------
 
     def link_rate(self, link_id: str) -> float:
         return self.network.links[link_id].rate
 
-    @_per_view(by_horizon=False)
+    @_per_view()
     def guard_bands(self, link_id: str):
         return nm.guard_band_lengths(self.network, link_id)
 
     def _gcl(self, link_id: str):
         return self.network.gcl(link_id) if self.arch.tas else None
 
-    @_per_view(by_horizon=True)
+    @_per_view("horizon")
     def tt_arrival(self, link_id: str, variant: str) -> mp.Curve:
         return tt_arrival_curve(self._gcl(link_id), self.guard_bands(link_id), variant,
                                 self.link_rate(link_id), self.horizon)
 
-    @_per_view(by_horizon=True)
+    @_per_view("horizon")
     def tt_service(self, link_id: str) -> mp.Curve:
         return tt_service_curve(self._gcl(link_id), self.link_rate(link_id), self.horizon)
 
-    @_per_view(by_horizon=False)
+    @_per_view()
     def envelope(self, link_id: str):
         return gb_envelope(self._gcl(link_id), self.guard_bands(link_id), self.link_rate(link_id))
 
-    @_per_view(by_horizon=True)
+    @_per_view("horizon")
     def top_sp_service(self, link_id: str, priority: int) -> mp.Curve:
         """The strict-priority service of a queue with no higher-priority
         arrivals: the link less the gates and one lower frame, which depend
@@ -226,16 +213,16 @@ class ShaperContext:
 
     # -- per-port class structure --------------------------------------------
 
-    @_memoized
+    @_per_view()
     def priorities_at(self, link_id: str):
         return nm.event_priorities(self.network, link_id)
 
-    @_memoized
+    @_per_view()
     def class_frames(self, link_id: str, priority: int):
         sizes = [f.size for f in nm.event_flows_on(self.network, link_id) if f.priority == priority]
         return (max(sizes), min(sizes)) if sizes else (0.0, 0.0)
 
-    @_memoized
+    @_per_view()
     def idle_slope(self, link_id: str, priority: int) -> float:
         """Configured idle slope, or the default reservable share split in
         proportion to class committed rates."""
@@ -255,11 +242,11 @@ class ShaperContext:
             return budget
         return budget * class_rates[priority] / total
 
-    @_memoized
+    @_per_view()
     def credit_bounds(self, link_id: str, priority: int) -> CreditBounds:
         return cbs_credit_bounds(self, link_id, priority)
 
-    @_memoized
+    @_per_view("credit_mode", "horizon")
     def shaping_curve(self, link_id: str, priority: int) -> mp.Curve:
         return cbs_shaping_curve(self, link_id, priority)
 
@@ -402,25 +389,33 @@ def shared_queue_arrival_ats(ctx: ShaperContext, link_id: str, priority: int) ->
 
 
 def unshaped_queue_arrival(ctx: ShaperContext, link_id: str, priority: int,
-                           groups, source_bursts) -> mp.Curve:
+                           delays) -> mp.Curve:
     """Aggregate input at a priority queue without reshaping.
 
-    ``groups`` lists per-upstream-port contributions as
-    (upstream_link_id, upstream_delay_bound, [(flow, burst_at_upstream)]);
-    each group is delayed by the upstream bound, then capped by the upstream
-    link's serialization and, for credit-shaped classes, by the upstream
-    class shaping curve.  ``source_bursts`` are (flow, burst) pairs entering
-    at this port from their source end system, contributing raw envelopes.
+    A flow's burst grows by its rate times the delay bound, in ``delays``,
+    of each queue of its priority before this port on its route, added in
+    route order; a missing bound raises DependencyError.  Flows that enter
+    at this port from their source end system contribute raw envelopes.
+    The others are summed per upstream port, in order of port, and each sum
+    is capped by ``_upstream_capped``.
     """
     parts = []
-    for f, burst in sorted(source_bursts, key=lambda fb: fb[0].id):
-        _, r = nm.leaky_bucket_of(f)
-        parts.append(mp.Affine(burst, r, ctx.horizon))
-    for upstream_id, delay, flows in sorted(groups, key=lambda g: g[0]):
-        terms = []
-        for f, burst in sorted(flows, key=lambda fb: fb[0].id):
-            _, r = nm.leaky_bucket_of(f)
-            terms.append(mp.Affine(burst + r * delay, r, ctx.horizon))
+    groups = {}
+    flows = [f for f in nm.event_flows_on(ctx.network, link_id) if f.priority == priority]
+    for f in sorted(flows, key=lambda f: f.id):
+        burst, r = nm.leaky_bucket_of(f)
+        hop = f.route.index(link_id)
+        for up in f.route[:hop]:
+            if (up, priority) not in delays:
+                raise DependencyError(
+                    f"queue ({link_id}, P{priority}) needs the bound of ({up}, P{priority})")
+            burst += r * delays[(up, priority)]
+        curve = mp.Affine(burst, r, ctx.horizon)
+        if hop == 0:
+            parts.append(curve)
+        else:
+            groups.setdefault(f.route[hop - 1], []).append(curve)
+    for upstream_id, terms in sorted(groups.items()):
         parts.append(_upstream_capped(ctx, upstream_id, priority, mp.sum_of(terms)))
     return mp.sum_of(parts) if parts else mp.zero(ctx.horizon)
 
@@ -466,8 +461,7 @@ def shaped_queue_analysis(ctx: ShaperContext, link_id: str, upstream_id: str,
         terms.append(mp.Affine(b + r * upstream_delay, r, ctx.horizon))
     alpha = _upstream_capped(ctx, upstream_id, priority, mp.sum_of(terms))
     beta = mp.BurstDelay(delay, ctx.horizon)
-    backlog = mp.vdev(alpha, beta)
-    return delay, backlog
+    return delay, mp.deviations(alpha, beta).vertical
 
 
 # ---------------------------------------------------------------------------

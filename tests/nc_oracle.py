@@ -219,4 +219,4 @@ def to_curve(spec: CurveSpec, horizon: float):
         return mp.RateLatency(spec.rate, spec.latency, horizon)
     if spec.kind == "burstdelay":
         return mp.BurstDelay(spec.delay, horizon)
-    return mp.Staircase(list(spec.terms), horizon)
+    return mp.StaircaseMax([list(spec.terms)], horizon)

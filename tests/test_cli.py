@@ -7,6 +7,7 @@ import os
 import pytest
 
 from tsncalc import cli
+from tsncalc import engine
 from tsncalc import netmodel as nm
 from tsncalc import shapers as sh
 from tsncalc import testgen as tg
@@ -197,6 +198,43 @@ def test_generate_flow_table(tmp_path):
     assert rc == 0
     net = nm.load(out)
     assert net.flows["o1"].size == 2400.0
+
+
+@pytest.fixture()
+def gated_file(tmp_path):
+    net = tg.generate("ST", tg.GenSpec(target_load=0.3, tt_load_fraction=0.3, seed=0))
+    path = tmp_path / "gated.json"
+    nm.save(net, path)
+    return path
+
+
+@pytest.mark.parametrize("arch, arch2", [("TAS+ATS+SP", "TAS+CBS"), ("TAS+CBS", "TAS+ATS+SP")])
+def test_compare_gives_the_credit_mode_to_the_architecture_that_takes_it(
+        gated_file, tmp_path, monkeypatch, arch, arch2):
+    modes = {}
+    analyze = engine.analyze
+
+    def recorded(net, architecture, credit_mode=None, **kwargs):
+        modes[architecture] = credit_mode
+        return analyze(net, architecture, credit_mode=credit_mode, **kwargs)
+
+    monkeypatch.setattr(engine, "analyze", recorded)
+    rc = cli.main(["compare", "--network", str(gated_file), "--arch", arch, "--arch2", arch2,
+                   "--credit-mode", "nonfrozen", "--out-dir", str(tmp_path / "o")])
+    assert rc == 0
+    assert modes == {"TAS+ATS+SP": None, "TAS+CBS": "nonfrozen"}
+
+
+@pytest.mark.parametrize("horizon", ["0", "-5", "nan"])
+def test_bad_horizon_exits_2(gated_file, tmp_path, monkeypatch, capsys, horizon):
+    argv = ["analyze", "--network", str(gated_file), "--arch", "TAS+SP",
+            "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv + ["--horizon-us", horizon]) == cli.EXIT_VALIDATION
+    monkeypatch.setenv("TSNCALC_HORIZON_US", horizon)
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("horizon must be positive and finite") == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_compare_emits_csv(net_file, tmp_path):

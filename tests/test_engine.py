@@ -11,7 +11,7 @@ from tsncalc import minplus as mp
 from tsncalc import netmodel as nm
 from tsncalc import shapers as sh
 from tsncalc import testgen as tg
-from tsncalc.errors import CycleError, InstabilityError
+from tsncalc.errors import ConfigurationError, CycleError, InstabilityError
 
 import nc_oracle as orc
 
@@ -394,6 +394,16 @@ def test_horizon_override_respected():
     rep = engine.analyze(net, "SP", horizon=64000.0)
     assert rep.horizon == 64000.0
     assert rep.flows["f1"].wcd == pytest.approx(2 * 121.76 + 2 + 4 - 2)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_horizon_is_refused_before_any_curve(monkeypatch, horizon):
+    def no_analysis(*args):
+        raise AssertionError("analysis started")
+
+    monkeypatch.setattr(engine, "_analyze_at_horizon", no_analysis)
+    with pytest.raises(ConfigurationError, match="horizon"):
+        engine.analyze(single_hop_net(), "SP", horizon=horizon)
 
 
 def test_gate_free_bounds_need_no_longer_horizon():

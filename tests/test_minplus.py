@@ -30,7 +30,7 @@ def test_evaluate_burst_delay():
 
 
 def test_evaluate_staircase_single_term():
-    c = mp.Staircase([(1e4, 0.0, 1000.0)], H)
+    c = mp.StaircaseMax([[(1e4, 0.0, 1000.0)]], H)
     assert c.evaluate(1.0) == pytest.approx(1e4)
     assert c.evaluate(0.0) == 0.0
     assert c.evaluate(1000.0) == pytest.approx(1e4)
@@ -72,19 +72,19 @@ def test_evaluate_beyond_horizon_raises():
 
 
 # ---------------------------------------------------------------------------
-# hdev / vdev
+# deviations
 # ---------------------------------------------------------------------------
 
 def test_hdev_token_bucket_vs_rate_latency():
     a = mp.Affine(2000.0, 10.0, H)
     b = mp.RateLatency(100.0, 100.0, H)
-    assert mp.hdev(a, b) == pytest.approx(120.0, abs=1e-9)
+    assert mp.deviations(a, b).horizontal == pytest.approx(120.0, abs=1e-9)
 
 
 def test_hdev_empty_traffic_is_zero():
     a = mp.Affine(0.0, 0.0, H)
     b = mp.RateLatency(100.0, 100.0, H)
-    assert mp.hdev(a, b) == 0.0
+    assert mp.deviations(a, b).horizontal == 0.0
 
 
 def test_hdev_staircase_vs_rate_latency_matches_oracle():
@@ -94,23 +94,23 @@ def test_hdev_staircase_vs_rate_latency_matches_oracle():
     b_spec = orc.CurveSpec("ratelatency", rate=100.0, latency=50.0)
     a = orc.to_curve(a_spec, H)
     b = orc.to_curve(b_spec, H)
-    assert mp.hdev(a, b) == pytest.approx(orc.oracle_hdev(a_spec, b_spec, H), abs=0.01)
+    assert mp.deviations(a, b).horizontal == pytest.approx(orc.oracle_hdev(a_spec, b_spec, H), abs=0.01)
 
 
 def test_hdev_instability():
     with pytest.raises(InstabilityError):
-        mp.hdev(mp.Affine(0.0, 20.0, H), mp.RateLatency(10.0, 0.0, H))
+        mp.deviations(mp.Affine(0.0, 20.0, H), mp.RateLatency(10.0, 0.0, H))
 
 
 def test_vdev_token_bucket_vs_rate_latency():
     a = mp.Affine(2000.0, 10.0, H)
     b = mp.RateLatency(100.0, 100.0, H)
-    assert mp.vdev(a, b) == pytest.approx(3000.0, abs=1e-9)
+    assert mp.deviations(a, b).vertical == pytest.approx(3000.0, abs=1e-9)
 
 
 def test_vdev_identical_curves():
     a = mp.Affine(500.0, 3.0, H)
-    assert mp.vdev(a, mp.Affine(500.0, 3.0, H)) == 0.0
+    assert mp.deviations(a, mp.Affine(500.0, 3.0, H)).vertical == 0.0
 
 
 def test_vdev_staircase_vs_rate_latency_matches_oracle():
@@ -119,7 +119,7 @@ def test_vdev_staircase_vs_rate_latency_matches_oracle():
     b_spec = orc.CurveSpec("ratelatency", rate=60.0, latency=30.0)
     a = orc.to_curve(a_spec, H)
     b = orc.to_curve(b_spec, H)
-    assert mp.vdev(a, b) == pytest.approx(orc.oracle_vdev(a_spec, b_spec, H), abs=1.0)
+    assert mp.deviations(a, b).vertical == pytest.approx(orc.oracle_vdev(a_spec, b_spec, H), abs=1.0)
 
 
 def test_deviation_witnesses_in_range():
@@ -188,11 +188,21 @@ def test_empty_lists_rejected():
         mp.sum_of([])
 
 
+def test_curves_of_different_horizons_do_not_mix():
+    short, long = mp.Affine(100.0, 1.0, H), mp.Affine(100.0, 1.0, 2 * H)
+    for op in (mp.sum_of, mp.min_of):
+        with pytest.raises(ValueError, match="horizons"):
+            op([short, long])
+    gate = mp.StaircaseMax([[(2000.0, 0.0, 100.0)]], H)
+    with pytest.raises(ValueError, match="horizons"):
+        mp.deviations(gate, mp.RateLatency(100.0, 10.0, 2 * H))
+
+
 def test_up_closure_nondecreasing_nonnegative():
     # C*t minus a gate staircase dips at jumps; the closure must repair it
     inner = mp.sum_of([
         mp.Affine(0.0, 100.0, H),
-        mp.scale(-1.0, mp.Staircase([(20000.0, 0.0, 1000.0)], H)),
+        mp.scale(-1.0, mp.StaircaseMax([[(20000.0, 0.0, 1000.0)]], H)),
         mp.Affine(-5000.0, 0.0, H),
     ])
     closed = mp.up_closure(inner)
@@ -344,8 +354,9 @@ def test_operator_monotonicity():
         # seven unused draws keep this seed on its established sequence of
         # (f1, f2, beta) triples
         rng.random(7)
-        assert mp.hdev(f1, beta) <= mp.hdev(f2, beta) + 1e-9
-        assert mp.vdev(f1, beta) <= mp.vdev(f2, beta) + 1e-9
+        d1, d2 = mp.deviations(f1, beta), mp.deviations(f2, beta)
+        assert d1.horizontal <= d2.horizontal + 1e-9
+        assert d1.vertical <= d2.vertical + 1e-9
 
 
 def test_randomized_deviations_match_oracle():
@@ -506,7 +517,7 @@ def _max_affines(*lines):
 
 
 def _staircase(*terms):
-    return lambda h: (mp.Staircase(terms, h), orc.CurveSpec("staircase", terms=terms))
+    return lambda h: (mp.StaircaseMax([terms], h), orc.CurveSpec("staircase", terms=terms))
 
 
 def _link_leftover(link, lower):
@@ -633,7 +644,7 @@ def test_closed_form_refuses_a_decreasing_service():
 
 
 def test_gated_service_keeps_segments():
-    gate = mp.Staircase([(20000.0, 0.0, 1000.0)], H)
+    gate = mp.StaircaseMax([[(20000.0, 0.0, 1000.0)]], H)
     beta = mp.up_closure(mp.sum_of([mp.Affine(-1000.0, 100.0, H), mp.scale(-1.0, gate)]))
     assert beta.envelope is None
     assert mp._closed_deviations(mp.Affine(1000.0, 5.0, H), beta) is None
@@ -725,7 +736,7 @@ def test_random_envelope_trees_match_the_fold():
 
 
 def test_envelope_absent_outside_the_token_bucket_family():
-    gate = mp.Staircase([(2000.0, 0.0, 100.0)], H)
+    gate = mp.StaircaseMax([[(2000.0, 0.0, 100.0)]], H)
     falling = mp.sum_of([mp.Affine(500.0, 10.0, H), mp.scale(-1.0, mp.Affine(0.0, 20.0, H))])
     concave = mp.min_of([mp.Affine(100.0, 30.0, H), mp.Affine(2000.0, 5.0, H)])
     assert gate.envelope is None

@@ -7,7 +7,12 @@ from tsncalc import minplus as mp
 from tsncalc import netmodel as nm
 from tsncalc import shapers as sh
 from tsncalc import testgen as tg
-from tsncalc.errors import ConfigurationError, InfeasibleScheduleError, StarvationError
+from tsncalc.errors import (
+    ConfigurationError,
+    DependencyError,
+    InfeasibleScheduleError,
+    StarvationError,
+)
 
 H = 8000.0
 C = 100.0
@@ -110,7 +115,7 @@ def _folded_tt_arrival(gcl, guard_bands, variant, rate, horizon):
             oj = offs[j] + (gcl.period if jj >= n else 0.0)
             offset = oj - offs[i] + gbs[i] - gbs[j]
             terms.append(((lens[j] + gbs[j]) * rate, max(0.0, offset), gcl.period))
-        rotations.append(mp.Staircase(terms, horizon))
+        rotations.append(mp.StaircaseMax([terms], horizon))
         seg = rotations[-1].segments
         for got, want in zip((seg.t, seg.at, seg.right), _looped_staircase(terms, horizon)):
             assert np.array_equal(got, want)
@@ -169,10 +174,10 @@ def test_gate_memo_is_shared_per_view_and_horizon():
     assert make_ctx(view, "TAS+ATS+SP").tt_arrival("L", "GB+TT") is gate
     assert make_ctx(view, "TAS+SP", horizon=2 * H).tt_arrival("L", "GB+TT").horizon == 2 * H
     assert make_ctx(net.indexed(), "TAS+SP").tt_arrival("L", "GB+TT") is not gate
-    # gate-free architectures see no gates and leave the memo alone
-    keys = set(view.gate_memo)
+    # a gate-free architecture on the same view sees no gates, and the
+    # gated analyses still find their own entry
     assert make_ctx(view, "SP").tt_arrival("L", "GB+TT").long_term_rate() == 0.0
-    assert set(view.gate_memo) == keys
+    assert make_ctx(view, "TAS+SP").tt_arrival("L", "GB+TT") is gate
 
 
 def test_tt_service_single_window():
@@ -448,7 +453,7 @@ def test_sp_service_one_window_matches_busy_period_search():
     ctx = make_ctx(net, "TAS+SP")
     beta = sh.sp_service_curve(ctx, "L", 5, [])
     b, r = nm.leaky_bucket_of(net.flows["hi"])
-    closed = mp.hdev(mp.Affine(b, r, H), beta)
+    closed = mp.deviations(mp.Affine(b, r, H), beta).horizontal
 
     gb = nm.guard_band_lengths(net, "L")[0]
     blocked = [(rep * 1000.0 + 300.0 - gb, rep * 1000.0 + 450.0) for rep in range(-1, 12)]
@@ -580,7 +585,7 @@ def test_credit_bounds_over_reserved():
 def test_cbs_service_curve_alone_is_rate_latency():
     ctx = make_ctx(cbs_port(), "CBS")
     beta = sh.cbs_service_curve(ctx, "L", 5)
-    assert mp.hdev(mp.zero(H), beta) == 0.0
+    assert mp.deviations(mp.zero(H), beta).horizontal == 0.0
     expect = mp.RateLatency(75.0, 9132.0 / 75.0, H)  # latency 121.76
     for t in np.linspace(0.5, H, 60):
         assert beta.evaluate(t) == pytest.approx(expect.evaluate(t), abs=1e-9)
@@ -668,8 +673,7 @@ def test_shared_queue_arrival_empty():
 def test_unshaped_arrival_single_upstream():
     net = port_network([("a", "SP", 1000.0, 5, 1000.0)])
     ctx = make_ctx(net, "SP")
-    groups = [("L", 50.0, [(net.flows["a"], 1000.0)])]
-    alpha = sh.unshaped_queue_arrival(ctx, "L2", 5, groups, [])
+    alpha = sh.unshaped_queue_arrival(ctx, "L2", 5, {("L", 5): 50.0})
     b, r = 1000.0, 1.0
     for t in (0.5, 5.0, 50.0, 1000.0):
         want = min(b + r * 50.0 + r * t, C * t + 1000.0)
@@ -679,17 +683,23 @@ def test_unshaped_arrival_single_upstream():
 def test_unshaped_arrival_source_flows_raw():
     net = port_network([("a", "SP", 1000.0, 5, 1000.0)])
     ctx = make_ctx(net, "SP")
-    alpha = sh.unshaped_queue_arrival(ctx, "L", 5, [], [(net.flows["a"], 1000.0)])
+    alpha = sh.unshaped_queue_arrival(ctx, "L", 5, {})
     for t in (0.5, 77.7):
         assert alpha.evaluate(t) == pytest.approx(1000.0 + 1.0 * t)
+
+
+def test_unshaped_arrival_needs_every_upstream_bound():
+    net = port_network([("a", "SP", 1000.0, 5, 1000.0)])
+    ctx = make_ctx(net, "SP")
+    with pytest.raises(DependencyError, match=r"\(L, P5\)"):
+        sh.unshaped_queue_arrival(ctx, "L2", 5, {("L", 4): 50.0})
 
 
 def test_unshaped_arrival_cbs_below_operands():
     net = port_network([("a", "AVB", 12176.0, 5, 1000.0)], idle_slopes={5: 75.0}, be=True)
     ctx = make_ctx(net, "CBS")
     delay = 80.0
-    groups = [("L", delay, [(net.flows["a"], 12176.0)])]
-    alpha = sh.unshaped_queue_arrival(ctx, "L2", 5, groups, [])
+    alpha = sh.unshaped_queue_arrival(ctx, "L2", 5, {("L", 5): delay})
     b, r = nm.leaky_bucket_of(net.flows["a"])
     sigma = sh.cbs_shaping_curve(ctx, "L", 5)
     for t in np.linspace(0.5, 2000.0, 50):
