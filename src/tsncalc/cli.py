@@ -10,7 +10,9 @@ parse is a usage error of the subcommand that takes the flag, and only of
 it; the other flags read no variable.
 
 ``compare`` and ``sweep`` give --credit-mode to each architecture that
-combines gates and credit shaping, and none to the other.
+combines gates and credit shaping, and none to the other; when neither
+takes it, they refuse it as ``analyze`` refuses it for the first, before
+any analysis runs.
 
 Exit codes: 1 parse or generation error, and any other analysis failure
 (horizon of gated curves exhausted, fixed point not converged, missing
@@ -156,7 +158,16 @@ def _credit_mode_for(arch: str, credit_mode):
     return credit_mode if sh.parse_architecture(arch).needs_credit_mode else None
 
 
+def _check_credit_mode(arch1: str, arch2: str, credit_mode) -> None:
+    """Refuse a credit mode that neither architecture takes, with the error
+    that ``analyze`` gives for the first."""
+    if credit_mode is not None and not any(
+            _credit_mode_for(arch, credit_mode) for arch in (arch1, arch2)):
+        sh.check_credit_mode(sh.parse_architecture(arch1), credit_mode)
+
+
 def cmd_compare(args) -> int:
+    _check_credit_mode(args.arch, args.arch2, args.credit_mode)
     net = nm.load(args.network).indexed()  # both analyses share its memo
     r1, r2 = (engine.analyze(net, arch, credit_mode=_credit_mode_for(arch, args.credit_mode),
                              horizon=args.horizon_us, fixed_point=args.fixed_point)
@@ -218,7 +229,10 @@ def _sweep_point(template, load, tt_load, kind, seed, arch1, arch2, credit_mode,
 def run_sweep(template, loads, seeds, arch1, arch2, credit_mode=None, tt_load=0.0,
               kind="SP", metrics=("delay", "backlog"), workers=1):
     """Ratio table over (load, seed); failures are recorded and skipped.
-    Returns (rows, failures) with rows keyed (load, seed, metric)."""
+    Returns (rows, failures) with rows keyed (load, seed, metric).  A credit
+    mode that neither architecture takes raises ConfigurationError before
+    any cell runs."""
+    _check_credit_mode(arch1, arch2, credit_mode)
     cells = [(load, seed) for load in loads for seed in range(seeds)]
     results = {}
     if workers > 1:

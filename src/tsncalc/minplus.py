@@ -21,8 +21,13 @@ cached on the node:
   Every curve has it.  A curve with an envelope converts it, one segment
   per line.  Any other curve builds it from its operands' segments: a sum
   of any number of curves on one union grid, a min or max folded pairwise,
-  the closure with one running maximum, and a gate staircase in one pass
-  over all its rotations.
+  and the closure with one running maximum.  Gate staircases, and a line
+  less a scaled staircase, closed (``StaircaseLeftover``: the gated
+  strict-priority and credit-based services), are built as batches of
+  rows, one pass over all the rows per step, for one curve or for many at
+  once (``build_leftovers``); each step does the floating-point operations
+  of the one-curve operator it replaces, so a batch is bit for bit the
+  curves built one by one.
 
 ``deviations`` has three cases, all exact; nothing is sampled:
 
@@ -32,7 +37,11 @@ cached on the node:
   of the envelopes, over all t;
 - every other pair (gate staircases, TDMA service), the segments, with
   each period unrolled up to the horizon.  Only this case can raise
-  HorizonExceededError.
+  HorizonExceededError.  Each segment function computes its inverse table
+  (the left limit at each segment's end, the running maximum of values
+  reached, and whether it never falls) once, and one pass over it gives
+  the first and the strict inverse, so a service that two analyses share
+  is read, not rebuilt.
 """
 
 from __future__ import annotations
@@ -62,39 +71,37 @@ class Segments:
     ``at[k]`` is f(t[k]), ``right[k]`` is f(t[k]+) and ``slope[k]`` applies on
     (t[k], t[k+1]); the last slope extends to the horizon.  Only a burst
     delay's own segments hold ``inf`` (on a zero slope), for ``evaluate``; the
-    operators and deviations below take finite values.
+    operators and deviations below take finite values.  The four arrays are
+    read-only, so the inverse table computed from them on first use stays
+    valid.
     """
 
-    __slots__ = ("t", "at", "right", "slope", "horizon")
+    __slots__ = ("t", "at", "right", "slope", "horizon", "_table")
 
     def __init__(self, t, at, right, slope, horizon):
-        self.t = np.asarray(t, dtype=float)
-        self.at = np.asarray(at, dtype=float)
-        self.right = np.asarray(right, dtype=float)
-        self.slope = np.asarray(slope, dtype=float)
+        self.t, self.at, self.right, self.slope = (
+            _read_only(x) for x in (t, at, right, slope))
         self.horizon = float(horizon)
+        self._table = None
         if self.t[0] != 0.0:
             raise ValueError("segments must start at t = 0")
 
     def __len__(self):
         return len(self.t)
 
-    def left_values(self) -> np.ndarray:
-        """Left limits at each breakpoint; left[0] is defined as at[0]."""
-        left = np.empty_like(self.at)
-        left[0] = self.at[0]
-        if len(self.t) > 1:
-            dt = self.t[1:] - self.t[:-1]
-            left[1:] = self.right[:-1] + self.slope[:-1] * dt
-        return left
+    @property
+    def table(self) -> "InverseTable":
+        """The inverse table, computed on first use."""
+        if self._table is None:
+            self._table = _inverse_table(self)
+        return self._table
 
     def end_left(self) -> np.ndarray:
         """Left limit at the end of each segment (horizon for the last)."""
-        ends = np.append(self.t[1:], self.horizon)
-        return self.right + self.slope * (ends - self.t)
+        return self.table.end_left
 
     def _locate(self, ts: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, len(self.t) - 1)
+        return np.maximum(np.searchsorted(self.t, ts, side="right") - 1, 0)
 
     def value_many(self, ts) -> np.ndarray:
         return _resample(self, np.asarray(ts, dtype=float))[0]
@@ -102,28 +109,45 @@ class Segments:
     def value(self, t: float) -> float:
         return float(self.value_many(np.array([t]))[0])
 
-    def is_nondecreasing(self, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = max(TOLERANCE, 1e-12 * float(np.max(np.abs(self.right), initial=1.0)))
-        left = self.left_values()
-        if np.any(self.right - self.at < -tol) or np.any(self.at - left < -tol):
-            return False
-        return bool(np.all(self.slope >= -tol))
+    def is_nondecreasing(self) -> bool:
+        return self.table.nondecreasing
 
     def compress(self, tol: float = 1e-12) -> "Segments":
         """Drop breakpoints that carry neither a jump nor a slope change."""
-        n = len(self.t)
-        if n <= 1:
+        if len(self.t) <= 1:
             return self
-        left = self.left_values()
-        keep = np.ones(n, dtype=bool)
-        no_jump = (np.abs(self.at - left) <= tol) & (np.abs(self.right - self.at) <= tol)
-        same_slope = np.empty(n, dtype=bool)
-        same_slope[0] = False
-        same_slope[1:] = np.abs(self.slope[1:] - self.slope[:-1]) <= tol
-        keep[1:] = ~(no_jump[1:] & same_slope[1:])
-        keep[0] = True
+        keep = _kept(self.t, self.at, self.right, self.slope, _first_of_one(len(self.t)), tol)
         return Segments(self.t[keep], self.at[keep], self.right[keep], self.slope[keep], self.horizon)
+
+
+def _read_only(x) -> np.ndarray:
+    """A read-only float view of ``x``."""
+    view = np.asarray(x, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True)
+class InverseTable:
+    """What the pseudo-inverses of a segment function read, from one pass:
+    the left limit at the end of each segment, the running maximum of the
+    values reached up to each segment's end, and whether the function is
+    non-decreasing (within a tolerance relative to its largest value)."""
+
+    end_left: np.ndarray
+    reach: np.ndarray
+    nondecreasing: bool
+
+
+def _inverse_table(seg: Segments) -> InverseTable:
+    end_left = _read_only(seg.right + seg.slope * (_ends(seg.t, seg.horizon) - seg.t))
+    reach = _read_only(np.maximum.accumulate(np.maximum(end_left, np.maximum(seg.at, seg.right))))
+    tol = max(TOLERANCE, 1e-12 * float(np.abs(seg.right).max(initial=1.0)))
+    # the left limit at each breakpoint after the first is the end of the
+    # segment before it
+    nondecreasing = not ((seg.right - seg.at < -tol).any() or (seg.at[1:] - end_left[:-1] < -tol).any()
+                         or (seg.slope < -tol).any())
+    return InverseTable(end_left, reach, nondecreasing)
 
 
 def _zero_segments(horizon: float) -> Segments:
@@ -141,25 +165,49 @@ def _resample(seg: Segments, grid: np.ndarray):
     return at, right, seg.slope[k]
 
 
+def _on_grid(seg: Segments, grid: np.ndarray):
+    """``_resample`` on a grid that holds seg's breakpoints: on a grid of
+    just those, seg itself."""
+    if len(grid) == len(seg.t):
+        return seg.at, seg.right, seg.slope
+    return _resample(seg, grid)
+
+
+def _distinct_sorted(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, sorted, as ``np.unique`` gives them."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The union of two breakpoint arrays; one that holds only t = 0 adds
+    nothing to the other."""
+    if len(a) == 1:
+        return b
+    if len(b) == 1:
+        return a
+    return _distinct_sorted(np.concatenate([a, b]))
+
+
 def _sum_segments(segs: Sequence[Segments]) -> Segments:
     """Pointwise sum of segment functions, exactly: each is resampled once on
     the union of their breakpoints, and the values are added in order."""
-    grid = np.unique(np.concatenate([s.t for s in segs]))
-    at, right, slope = _resample(segs[0], grid)
+    grid = _distinct_sorted(np.concatenate([s.t for s in segs]))
+    at, right, slope = _on_grid(segs[0], grid)
     for s in segs[1:]:
-        s_at, s_right, s_slope = _resample(s, grid)
+        s_at, s_right, s_slope = _on_grid(s, grid)
         at, right, slope = at + s_at, right + s_right, slope + s_slope
     return Segments(grid, at, right, slope, segs[0].horizon)
 
 
 def _combine(a: Segments, b: Segments, op: str) -> Segments:
     """Pointwise min/max of two segment functions on one horizon, exactly."""
-    grid = np.unique(np.concatenate([a.t, b.t]))
+    grid = _union(a.t, b.t)
 
     # Locate sign changes of (a - b) strictly inside intervals.
-    ra = _resample(a, grid)
-    rb = _resample(b, grid)
-    ends = np.append(grid[1:], a.horizon)
+    ra = _on_grid(a, grid)
+    rb = _on_grid(b, grid)
+    ends = _ends(grid, a.horizon)
     dt = ends - grid
     d0 = ra[1] - rb[1]
     d1 = (ra[1] + ra[2] * dt) - (rb[1] + rb[2] * dt)
@@ -167,13 +215,13 @@ def _combine(a: Segments, b: Segments, op: str) -> Segments:
     if np.any(cross):
         frac = d0[cross] / (d0[cross] - d1[cross])
         extra = grid[cross] + frac * dt[cross]
-        grid = np.unique(np.concatenate([grid, extra]))
+        grid = _distinct_sorted(np.concatenate([grid, extra]))
 
-    a_at, a_right, a_slope = _resample(a, grid)
-    b_at, b_right, b_slope = _resample(b, grid)
+    a_at, a_right, a_slope = _on_grid(a, grid)
+    b_at, b_right, b_slope = _on_grid(b, grid)
 
     fn = np.minimum if op == "min" else np.maximum
-    ends = np.append(grid[1:], a.horizon)
+    ends = _ends(grid, a.horizon)
     half = np.where(ends > grid, (ends - grid) * 0.5, 0.0)
     a_mid = a_right + a_slope * half
     b_mid = b_right + b_slope * half
@@ -185,69 +233,120 @@ def _combine(a: Segments, b: Segments, op: str) -> Segments:
     return Segments(grid, fn(a_at, b_at), fn(a_right, b_right), slope, a.horizon)
 
 
-def _up_closure_segments(seg: Segments) -> Segments:
-    """Running maximum with zero: t -> max(0, sup_{0<=s<=t} f(s)).
+# ---------------------------------------------------------------------------
+# Row operators: many segment functions, concatenated in one set of arrays
+# ---------------------------------------------------------------------------
+#
+# The arrays t, at, right and slope hold the segments of several functions
+# one after another; ``first`` marks the first row of each function.  Each
+# operator below does on every function what it would do on that function
+# alone, with the same floating-point operations, so a batch of one is the
+# single-function build.
+
+def _first_of_one(n: int) -> np.ndarray:
+    first = np.zeros(n, dtype=bool)
+    first[0] = True
+    return first
+
+
+def _ends(t, horizon, first=None) -> np.ndarray:
+    """The end of each segment: the next breakpoint, or the horizon after
+    the last.  With ``first``, of rows of several functions, where the last
+    row of each ends at its horizon (``horizon`` per row, or one for all)."""
+    if first is None:
+        return np.concatenate((t[1:], [horizon]))
+    last = np.concatenate((first[1:], [True]))
+    return np.where(last, horizon, np.concatenate((t[1:], [0.0])))
+
+
+def _kept(t, at, right, slope, first, tol=1e-12) -> np.ndarray:
+    """The rows that ``Segments.compress`` keeps: each function's first row
+    and every row with a jump or a slope change, beyond ``tol``."""
+    left = np.empty_like(at)
+    left[0] = at[0]
+    left[1:] = right[:-1] + slope[:-1] * (t[1:] - t[:-1])
+    same_slope = np.append(False, np.abs(slope[1:] - slope[:-1]) <= tol)
+    no_jump = (np.abs(at - left) <= tol) & (np.abs(right - at) <= tol)
+    return first | ~(no_jump & same_slope)
+
+
+def _running_max(values, first) -> np.ndarray:
+    """The running maximum of ``values`` within each function."""
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    col = np.arange(len(values)) - starts[group]
+    padded = np.full((len(starts), int(col.max()) + 1), -INF)
+    padded[group, col] = values
+    return np.maximum.accumulate(padded, axis=1)[group, col]
+
+
+def _closure_rows(t, at, right, slope, first, horizon):
+    """Running maximum with zero of each function: t -> max(0, sup_{0<=s<=t}
+    f(s)), as (t, at, right, slope, first) rows, before compression.
 
     Each segment starts at the running maximum of the peaks before it and
     follows f where f starts there and rises, else stays flat; a rising
     segment that climbs back to the maximum inside it follows f from the
-    crossing on, which gets a breakpoint of its own.
+    crossing on, which gets a row of its own.
     """
-    t0 = seg.t
-    t1 = np.append(seg.t[1:], seg.horizon)
-    f_end = seg.right + seg.slope * (t1 - t0)
-    peak = np.maximum(np.maximum(seg.at, seg.right), f_end)
-    run = np.maximum.accumulate(np.concatenate([[max(0.0, seg.at[0])], peak[:-1]]))
-    at = np.maximum(run, seg.at)
-    right = np.maximum(at, seg.right)
-    rising = seg.slope > 0.0
+    t1 = _ends(t, horizon, first)
+    f_end = right + slope * (t1 - t)
+    peak = np.maximum(np.maximum(at, right), f_end)
+    # max(0, f(0)) at each function's first row, else the peak before
+    prior = np.where(first, np.where(at > 0.0, at, 0.0), np.append(0.0, peak[:-1]))
+    run = _running_max(prior, first)
+    new_at = np.maximum(run, at)
+    new_right = np.maximum(new_at, right)
+    rising = slope > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_cross = t0 + (right - seg.right) / seg.slope
+        t_cross = t + (new_right - right) / slope
     # f starts at the maximum, or below it by less than it climbs in the
-    # rounding of t0: the crossing is t0 itself
-    follow = rising & (t_cross <= t0)
-    cross = rising & ~follow & (f_end > right) & (t_cross < t1)
+    # rounding of t: the crossing is t itself
+    follow = rising & (t_cross <= t)
+    cross = rising & ~follow & (f_end > new_right) & (t_cross < t1)
     # each segment's row, then its crossing's where it has one
     keep = np.stack([np.ones_like(cross), cross], axis=1).ravel()
 
     def rows(start, crossing):
         return np.stack([start, crossing], axis=1).ravel()[keep]
 
-    return Segments(rows(t0, t_cross), rows(at, right), rows(right, right),
-                    rows(np.where(follow, seg.slope, 0.0), seg.slope), seg.horizon)
+    return (rows(t, t_cross), rows(new_at, new_right), rows(new_right, new_right),
+            rows(np.where(follow, slope, 0.0), slope), rows(first, np.zeros_like(first)))
+
+
+def _up_closure_segments(seg: Segments) -> Segments:
+    """Running maximum with zero, t -> max(0, sup_{0<=s<=t} f(s)), compressed."""
+    t, at, right, slope, first = _closure_rows(seg.t, seg.at, seg.right, seg.slope,
+                                               _first_of_one(len(seg.t)), seg.horizon)
+    keep = _kept(t, at, right, slope, first)
+    return Segments(t[keep], at[keep], right[keep], slope[keep], seg.horizon)
 
 
 # ---------------------------------------------------------------------------
 # Pseudo-inverses and deviations
 # ---------------------------------------------------------------------------
 
-def _pinv(seg: Segments, levels: np.ndarray, strict: bool) -> np.ndarray:
-    """First time f reaches (strict: exceeds) each level; inf if not on [0, H].
+def _pinv(seg: Segments, levels: np.ndarray):
+    """The first times f reaches each level and the first times it exceeds
+    it, both from one pass over the inverse table; inf if not on [0, H].
 
     Requires a non-decreasing function.
     """
-    end_left = seg.end_left()
-    reach = np.maximum.accumulate(np.maximum(end_left, np.maximum(seg.at, seg.right)))
-    side = "right" if strict else "left"
-    k = np.searchsorted(reach, levels, side=side)
-    out = np.full(levels.shape, INF)
+    reach = seg.table.reach
+    n = len(levels)
+    k = np.concatenate([np.searchsorted(reach, levels, side="left"),
+                        np.searchsorted(reach, levels, side="right")])
+    y = np.concatenate([levels, levels])
     ok = k < len(seg.t)
-    if not np.any(ok):
-        return out
-    ki = k[ok]
-    y = levels[ok]
+    ki = np.minimum(k, len(seg.t) - 1)
     t_k, at_k, right_k, slope_k = seg.t[ki], seg.at[ki], seg.right[ki], seg.slope[ki]
-    if strict:
-        hit_at = at_k > y
-        hit_jump = right_k > y
-    else:
-        hit_at = at_k >= y
-        hit_jump = right_k >= y
+    # f(t_k) or f(t_k+) reaches the level, the second half strictly
+    top = np.maximum(at_k, right_k)
+    hit = np.concatenate([top[:n] >= y[:n], top[n:] > y[n:]])
     with np.errstate(divide="ignore", invalid="ignore"):
         ramp = t_k + (y - right_k) / slope_k
-    res = np.where(hit_at, t_k, np.where(hit_jump, t_k, ramp))
-    out[ok] = res
-    return out
+    out = np.where(ok, np.where(hit, t_k, ramp), INF)
+    return out[:n], out[n:]
 
 
 @dataclass(frozen=True)
@@ -272,20 +371,19 @@ def _check_rates(alpha: "Curve", beta: "Curve") -> None:
 def _first_max_at(values: np.ndarray):
     """The largest value and the index of the first value within rounding
     of it, as ``_first_max`` picks its witness."""
-    best = float(np.max(values))
-    return best, int(np.argmax(values >= best - 1e-12 * max(1.0, abs(best))))
+    best = float(values.max())
+    return best, int((values >= best - 1e-12 * max(1.0, abs(best))).argmax())
 
 
 def _hdev_segments(a: Segments, b: Segments):
     a_levels = np.concatenate([a.at, a.right, a.end_left()])
     levels = np.concatenate([a_levels, b.at, b.right, b.end_left()])
-    levels = np.unique(np.clip(levels, 0.0, np.max(a_levels)))
-    ta = _pinv(a, levels, strict=False)
-    tb = _pinv(b, levels, strict=False)
-    ta_plus = _pinv(a, levels, strict=True)
-    tb_plus = _pinv(b, levels, strict=True)
+    # the levels clipped to [0, sup alpha], as np.clip does it
+    levels = _distinct_sorted(np.minimum(np.maximum(levels, 0.0), a_levels.max()))
+    ta, ta_plus = _pinv(a, levels)
+    tb, tb_plus = _pinv(b, levels)
     # g(y) and its right limit in y; unreachable beta levels mean a too-short horizon
-    if np.any(np.isinf(tb[np.isfinite(ta)])):
+    if np.isinf(tb[np.isfinite(ta)]).any():
         raise HorizonExceededError("service curve does not reach an arrival level within the horizon")
     g = tb - ta
     with np.errstate(invalid="ignore"):
@@ -303,14 +401,17 @@ def _hdev_segments(a: Segments, b: Segments):
 
 
 def _vdev_segments(a: Segments, b: Segments):
-    grid = np.unique(np.concatenate([a.t, b.t]))
-    a_at, a_right, a_slope = _resample(a, grid)
-    b_at, b_right, b_slope = _resample(b, grid)
-    ends = np.append(grid[1:], a.horizon)
-    d_end = (a_right + a_slope * (ends - grid)) - (b_right + b_slope * (ends - grid))
+    grid = _union(a.t, b.t)
+    a_at, a_right, a_slope = _on_grid(a, grid)
+    b_at, b_right, b_slope = _on_grid(b, grid)
+    ends = _ends(grid, a.horizon)
+    dt = ends - grid
     # in order of time: f(t[k]), f(t[k]+), then the left limit at the end
-    stack = np.stack([a_at - b_at, a_right - b_right, d_end])
-    best, flat = _first_max_at(stack.ravel(order="F"))
+    diffs = np.empty((len(grid), 3))
+    diffs[:, 0] = a_at - b_at
+    diffs[:, 1] = a_right - b_right
+    diffs[:, 2] = (a_right + a_slope * dt) - (b_right + b_slope * dt)
+    best, flat = _first_max_at(diffs.ravel())
     idx, which = divmod(flat, 3)
     return max(0.0, best), float(grid[idx] if which < 2 else ends[idx])
 
@@ -404,17 +505,31 @@ def _envelope_segments(env: Envelope, horizon: float) -> Segments:
     return Segments(t, at, right, slope, horizon)
 
 
+def _add_lines(lines) -> tuple:
+    """The sum of lines (intercept, slope), added left to right."""
+    (d, s), *rest = lines
+    for d1, s1 in rest:
+        d, s = d + d1, s + s1
+    return d, s
+
+
 def _sum_envelopes(envs) -> Envelope | None:
-    """Sum of envelopes that are all mins or all maxes: the min (max) over
-    every choice of one line per term."""
+    """Sum of envelopes that are all mins or all maxes.  Between two kinks
+    of any term each term has one line active, so the sum is the envelope
+    of the sums of those lines, one sum for each stretch between the merged
+    kinks, added left to right.  A sum of single lines is their sum."""
     senses = {e.sense for e in envs} - {0}
     if len(senses) > 1:
         return None
-    sense = senses.pop() if senses else 1
-    env = envs[0]
-    for e in envs[1:]:
-        env = _hull(sense, [(d0 + d1, s0 + s1) for d0, s0 in env.lines for d1, s1 in e.lines])
-    return env
+    if len(envs) == 1:
+        return envs[0]
+    if not senses:
+        return Envelope(0, (_add_lines(e.lines[0] for e in envs),))
+    kinks = [e.kinks() for e in envs]
+    # each term's line active just after each merged kink
+    lines = [_add_lines(e.lines[sum(k <= x for k in ks)] for e, ks in zip(envs, kinks))
+             for x in sorted({0.0}.union(*kinks))]
+    return _hull(senses.pop(), lines)
 
 
 #: Marks a node whose closed form is not computed yet.
@@ -499,7 +614,7 @@ def _burst_delay_deviations(alpha: "Curve", delay: float) -> Deviation:
         seg = alpha.segments
         if not seg.is_nondecreasing():
             raise ValueError("deviations require non-decreasing curves")
-        t0 = float(_pinv(seg, np.zeros(1), strict=True)[0])
+        t0 = float(_pinv(seg, np.zeros(1))[1][0])
         backlog = alpha.evaluate(delay)
     h = max(0.0, delay - t0)
     return Deviation(horizontal=h, vertical=backlog, argmax_h=t0 if h > 0.0 else 0.0, argmax_v=delay)
@@ -515,8 +630,8 @@ class Curve:
     __slots__ = ("horizon", "_segments", "_envelope")
 
     def __init__(self, horizon: float):
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, not {horizon}")
         self.horizon = float(horizon)
         self._segments = None
         self._envelope = _UNSET
@@ -637,60 +752,175 @@ class StaircaseMax(Curve):
     Each rotation is a sequence of (height, offset, period) terms, the same
     number in each."""
 
-    __slots__ = ("rotations",)
+    __slots__ = ("rotations", "_rate")
 
     def __init__(self, rotations, horizon: float):
         super().__init__(horizon)
         if not len(rotations):
             raise ValueError("a staircase max needs at least one rotation")
         terms = np.array(rotations, dtype=float).reshape(len(rotations), -1, 3)
-        height, offset, period = np.moveaxis(terms, -1, 0)
-        if np.any(height < 0) or np.any(offset < -TOLERANCE) or np.any(period <= 0):
+        height, offset, period = terms[..., 0], terms[..., 1], terms[..., 2]
+        if (height < 0).any() or (offset < -TOLERANCE).any() or (period <= 0).any():
             raise ValueError("staircase terms need height >= 0, offset >= 0, period > 0")
         terms[..., 1] = np.maximum(0.0, offset)
         self.rotations = terms  # (rotation, term, (height, offset, period))
+        self._rate = max(map(sum, (terms[..., 0] / terms[..., 2]).tolist()))
 
     def _build(self) -> Segments:
-        """All rotations in one pass.  Each term's jumps on [0, horizon] are
-        summed per (rotation, time) in term order, as one rotation alone
-        would sum them, and accumulated along each rotation; every sum is
-        then read on the union of jump times: its value at its own jump
-        times, elsewhere the value after its last jump (0 before the first)."""
-        n_rot, n_terms, _ = self.rotations.shape
-        height, offset, period = np.moveaxis(self.rotations, -1, 0).reshape(3, -1)
-        live = (height != 0.0) & (offset <= self.horizon)
-        counts = np.where(live, np.floor((self.horizon - offset) / period).astype(int) + 1, 0)
-        total = int(counts.sum())
-        if not total:
-            return _zero_segments(self.horizon)
-        steps = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        raw_t = np.repeat(offset, counts) + np.repeat(period, counts) * steps
-        raw_rot = np.repeat(np.arange(n_rot).repeat(n_terms), counts)
-        order = np.lexsort((raw_t, raw_rot))
-        first = np.ones(total, dtype=bool)
-        first[1:] = (np.diff(raw_t[order]) != 0.0) | (np.diff(raw_rot[order]) != 0)
-        inverse = np.empty(total, dtype=int)
-        inverse[order] = np.cumsum(first) - 1
-        times, rot = raw_t[order][first], raw_rot[order][first]
-        jumps = np.zeros(len(times))
-        np.add.at(jumps, inverse, np.repeat(height, counts))
-        # accumulate each rotation's jumps along its own row
-        col = np.arange(len(times)) - np.searchsorted(rot, rot)
-        padded = np.zeros((n_rot, col.max() + 1))
-        padded[rot, col] = jumps
-        right = np.cumsum(padded, axis=1)[rot, col]
-        at = right - jumps
-        grid = np.unique(np.concatenate([[0.0], times]))
-        own = np.full((n_rot, len(grid)), -1)
-        own[rot, np.searchsorted(grid, times)] = np.arange(len(times))
-        last = np.maximum.accumulate(own, axis=1)
-        right_on = np.where(last >= 0, right[last], 0.0)
-        at_on = np.where(own >= 0, at[own], right_on)
-        seg = Segments(grid, at_on.max(axis=0), right_on.max(axis=0), np.zeros_like(grid), self.horizon)
-        return seg if n_rot == 1 else seg.compress()
+        return _staircases([self])[0]
 
     def long_term_rate(self) -> float:
-        return max(map(sum, (self.rotations[..., 0] / self.rotations[..., 2]).tolist()))
+        return self._rate
+
+
+def _staircases(curves) -> list:
+    """The segments of staircase maxes, every rotation of every curve in one
+    pass.  Each term's jumps on [0, horizon] are summed per (rotation, time)
+    in term order, as one rotation alone would sum them, and accumulated
+    along each rotation.  Each curve is then the max over its rotations on
+    the union of their jump times, where a rotation reads its value at its
+    own jump times and elsewhere the value after its last jump (0 before the
+    first).  A curve of several rotations is compressed."""
+    n_rot = np.array([c.rotations.shape[0] for c in curves])
+    n_terms = np.array([c.rotations.shape[1] for c in curves])
+    curve_of_rot = np.repeat(np.arange(len(curves)), n_rot)
+    rot_of_term = np.repeat(np.arange(len(curve_of_rot)), n_terms[curve_of_rot])
+    height, offset, period = np.concatenate([c.rotations.reshape(-1, 3) for c in curves]).T
+    horizon = np.array([c.horizon for c in curves])[curve_of_rot[rot_of_term]]
+    live = (height != 0.0) & (offset <= horizon)
+    counts = np.where(live, np.floor((horizon - offset) / period).astype(int) + 1, 0)
+    total = int(counts.sum())
+    if not total:
+        return [_zero_segments(c.horizon) for c in curves]
+    steps = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    raw_t = np.repeat(offset, counts) + np.repeat(period, counts) * steps
+    raw_rot = np.repeat(rot_of_term, counts)
+    rot, times, inverse = _distinct(raw_rot, raw_t)
+    jumps = np.zeros(len(times))
+    np.add.at(jumps, inverse, np.repeat(height, counts))
+    # accumulate each rotation's jumps along its own row
+    rot_start = np.searchsorted(rot, np.arange(len(curve_of_rot)))
+    col = np.arange(len(times)) - rot_start[rot]
+    padded = np.zeros((len(curve_of_rot), col.max() + 1))
+    padded[rot, col] = jumps
+    right = np.cumsum(padded, axis=1)[rot, col]
+    at = right - jumps
+    # each curve's grid: 0 and the jump times of its rotations
+    n = len(curves)
+    curve_of_time = curve_of_rot[rot]
+    grid_curve, grid, point = _distinct(np.concatenate([np.arange(n), curve_of_time]),
+                                        np.concatenate([np.zeros(n), times]))
+    n_grid = np.bincount(grid_curve, minlength=n)
+    grid_start = np.cumsum(n_grid) - n_grid
+    # one cell per rotation and point of its curve's grid, rotation by rotation
+    width = n_grid[curve_of_rot]
+    cell_start = np.cumsum(width) - width
+    cell_rot = np.repeat(np.arange(len(width)), width)
+    cell_point = np.arange(len(cell_rot)) + np.repeat(grid_start[curve_of_rot] - cell_start, width)
+    own = np.full(len(cell_rot), -1)
+    own[cell_start[rot] + point[n:] - grid_start[curve_of_time]] = np.arange(len(times))
+    # the last jump so far, a running max over all cells, in which a jump of
+    # an earlier rotation means none of this one yet
+    last = np.maximum.accumulate(own)
+    last = np.where(last >= rot_start[cell_rot], last, -1)
+    right_on = np.where(last >= 0, right[last], 0.0)
+    at_on = np.where(own >= 0, at[own], right_on)
+    seg_at = np.full(len(grid), -INF)
+    seg_right = np.full(len(grid), -INF)
+    np.maximum.at(seg_at, cell_point, at_on)
+    np.maximum.at(seg_right, cell_point, right_on)
+    slope = np.zeros(len(grid))
+    first = np.zeros(len(grid), dtype=bool)
+    first[grid_start] = True
+    keep = _kept(grid, seg_at, seg_right, slope, first) | (n_rot[grid_curve] == 1)
+    return _split([c.horizon for c in curves], grid_curve[keep],
+                  grid[keep], seg_at[keep], seg_right[keep], slope[keep])
+
+
+def _distinct(group, t):
+    """The distinct (group, t) pairs, in order of group and then of t, as
+    two arrays, and the index of each given pair among them.  ``group``
+    holds small non-negative integers."""
+    # by t, then stably by group, in the smallest integer type that holds
+    # it, which numpy sorts by radix; equal pairs map to one index, so
+    # their order is of no account
+    order = np.argsort(t)
+    small = group[order].astype(np.min_scalar_type(group.max()))
+    order = order[np.argsort(small, kind="stable")]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (np.diff(t[order]) != 0.0) | (np.diff(group[order]) != 0)
+    index = np.empty(len(order), dtype=int)
+    index[order] = np.cumsum(new) - 1
+    return group[order][new], t[order][new], index
+
+
+def _split(horizons, group, t, at, right, slope) -> list:
+    """One Segments per horizon from rows ordered by ``group``, its index."""
+    cuts = np.cumsum(np.bincount(group, minlength=len(horizons)))[:-1]
+    pieces = [np.split(x, cuts) for x in (t, at, right, slope)]
+    return [Segments(*rows, h) for h, *rows in zip(horizons, *pieces)]
+
+
+class StaircaseLeftover(Curve):
+    """[burst + rate*t + factor*G(t)]_up^+ for a staircase max G and a
+    factor <= 0: a line less the link time that gate windows block, or a
+    share of it, closed to be non-decreasing.  Its segments are those of
+    up_closure(sum_of([Affine(burst, rate), scale(factor, G)])), bit for
+    bit; ``build_leftovers`` builds them for many such curves at once."""
+
+    __slots__ = ("burst", "rate", "factor", "gate")
+
+    def __init__(self, burst: float, rate: float, factor: float, gate: StaircaseMax):
+        super().__init__(gate.horizon)
+        self.burst = float(burst)
+        self.rate = float(rate)
+        self.factor = float(factor)
+        self.gate = gate
+
+    def _build(self) -> Segments:
+        build_leftovers([self])
+        return self._segments
+
+    def long_term_rate(self) -> float:
+        return max(0.0, self.rate + self.factor * self.gate.long_term_rate())
+
+
+def build_leftovers(curves) -> None:
+    """Build the segments of the StaircaseLeftover ``curves`` that have none
+    yet, and of their staircases that have none, with one pass of each step
+    over the rows of all of them: the staircases, the line plus the scaled
+    staircase, compressed, then its closure, compressed.  Each step does
+    the floating-point operations of the step it mirrors in the one-curve
+    build: ``_staircases``, ``_sum_segments`` (the line resampled as
+    ``_resample`` reads it), ``Segments.compress`` and ``_up_closure_segments``.
+    """
+    todo = [c for c in curves if c._segments is None]
+    if not todo:
+        return
+    gates = list({id(c.gate): c.gate for c in todo if c.gate._segments is None}.values())
+    for gate, seg in zip(gates, _staircases(gates) if gates else ()):
+        gate._segments = seg
+    segs = [c.gate.segments for c in todo]
+    n = np.array([len(s) for s in segs])
+    first = np.zeros(int(n.sum()), dtype=bool)
+    first[np.cumsum(n) - n] = True
+    t = np.concatenate([s.t for s in segs])
+    burst, rate, factor, horizon = (np.repeat([getattr(c, name) for c in todo], n)
+                                    for name in ("burst", "rate", "factor", "horizon"))
+    # the line: 0 at t = 0, its start at 0+, and burst + rate*t after
+    start = burst + rate * 0.0
+    line = start + rate * t
+    at = np.where(first, 0.0, line) + np.concatenate([s.at for s in segs]) * factor
+    right = np.where(first, start, line) + np.concatenate([s.right for s in segs]) * factor
+    slope = rate + np.concatenate([s.slope for s in segs]) * factor
+    keep = _kept(t, at, right, slope, first)
+    t, at, right, slope, first, horizon = (x[keep] for x in (t, at, right, slope, first, horizon))
+    t, at, right, slope, first = _closure_rows(t, at, right, slope, first, horizon)
+    keep = _kept(t, at, right, slope, first)
+    group = np.cumsum(first) - 1
+    for c, seg in zip(todo, _split([c.horizon for c in todo], group[keep],
+                                   t[keep], at[keep], right[keep], slope[keep])):
+        c._segments = seg
 
 
 def running_integral(times, steps):
@@ -828,7 +1058,7 @@ class UpClosure(Curve):
         self.curve = curve
 
     def _build(self) -> Segments:
-        return _up_closure_segments(self.curve.segments).compress()
+        return _up_closure_segments(self.curve.segments)
 
     def _closed_form(self) -> Envelope | None:
         # a max of lines that starts at or below 0 at 0+: max(0, f) is
@@ -866,6 +1096,14 @@ def up_closure(curve: Curve) -> Curve:
     return UpClosure(curve)
 
 
+def leftover(burst: float, rate: float, factor: float, gate: Curve) -> Curve:
+    """up_closure(sum_of([Affine(burst, rate), scale(factor, gate)])), as one
+    StaircaseLeftover node when ``gate`` is a staircase max."""
+    if isinstance(gate, StaircaseMax):
+        return StaircaseLeftover(burst, rate, factor, gate)
+    return up_closure(sum_of([Affine(burst, rate, gate.horizon), scale(factor, gate)]))
+
+
 def zero(horizon: float) -> Curve:
     return Affine(0.0, 0.0, horizon)
 
@@ -894,7 +1132,7 @@ def _segment_deviations(alpha: Curve, beta: Curve) -> Deviation:
         raise ValueError("deviations of curves on different horizons")
     a = alpha.segments
     b = beta.segments
-    if not np.all(np.isfinite(a.right)):
+    if not np.isfinite(a.right).all():
         raise ValueError("arrival curve must be finite")
     if not a.is_nondecreasing() or not b.is_nondecreasing():
         raise ValueError("deviations require non-decreasing curves")

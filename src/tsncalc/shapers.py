@@ -43,6 +43,18 @@ class Architecture:
         return self.tas and self.cbs
 
 
+def check_credit_mode(arch: Architecture, credit_mode) -> None:
+    """Require a credit mode where gates and credit shaping are combined,
+    and refuse one for any other architecture."""
+    if arch.needs_credit_mode:
+        if credit_mode not in CREDIT_MODES:
+            raise ConfigurationError(
+                f"architecture {arch.name} requires credit_mode in {CREDIT_MODES}")
+    elif credit_mode is not None:
+        raise ConfigurationError(
+            f"credit_mode only applies when gates and credit shaping are combined, not {arch.name}")
+
+
 def parse_architecture(name: str) -> Architecture:
     if name not in ARCHITECTURES:
         raise ConfigurationError(f"unknown architecture {name!r}; expected one of {ARCHITECTURES}")
@@ -167,13 +179,7 @@ class ShaperContext:
     """
 
     def __init__(self, network: nm.Network, arch: Architecture, credit_mode, horizon: float):
-        if arch.needs_credit_mode:
-            if credit_mode not in CREDIT_MODES:
-                raise ConfigurationError(
-                    f"architecture {arch.name} requires credit_mode in {CREDIT_MODES}")
-        elif credit_mode is not None:
-            raise ConfigurationError(
-                f"credit_mode only applies when gates and credit shaping are combined, not {arch.name}")
+        check_credit_mode(arch, credit_mode)
         self.network = network if network.memo is not None else network.indexed()
         self.arch = arch
         self.credit_mode = credit_mode
@@ -208,8 +214,28 @@ class ShaperContext:
     def top_sp_service(self, link_id: str, priority: int) -> mp.Curve:
         """The strict-priority service of a queue with no higher-priority
         arrivals: the link less the gates and one lower frame, which depend
-        on the network view alone."""
-        return sp_service_curve(self, link_id, priority, ())
+        on the network view alone.  Under gates, that of each port's top
+        priority comes from ``gated_top_services``."""
+        top = self.gated_top_services().get((link_id, priority)) if self.arch.tas else None
+        return top if top is not None else sp_service_curve(self, link_id, priority, ())
+
+    @_per_view("horizon")
+    def gated_top_services(self) -> dict:
+        """The top-priority strict-priority service of every port of the view
+        with gate windows and event traffic, by (port, priority), their
+        segments built in one batch.  A port that starves is left out, so
+        that StarvationError comes when its own service is requested."""
+        services = {}
+        for link_id in sorted(self.network.links):
+            gcl, prios = self._gcl(link_id), self.priorities_at(link_id)
+            if gcl is None or not gcl.windows or not prios:
+                continue
+            try:
+                services[(link_id, prios[0])] = sp_service_curve(self, link_id, prios[0], ())
+            except StarvationError:
+                continue
+        mp.build_leftovers(services.values())
+        return services
 
     # -- per-port class structure --------------------------------------------
 
@@ -316,13 +342,9 @@ def cbs_service_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Cur
     if not ctx.arch.tas:
         return mp.RateLatency(idsl, bounds.c_max / idsl, ctx.horizon)
     variant = "TT" if ctx.credit_mode == "nonfrozen" else "GB+TT"
-    c_upper = bounds.upper(ctx.credit_mode)
     rate = ctx.link_rate(link_id)
-    inner = mp.sum_of([
-        mp.Affine(-c_upper, idsl, ctx.horizon),
-        mp.scale(-idsl / rate, ctx.tt_arrival(link_id, variant)),
-    ])
-    return mp.up_closure(inner)
+    return mp.leftover(-bounds.upper(ctx.credit_mode), idsl, -idsl / rate,
+                       ctx.tt_arrival(link_id, variant))
 
 
 def cbs_shaping_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Curve:
@@ -369,6 +391,8 @@ def sp_service_curve(ctx: ShaperContext, link_id: str, priority: int,
         raise StarvationError(
             f"priority {priority} at {link_id} has no residual service "
             f"(residual rate {rate_budget:.6g} bits/us)")
+    if ctx.arch.tas and not higher_arrivals:
+        return mp.leftover(-lower_max, rate, -1.0, gate)
     return mp.up_closure(mp.sum_of(terms))
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from tsncalc import cli
 from tsncalc import engine
+from tsncalc import minplus as mp
 from tsncalc import netmodel as nm
 from tsncalc import shapers as sh
 from tsncalc import testgen as tg
@@ -225,6 +226,39 @@ def test_compare_gives_the_credit_mode_to_the_architecture_that_takes_it(
     assert modes == {"TAS+ATS+SP": None, "TAS+CBS": "nonfrozen"}
 
 
+UNUSED_MODE = "error: credit_mode only applies when gates and credit shaping are combined, not TAS+SP\n"
+
+
+def test_analyze_refuses_a_credit_mode_it_does_not_take(gated_file, tmp_path, capsys):
+    rc = cli.main(["analyze", "--network", str(gated_file), "--arch", "TAS+SP",
+                   "--credit-mode", "nonfrozen", "--out-dir", str(tmp_path / "o")])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == UNUSED_MODE
+
+
+def test_compare_refuses_a_credit_mode_neither_architecture_takes(gated_file, tmp_path, capsys):
+    rc = cli.main(["compare", "--network", str(gated_file), "--arch", "TAS+SP",
+                   "--arch2", "TAS+ATS+SP", "--credit-mode", "nonfrozen",
+                   "--out-dir", str(tmp_path / "o")])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == UNUSED_MODE
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_refuses_a_credit_mode_before_any_cell(tmp_path, monkeypatch, capsys):
+    def no_cell(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_cell)
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--template", "ST", "--arch", "TAS+SP", "--arch2", "TAS+ATS+SP",
+                   "--credit-mode", "nonfrozen", "--tt-load", "0.1", "--loads", "0.3",
+                   "--seeds", "2", "--out", str(out)])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == UNUSED_MODE
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("horizon", ["0", "-5", "nan"])
 def test_bad_horizon_exits_2(gated_file, tmp_path, monkeypatch, capsys, horizon):
     argv = ["analyze", "--network", str(gated_file), "--arch", "TAS+SP",
@@ -292,6 +326,35 @@ def test_sweep_cell_builds_each_gated_service_once(monkeypatch):
     assert "error" not in res
     assert builds
     assert max(builds.values()) == 1
+
+
+def test_view_builds_each_top_gated_service_and_its_inverse_table_once(monkeypatch):
+    # a criterion-6b cell on one view: the top-priority services of the
+    # gated ports come from one batch, and both analyses read each one's
+    # inverse table
+    services = collections.Counter()
+    tables = collections.Counter()
+    build, table = sh.sp_service_curve, mp._inverse_table
+
+    def counted_service(ctx, link_id, priority, higher_arrivals):
+        if ctx.arch.tas and not higher_arrivals:
+            services[(link_id, priority, ctx.horizon)] += 1
+        return build(ctx, link_id, priority, higher_arrivals)
+
+    def counted_table(seg):
+        tables[id(seg)] += 1
+        return table(seg)
+
+    monkeypatch.setattr(sh, "sp_service_curve", counted_service)
+    monkeypatch.setattr(mp, "_inverse_table", counted_table)
+    view = tg.generate("MM", tg.GenSpec(target_load=0.4, tt_load_fraction=0.5, seed=0)).indexed()
+    for arch in ("TAS+ATS+SP", "TAS+SP"):
+        engine.analyze(view, arch)
+    batches = [v for k, v in view.memo.items() if k[0] == "gated_top_services"]
+    tops = [curve for batch in batches for curve in batch.values()]
+    assert len(tops) > 10
+    assert max(services.values()) == 1
+    assert all(tables[id(curve.segments)] == 1 for curve in tops)
 
 
 def test_compare_builds_each_gate_quantity_once(monkeypatch, tmp_path):

@@ -735,6 +735,60 @@ def test_random_envelope_trees_match_the_fold():
     assert compared > 1000
 
 
+def _folded_sum(envs):
+    """The sum of envelopes folded pairwise: at each step the envelope of
+    every pairwise sum of lines."""
+    senses = {e.sense for e in envs} - {0}
+    sense = senses.pop() if senses else 1
+    env = envs[0]
+    for e in envs[1:]:
+        env = mp._hull(sense, [(d0 + d1, s0 + s1) for d0, s0 in env.lines for d1, s1 in e.lines])
+    return env
+
+
+def _random_envelope(rng, sense):
+    """A single line, or the min (sense 1) or max (sense -1) of a few."""
+    lines = [(float(rng.uniform(-5000.0, 5000.0)), float(rng.uniform(0.0, 100.0)))
+             for _ in range(int(rng.integers(1, 5)))]
+    return mp.Envelope(0, tuple(lines)) if len(lines) == 1 else mp._hull(sense, lines)
+
+
+def test_envelope_sum_matches_the_pairwise_fold():
+    rng = np.random.default_rng(20261019)
+    for _ in range(500):
+        envs = [mp.Envelope(0, ((float(rng.uniform(-5000.0, 5000.0)), float(rng.uniform(0.0, 100.0))),))
+                for _ in range(int(rng.integers(2, 6)))]
+        # single lines: added in fold order, so exactly
+        assert mp._sum_envelopes(envs) == _folded_sum(envs)
+    for _ in range(500):
+        sense = int(rng.choice([1, -1]))
+        envs = [_random_envelope(rng, sense) for _ in range(int(rng.integers(2, 6)))]
+        got, want = mp._sum_envelopes(envs), _folded_sum(envs)
+        assert got.sense == want.sense
+        ts = np.concatenate([rng.uniform(0.0, 2000.0, 50), got.kinks(), want.kinks()])
+        for t in ts[ts > 0.0]:
+            scale = sum(max(abs(d), abs(s * t)) for e in envs for d, s in e.lines)
+            assert got.value(t) == pytest.approx(want.value(t), rel=0.0, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_curve_horizon_must_be_positive_and_finite(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        mp.Affine(0.0, 1.0, horizon)
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        mp.StaircaseMax([[(1e4, 0.0, 1000.0)]], horizon)
+
+
+def test_segment_arrays_are_read_only():
+    gate = mp.StaircaseMax([[(2000.0, 0.0, 100.0)]], H)
+    seg = mp.up_closure(mp.sum_of([mp.Affine(-50.0, 100.0, H), mp.scale(-1.0, gate)])).segments
+    arrays = [getattr(seg, name) for name in ("t", "at", "right", "slope")]
+    arrays += [seg.table.end_left, seg.table.reach]
+    for values in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
 def test_envelope_absent_outside_the_token_bucket_family():
     gate = mp.StaircaseMax([[(2000.0, 0.0, 100.0)]], H)
     falling = mp.sum_of([mp.Affine(500.0, 10.0, H), mp.scale(-1.0, mp.Affine(0.0, 20.0, H))])

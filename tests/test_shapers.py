@@ -491,6 +491,65 @@ def test_sp_service_starvation():
         sh.sp_service_curve(ctx, "L", 2, [fat])
 
 
+def _gated_ports_network(schedules):
+    """One port per schedule, ES<k> -> SW<k>, each with a priority-6 flow
+    and a lower priority-5 one, and its gate windows; then a port without
+    windows and a port whose single window fills its period, which starves
+    priority 6.  Returns the network and its links in that order."""
+    net = nm.Network()
+    specs = [(gcl, rate) for gcl, _, rate, _ in schedules]
+    specs += [(None, C), (nm.Gcl(1000.0, (nm.GclWindow(0.0, 1000.0),)), C)]
+    for k, (gcl, rate) in enumerate(specs):
+        src, dst, link = f"ES{k}", f"SW{k}", f"L{k}"
+        net.nodes[src] = nm.Node(src, "ES")
+        net.nodes[dst] = nm.Node(dst, "SW")
+        net.links[link] = nm.Link(link, src, dst, rate=rate)
+        net.flows[f"hi{k}"] = nm.Flow(f"hi{k}", "SP", 1000.0 + 97.0 * k, 6, (link,), period=1000.0)
+        net.flows[f"lo{k}"] = nm.Flow(f"lo{k}", "SP", 2000.0 + 89.0 * k, 5, (link,), period=2000.0)
+        if gcl is not None:
+            net.gcls[link] = gcl
+    return net, [f"L{k}" for k in range(len(specs))]
+
+
+def test_gated_top_services_are_one_batch_bit_identical_to_the_chain(monkeypatch):
+    schedules = list(_random_schedules(np.random.default_rng(20240613), 40))
+    net, links = _gated_ports_network(schedules)
+    *gated, no_windows, starving = links
+    batches = []
+    build = mp.build_leftovers
+
+    def counted(curves):
+        curves = list(curves)
+        batches.append(len(curves))
+        build(curves)
+
+    monkeypatch.setattr(mp, "build_leftovers", counted)
+    horizon = 7777.7  # off the period grid
+    ctx = make_ctx(net.indexed(), "TAS+SP", horizon=horizon)
+    served = 0
+    for link in gated + [no_windows]:
+        rate = ctx.link_rate(link)
+        gate = sh.tt_arrival_curve(net.gcl(link), ctx.guard_bands(link), "GB+TT", rate, horizon)
+        if rate - gate.long_term_rate() <= mp.TOLERANCE:
+            # windows and guard bands that fill the period
+            with pytest.raises(StarvationError):
+                ctx.top_sp_service(link, 6)
+            continue
+        got = ctx.top_sp_service(link, 6)
+        l_max = nm.lower_priority_max_frame(net, link, 6)
+        want = mp.up_closure(mp.sum_of([mp.Affine(-l_max, rate, horizon), mp.scale(-1.0, gate)]))
+        for name in ("t", "at", "right", "slope"):
+            assert np.array_equal(getattr(got.segments, name), getattr(want.segments, name)), (link, name)
+        assert got.long_term_rate() == want.long_term_rate()
+        served += link != no_windows
+    # the ports with windows came in one batch, those that starve left out
+    assert served >= 20
+    assert batches == [served]
+    with pytest.raises(StarvationError, match=rf"^priority 6 at {starving} has no residual service "
+                                              r"\(residual rate 0 bits/us\)$"):
+        ctx.top_sp_service(starving, 6)
+
+
 def test_sp_priority_monotone():
     # the shared best-effort blocking frame keeps the lower-frame relief equal
     # across classes; without it the lowest class may legitimately see more
