@@ -9,16 +9,18 @@ in capitals with dashes as underscores: --network, --arch, --arch2,
 parse is a usage error of the subcommand that takes the flag, and only of
 it; the other flags read no variable.
 
-``compare`` and ``sweep`` give --credit-mode to each architecture that
-combines gates and credit shaping, and none to the other; when neither
-takes it, they refuse it as ``analyze`` refuses it for the first, before
-any analysis runs.
+Every subcommand resolves --credit-mode with ``shapers.credit_modes``: an
+architecture that combines gates and credit shaping takes it, "frozen" by
+default, and any other takes none.  ``compare`` and ``sweep`` refuse a mode
+that neither architecture takes as ``analyze`` refuses it for the first,
+before any analysis runs.
 
 Exit codes: 1 parse or generation error, and any other analysis failure
 (horizon of gated curves exhausted, fixed point not converged, missing
 upstream dependency); 2 validation or configuration error, a horizon that
-is not positive and finite included; 3 instability/starvation; 4
-dependency cycle.
+is not positive and finite included, and a usage error, such as a missing
+--network, --arch or --arch2 that no variable supplies; 3
+instability/starvation; 4 dependency cycle.
 """
 
 from __future__ import annotations
@@ -76,8 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--network", default=_env("network"), help="network description JSON")
-        sp.add_argument("--arch", default=_env("arch"), choices=sh.ARCHITECTURES)
+        sp.add_argument("--network", default=_env("network"), required=_env("network") is None,
+                        help="network description JSON")
+        sp.add_argument("--arch", default=_env("arch"), choices=sh.ARCHITECTURES,
+                        required=_env("arch") is None)
         sp.add_argument("--credit-mode", default=_env("credit_mode"),
                         choices=sh.CREDIT_MODES, dest="credit_mode")
         sp.add_argument("--out-dir", default=_env("out_dir", "out"), dest="out_dir")
@@ -93,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="difference ratios of two architectures")
     add_common(sp)
-    sp.add_argument("--arch2", default=_env("arch2"), choices=sh.ARCHITECTURES)
+    sp.add_argument("--arch2", default=_env("arch2"), choices=sh.ARCHITECTURES,
+                    required=_env("arch2") is None)
 
     sp = sub.add_parser("generate", help="emit a random network fixture")
     sp.add_argument("--template", default=_env("template", "MM"), choices=tg.TOPOLOGY_KINDS)
@@ -102,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tt-fraction", type=float, default=0.0, dest="tt_fraction",
                     help="share of the target load carried by scheduled flows")
     sp.add_argument("--priorities", default="5", help="comma list of priority values")
-    sp.add_argument("--kind", default="SP", choices=("SP", "AVB"))
+    sp.add_argument("--kind", default="SP", choices=nm.EVENT_KINDS)
     sp.add_argument("--sporadic-fraction", type=float, default=0.0, dest="sporadic_fraction")
     sp.add_argument("--be-interferer", action="store_true", dest="be_interferer")
     sp.add_argument("--seed", type=int, default=_env("seed", "0"))
@@ -119,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tt-load", type=float, default=0.0, dest="tt_load",
                     help="scheduled load added on top of each sweep load")
     sp.add_argument("--seeds", type=int, default=_env("seeds", "20"))
-    sp.add_argument("--kind", default="SP", choices=("SP", "AVB"))
+    sp.add_argument("--kind", default="SP", choices=nm.EVENT_KINDS)
     sp.add_argument("--metrics", default="delay,backlog")
     sp.add_argument("--workers", type=int, default=_env("workers", "1"),
                     help="worker processes running the sweep cells")
@@ -152,26 +157,13 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _credit_mode_for(arch: str, credit_mode):
-    """``credit_mode`` where ``arch`` combines gates and credit shaping,
-    else None."""
-    return credit_mode if sh.parse_architecture(arch).needs_credit_mode else None
-
-
-def _check_credit_mode(arch1: str, arch2: str, credit_mode) -> None:
-    """Refuse a credit mode that neither architecture takes, with the error
-    that ``analyze`` gives for the first."""
-    if credit_mode is not None and not any(
-            _credit_mode_for(arch, credit_mode) for arch in (arch1, arch2)):
-        sh.check_credit_mode(sh.parse_architecture(arch1), credit_mode)
-
-
 def cmd_compare(args) -> int:
-    _check_credit_mode(args.arch, args.arch2, args.credit_mode)
+    archs = (args.arch, args.arch2)
+    modes = sh.credit_modes(archs, args.credit_mode)
     net = nm.load(args.network).indexed()  # both analyses share its memo
-    r1, r2 = (engine.analyze(net, arch, credit_mode=_credit_mode_for(arch, args.credit_mode),
+    r1, r2 = (engine.analyze(net, arch, credit_mode=mode,
                              horizon=args.horizon_us, fixed_point=args.fixed_point)
-              for arch in (args.arch, args.arch2))
+              for arch, mode in zip(archs, modes))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["metric,item,ratio"]
@@ -219,8 +211,9 @@ def _sweep_point(template, load, tt_load, kind, seed, arch1, arch2, credit_mode,
                           tt_load_fraction=tt_load / total if total > 0 else 0.0,
                           kind=kind, seed=seed)
         net = tg.generate(template, spec).indexed()  # both analyses share its memo
-        r1, r2 = (engine.analyze(net, arch, credit_mode=_credit_mode_for(arch, credit_mode))
-                  for arch in (arch1, arch2))
+        archs = (arch1, arch2)
+        r1, r2 = (engine.analyze(net, arch, credit_mode=mode)
+                  for arch, mode in zip(archs, sh.credit_modes(archs, credit_mode)))
         return {m: engine.difference_ratio(r1, r2, m)[1] for m in metrics}
     except TsnCalcError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
@@ -229,10 +222,10 @@ def _sweep_point(template, load, tt_load, kind, seed, arch1, arch2, credit_mode,
 def run_sweep(template, loads, seeds, arch1, arch2, credit_mode=None, tt_load=0.0,
               kind="SP", metrics=("delay", "backlog"), workers=1):
     """Ratio table over (load, seed); failures are recorded and skipped.
-    Returns (rows, failures) with rows keyed (load, seed, metric).  A credit
-    mode that neither architecture takes raises ConfigurationError before
-    any cell runs."""
-    _check_credit_mode(arch1, arch2, credit_mode)
+    Returns (rows, failures) with rows keyed (load, seed, metric).  An
+    unknown architecture, or a credit mode that ``shapers.credit_modes``
+    refuses, raises ConfigurationError before any cell runs."""
+    sh.credit_modes((arch1, arch2), credit_mode)
     cells = [(load, seed) for load in loads for seed in range(seeds)]
     results = {}
     if workers > 1:
@@ -302,10 +295,6 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for required in ("network", "arch", "arch2"):
-        if hasattr(args, required) and getattr(args, required) is None:
-            _err(f"--{required} is required for {args.command}")
-            return EXIT_PARSE
     try:
         return COMMANDS[args.command](args)
     except TsnCalcError as exc:

@@ -96,7 +96,7 @@ def queue_dependency_graph(network: nm.Network):
     prios = {link_id: nm.event_priorities(network, link_id) for link_id in network.links}
     graph = {(link_id, p): set() for link_id in network.links for p in prios[link_id]}
     for f in network.flows.values():
-        if f.kind not in ("SP", "AVB"):
+        if f.kind not in nm.EVENT_KINDS:
             continue
         for a, b in zip(f.route, f.route[1:]):
             for r in prios[b]:
@@ -158,21 +158,20 @@ def analyze(network: nm.Network, architecture: str, credit_mode: str | None = No
         # tried; a view handed in is shared with the caller's other analyses
         network = network.indexed()
     arch = sh.parse_architecture(architecture)
-    if credit_mode is None and arch.needs_credit_mode:
-        credit_mode = "frozen"
 
     tt = [f for f in network.flows.values() if f.kind == "TT"]
     if tt and not arch.tas:
         raise ConfigurationError(
             f"architecture {arch.name} cannot schedule the time-triggered flows "
             f"{sorted(f.id for f in tt)[:3]}")
-    events = [f for f in network.flows.values() if f.kind in ("SP", "AVB")]
+    events = [f for f in network.flows.values() if f.kind in nm.EVENT_KINDS]
     if events and arch.name == "TAS":
         raise ConfigurationError(
             "pure gate scheduling serves only time-triggered flows; "
             f"found event-triggered {sorted(f.id for f in events)[:3]}")
 
     h = horizon if horizon is not None else nm.hyperperiod_horizon(network)
+    (credit_mode,) = sh.credit_modes([architecture], credit_mode)
     last_exc = None
     for _ in range(HORIZON_RETRIES):
         try:
@@ -197,7 +196,7 @@ def _analyze_at_horizon(network, arch, credit_mode, horizon, fixed_point):
         for q, backlog in sorted(sh.tt_queue_backlogs(network, link_id).items()):
             report.tt_queues[(link_id, q)] = backlog
 
-    if any(f.kind in ("SP", "AVB") for f in network.flows.values()):
+    if any(f.kind in nm.EVENT_KINDS for f in network.flows.values()):
         if arch.ats:
             _analyze_ats(ctx, report)
         else:
@@ -311,7 +310,7 @@ def _fixed_point(ctx, queues):
 def _assemble_event_flows(ctx, report):
     network = ctx.network
     for f in sorted(network.flows.values(), key=lambda f: f.id):
-        if f.kind not in ("SP", "AVB"):
+        if f.kind not in nm.EVENT_KINDS:
             continue
         total = 0.0
         for link_id in f.route:
@@ -350,7 +349,7 @@ def ats_closed_form_bounds(network: nm.Network, report: AnalysisReport):
     out = {}
     for fid, fb in sorted(report.flows.items()):
         f = network.flows[fid]
-        if f.kind not in ("SP", "AVB"):
+        if f.kind not in nm.EVENT_KINDS:
             continue
         delta = sum(ats_hop_delta(network, link_id, f) for link_id in f.route)
         out[fid] = (fb.wcd, fb.wcd - delta, delta)

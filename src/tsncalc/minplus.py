@@ -21,13 +21,13 @@ cached on the node:
   Every curve has it.  A curve with an envelope converts it, one segment
   per line.  Any other curve builds it from its operands' segments: a sum
   of any number of curves on one union grid, a min or max folded pairwise,
-  and the closure with one running maximum.  Gate staircases, and a line
-  less a scaled staircase, closed (``StaircaseLeftover``: the gated
-  strict-priority and credit-based services), are built as batches of
-  rows, one pass over all the rows per step, for one curve or for many at
-  once (``build_leftovers``); each step does the floating-point operations
-  of the one-curve operator it replaces, so a batch is bit for bit the
-  curves built one by one.
+  and the closure with one running maximum.  A leftover (``leftover``: a
+  line less scaled terms, closed) is that chain of nodes.  Gate
+  staircases, and the leftovers of a line less one scaled staircase (the
+  gated top-priority services), can also be built as batches of rows, one
+  pass over all the rows per step (``build_leftovers``); each step does
+  the floating-point operations of the one-curve operator it replaces, so
+  a batch is bit for bit the curves built one by one.
 
 ``deviations`` has three cases, all exact; nothing is sampled:
 
@@ -861,52 +861,39 @@ def _split(horizons, group, t, at, right, slope) -> list:
     return [Segments(*rows, h) for h, *rows in zip(horizons, *pieces)]
 
 
-class StaircaseLeftover(Curve):
-    """[burst + rate*t + factor*G(t)]_up^+ for a staircase max G and a
-    factor <= 0: a line less the link time that gate windows block, or a
-    share of it, closed to be non-decreasing.  Its segments are those of
-    up_closure(sum_of([Affine(burst, rate), scale(factor, G)])), bit for
-    bit; ``build_leftovers`` builds them for many such curves at once."""
-
-    __slots__ = ("burst", "rate", "factor", "gate")
-
-    def __init__(self, burst: float, rate: float, factor: float, gate: StaircaseMax):
-        super().__init__(gate.horizon)
-        self.burst = float(burst)
-        self.rate = float(rate)
-        self.factor = float(factor)
-        self.gate = gate
-
-    def _build(self) -> Segments:
-        build_leftovers([self])
-        return self._segments
-
-    def long_term_rate(self) -> float:
-        return max(0.0, self.rate + self.factor * self.gate.long_term_rate())
+def _leftover_parts(curve) -> tuple:
+    """(burst, rate, factor, gate) of leftover(Affine(burst, rate), [(factor,
+    gate)]) for a staircase max gate; ValueError for any other curve."""
+    match curve:
+        case UpClosure(curve=Pointwise(op="sum", curves=(
+                Affine() as line, Scale(curve=StaircaseMax() as gate) as term))):
+            return line.burst, line.rate, term.factor, gate
+    raise ValueError("build_leftovers takes the leftover of a line and one scaled staircase max")
 
 
 def build_leftovers(curves) -> None:
-    """Build the segments of the StaircaseLeftover ``curves`` that have none
-    yet, and of their staircases that have none, with one pass of each step
-    over the rows of all of them: the staircases, the line plus the scaled
-    staircase, compressed, then its closure, compressed.  Each step does
-    the floating-point operations of the step it mirrors in the one-curve
-    build: ``_staircases``, ``_sum_segments`` (the line resampled as
-    ``_resample`` reads it), ``Segments.compress`` and ``_up_closure_segments``.
-    """
-    todo = [c for c in curves if c._segments is None]
+    """Build the segments of the leftover ``curves`` that have none yet,
+    each a line less one scaled staircase max (else ValueError), and of
+    their staircases, with one pass of each step over the rows of all of
+    them: the staircases, the line plus the scaled staircase, compressed,
+    then its closure, compressed.  Each step does the floating-point
+    operations of the step it mirrors in the chain's own build:
+    ``_staircases``, ``Scale``, ``_sum_segments`` (the line resampled as
+    ``_resample`` reads it), ``Segments.compress`` and ``_up_closure_segments``."""
+    todo = [(c, c.horizon, *_leftover_parts(c)) for c in curves]
+    todo = [row for row in todo if row[0]._segments is None]
     if not todo:
         return
-    gates = list({id(c.gate): c.gate for c in todo if c.gate._segments is None}.values())
-    for gate, seg in zip(gates, _staircases(gates) if gates else ()):
+    chains, horizons, burst, rate, factor, gates = zip(*todo)
+    unbuilt = list({id(g): g for g in gates if g._segments is None}.values())
+    for gate, seg in zip(unbuilt, _staircases(unbuilt) if unbuilt else ()):
         gate._segments = seg
-    segs = [c.gate.segments for c in todo]
+    segs = [g.segments for g in gates]
     n = np.array([len(s) for s in segs])
     first = np.zeros(int(n.sum()), dtype=bool)
     first[np.cumsum(n) - n] = True
     t = np.concatenate([s.t for s in segs])
-    burst, rate, factor, horizon = (np.repeat([getattr(c, name) for c in todo], n)
-                                    for name in ("burst", "rate", "factor", "horizon"))
+    burst, rate, factor, horizon = (np.repeat(x, n) for x in (burst, rate, factor, horizons))
     # the line: 0 at t = 0, its start at 0+, and burst + rate*t after
     start = burst + rate * 0.0
     line = start + rate * t
@@ -918,8 +905,7 @@ def build_leftovers(curves) -> None:
     t, at, right, slope, first = _closure_rows(t, at, right, slope, first, horizon)
     keep = _kept(t, at, right, slope, first)
     group = np.cumsum(first) - 1
-    for c, seg in zip(todo, _split([c.horizon for c in todo], group[keep],
-                                   t[keep], at[keep], right[keep], slope[keep])):
+    for c, seg in zip(chains, _split(horizons, group[keep], t[keep], at[keep], right[keep], slope[keep])):
         c._segments = seg
 
 
@@ -1096,12 +1082,11 @@ def up_closure(curve: Curve) -> Curve:
     return UpClosure(curve)
 
 
-def leftover(burst: float, rate: float, factor: float, gate: Curve) -> Curve:
-    """up_closure(sum_of([Affine(burst, rate), scale(factor, gate)])), as one
-    StaircaseLeftover node when ``gate`` is a staircase max."""
-    if isinstance(gate, StaircaseMax):
-        return StaircaseLeftover(burst, rate, factor, gate)
-    return up_closure(sum_of([Affine(burst, rate, gate.horizon), scale(factor, gate)]))
+def leftover(line: Curve, terms) -> Curve:
+    """[line + sum of factor*curve over the (factor, curve) ``terms``]_up^+:
+    the service a line leaves after the terms, closed to be non-decreasing.
+    ``build_leftovers`` builds many with one staircase term at once."""
+    return up_closure(sum_of([line] + [scale(f, c) for f, c in terms]))
 
 
 def zero(horizon: float) -> Curve:

@@ -19,6 +19,8 @@ MIN_FRAME_BITS = 64 * 8
 MAX_FRAME_BITS = 1522 * 8
 
 FLOW_KINDS = ("TT", "SP", "AVB", "BE")
+#: The event-triggered kinds, whose queues get per-queue bounds.
+EVENT_KINDS = ("SP", "AVB")
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def leaky_bucket_of(flow: Flow):
 
 def event_flows_on(network: Network, link_id: str):
     """SP/AVB flows crossing a port, the ones that get per-queue bounds."""
-    return [f for f in network.flows_on(link_id) if f.kind in ("SP", "AVB")]
+    return [f for f in network.flows_on(link_id) if f.kind in EVENT_KINDS]
 
 
 def tt_flows_on(network: Network, link_id: str):
@@ -208,10 +210,7 @@ def guard_band_lengths(network: Network, link_id: str):
     n = len(gcl.windows)
     for j, win in enumerate(gcl.windows):
         prev = gcl.windows[(j - 1) % n]
-        if n == 1:
-            gap = win.offset + gcl.period - prev.end
-        else:
-            gap = win.offset - prev.end if j > 0 else win.offset + gcl.period - prev.end
+        gap = win.offset - prev.end if j > 0 else win.offset + gcl.period - prev.end
         out.append(min(frame_time, max(0.0, gap)))
     return out
 

@@ -9,6 +9,10 @@ Every gate quantity of a port comes from one period of its window table,
 seen from each window in turn: the staircases and TDMA curves as one
 period of terms or windows per rotation, and the guard-band envelope from
 one period of interval ends.
+
+Each of three rules has one home: every leftover service or shaping curve
+is a ``minplus.leftover``, ``credit_modes`` gives each architecture its
+credit mode, and ``ShaperContext.class_flows`` the order of a class's flows.
 """
 
 from __future__ import annotations
@@ -38,28 +42,28 @@ class Architecture:
     ats: bool
     cbs: bool
 
-    @property
-    def needs_credit_mode(self) -> bool:
-        return self.tas and self.cbs
-
-
-def check_credit_mode(arch: Architecture, credit_mode) -> None:
-    """Require a credit mode where gates and credit shaping are combined,
-    and refuse one for any other architecture."""
-    if arch.needs_credit_mode:
-        if credit_mode not in CREDIT_MODES:
-            raise ConfigurationError(
-                f"architecture {arch.name} requires credit_mode in {CREDIT_MODES}")
-    elif credit_mode is not None:
-        raise ConfigurationError(
-            f"credit_mode only applies when gates and credit shaping are combined, not {arch.name}")
-
 
 def parse_architecture(name: str) -> Architecture:
     if name not in ARCHITECTURES:
         raise ConfigurationError(f"unknown architecture {name!r}; expected one of {ARCHITECTURES}")
     parts = name.split("+")
     return Architecture(name=name, tas="TAS" in parts, ats="ATS" in parts, cbs="CBS" in parts)
+
+
+def credit_modes(archs, credit_mode=None) -> tuple:
+    """The credit mode of each named architecture: ``credit_mode``, or
+    "frozen" by default, where gates and credit shaping combine, and None
+    everywhere else.  A mode that none of them takes, or that is not one of
+    CREDIT_MODES, raises ConfigurationError, as an unknown name does."""
+    parsed = [parse_architecture(name) for name in archs]
+    takers = [a.name for a in parsed if a.tas and a.cbs]
+    if credit_mode is not None and not takers:
+        raise ConfigurationError(
+            f"credit_mode only applies when gates and credit shaping are combined, not {parsed[0].name}")
+    mode = "frozen" if credit_mode is None else credit_mode
+    if takers and mode not in CREDIT_MODES:
+        raise ConfigurationError(f"architecture {takers[0]} requires credit_mode in {CREDIT_MODES}")
+    return tuple(mode if a.name in takers else None for a in parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +183,9 @@ class ShaperContext:
     """
 
     def __init__(self, network: nm.Network, arch: Architecture, credit_mode, horizon: float):
-        check_credit_mode(arch, credit_mode)
+        (self.credit_mode,) = credit_modes([arch.name], credit_mode)
         self.network = network if network.memo is not None else network.indexed()
         self.arch = arch
-        self.credit_mode = credit_mode
         self.horizon = float(horizon)
 
     # -- per-port gate state ------------------------------------------------
@@ -244,8 +247,15 @@ class ShaperContext:
         return nm.event_priorities(self.network, link_id)
 
     @_per_view()
+    def class_flows(self, link_id: str, priority: int) -> tuple:
+        """The event flows of a priority at a port, in order of id: the order
+        in which their curves are summed."""
+        return tuple(sorted((f for f in nm.event_flows_on(self.network, link_id)
+                             if f.priority == priority), key=lambda f: f.id))
+
+    @_per_view()
     def class_frames(self, link_id: str, priority: int):
-        sizes = [f.size for f in nm.event_flows_on(self.network, link_id) if f.priority == priority]
+        sizes = [f.size for f in self.class_flows(link_id, priority)]
         return (max(sizes), min(sizes)) if sizes else (0.0, 0.0)
 
     @_per_view()
@@ -342,9 +352,8 @@ def cbs_service_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Cur
     if not ctx.arch.tas:
         return mp.RateLatency(idsl, bounds.c_max / idsl, ctx.horizon)
     variant = "TT" if ctx.credit_mode == "nonfrozen" else "GB+TT"
-    rate = ctx.link_rate(link_id)
-    return mp.leftover(-bounds.upper(ctx.credit_mode), idsl, -idsl / rate,
-                       ctx.tt_arrival(link_id, variant))
+    return mp.leftover(mp.Affine(-bounds.upper(ctx.credit_mode), idsl, ctx.horizon),
+                       [(-idsl / ctx.link_rate(link_id), ctx.tt_arrival(link_id, variant))])
 
 
 def cbs_shaping_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Curve:
@@ -355,13 +364,8 @@ def cbs_shaping_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Cur
     idsl = ctx.idle_slope(link_id, priority)
     if not ctx.arch.tas:
         return mp.Affine(bounds.c_max - bounds.c_min, idsl, ctx.horizon)
-    c_upper = bounds.upper(ctx.credit_mode)
-    rate = ctx.link_rate(link_id)
-    inner = mp.sum_of([
-        mp.Affine(c_upper - bounds.c_min, idsl, ctx.horizon),
-        mp.scale(-idsl / rate, ctx.tt_service(link_id)),
-    ])
-    return mp.up_closure(inner)
+    return mp.leftover(mp.Affine(bounds.upper(ctx.credit_mode) - bounds.c_min, idsl, ctx.horizon),
+                       [(-idsl / ctx.link_rate(link_id), ctx.tt_service(link_id))])
 
 
 # ---------------------------------------------------------------------------
@@ -378,22 +382,16 @@ def sp_service_curve(ctx: ShaperContext, link_id: str, priority: int,
     """
     rate = ctx.link_rate(link_id)
     lower_max = nm.lower_priority_max_frame(ctx.network, link_id, priority)
-    terms = [mp.Affine(-lower_max, rate, ctx.horizon)]
+    blocked = [ctx.tt_arrival(link_id, "GB+TT")] if ctx.arch.tas else []
+    blocked += higher_arrivals
     rate_budget = rate
-    if ctx.arch.tas:
-        gate = ctx.tt_arrival(link_id, "GB+TT")
-        terms.append(mp.scale(-1.0, gate))
-        rate_budget -= gate.long_term_rate()
-    for alpha in higher_arrivals:
-        terms.append(mp.scale(-1.0, alpha))
-        rate_budget -= alpha.long_term_rate()
+    for curve in blocked:
+        rate_budget -= curve.long_term_rate()
     if rate_budget <= mp.TOLERANCE:
         raise StarvationError(
             f"priority {priority} at {link_id} has no residual service "
             f"(residual rate {rate_budget:.6g} bits/us)")
-    if ctx.arch.tas and not higher_arrivals:
-        return mp.leftover(-lower_max, rate, -1.0, gate)
-    return mp.up_closure(mp.sum_of(terms))
+    return mp.leftover(mp.Affine(-lower_max, rate, ctx.horizon), [(-1.0, c) for c in blocked])
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +401,8 @@ def sp_service_curve(ctx: ShaperContext, link_id: str, priority: int,
 def shared_queue_arrival_ats(ctx: ShaperContext, link_id: str, priority: int) -> mp.Curve:
     """Aggregate input at a shared queue when every flow was reshaped to its
     committed envelope: a plain sum of token buckets."""
-    curves = []
-    for f in sorted(nm.event_flows_on(ctx.network, link_id), key=lambda f: f.id):
-        if f.priority != priority:
-            continue
-        b, r = nm.leaky_bucket_of(f)
-        curves.append(mp.Affine(b, r, ctx.horizon))
+    curves = [mp.Affine(*nm.leaky_bucket_of(f), ctx.horizon)
+              for f in ctx.class_flows(link_id, priority)]
     return mp.sum_of(curves) if curves else mp.zero(ctx.horizon)
 
 
@@ -425,8 +419,7 @@ def unshaped_queue_arrival(ctx: ShaperContext, link_id: str, priority: int,
     """
     parts = []
     groups = {}
-    flows = [f for f in nm.event_flows_on(ctx.network, link_id) if f.priority == priority]
-    for f in sorted(flows, key=lambda f: f.id):
+    for f in ctx.class_flows(link_id, priority):
         burst, r = nm.leaky_bucket_of(f)
         hop = f.route.index(link_id)
         for up in f.route[:hop]:
@@ -470,8 +463,8 @@ def shaped_queue_analysis(ctx: ShaperContext, link_id: str, upstream_id: str,
     the shaped-queue bound is the upstream bound minus the minimum residence
     time there; its service is a pure delay element.
     """
-    flows = [f for f in nm.event_flows_on(ctx.network, link_id)
-             if f.priority == priority and ctx.network.previous_link(f, link_id) == upstream_id]
+    flows = [f for f in ctx.class_flows(link_id, priority)
+             if ctx.network.previous_link(f, link_id) == upstream_id]
     if not flows:
         raise ValueError(f"no flows from {upstream_id} into {link_id} at priority {priority}")
     up_rate = ctx.link_rate(upstream_id)
@@ -479,10 +472,8 @@ def shaped_queue_analysis(ctx: ShaperContext, link_id: str, upstream_id: str,
     delay = upstream_delay - l_min / up_rate
     if delay < 0.0:
         delay = 0.0
-    terms = []
-    for f in sorted(flows, key=lambda f: f.id):
-        b, r = nm.leaky_bucket_of(f)
-        terms.append(mp.Affine(b + r * upstream_delay, r, ctx.horizon))
+    terms = [mp.Affine(b + r * upstream_delay, r, ctx.horizon)
+             for b, r in map(nm.leaky_bucket_of, flows)]
     alpha = _upstream_capped(ctx, upstream_id, priority, mp.sum_of(terms))
     beta = mp.BurstDelay(delay, ctx.horizon)
     return delay, mp.deviations(alpha, beta).vertical

@@ -184,7 +184,7 @@ class GenSpec:
     def __post_init__(self):
         if not (0.0 <= self.target_load < 1.0):
             raise GenerationError(f"target load {self.target_load} outside [0, 1)")
-        if self.kind not in ("SP", "AVB"):
+        if self.kind not in nm.EVENT_KINDS:
             raise GenerationError("event flows must be SP or AVB")
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
 import collections
+import functools
 import json
 import os
 
@@ -12,6 +13,7 @@ from tsncalc import minplus as mp
 from tsncalc import netmodel as nm
 from tsncalc import shapers as sh
 from tsncalc import testgen as tg
+from tsncalc.errors import ConfigurationError
 
 
 @pytest.fixture()
@@ -187,6 +189,24 @@ def test_bad_environment_number_fails_only_the_subcommand_that_reads_it(
     assert list(workdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["validate"], "--network"),
+    (["analyze", "--arch", "SP"], "--network"),
+    (["analyze", "--network", "net.json"], "--arch"),
+    (["compare", "--network", "net.json", "--arch", "SP"], "--arch2"),
+    (["sweep", "--arch", "SP"], "--arch2"),
+])
+def test_a_missing_required_flag_is_a_usage_error(argv, flag, monkeypatch, capsys):
+    for var in ("NETWORK", "ARCH", "ARCH2"):
+        monkeypatch.delenv(f"TSNCALC_{var}", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tsncalc {argv[0]}")
+    assert f"the following arguments are required: {flag}" in err
+
+
 def test_generate_flow_table(tmp_path):
     table = tmp_path / "flows.csv"
     table.write_text(
@@ -257,6 +277,30 @@ def test_sweep_refuses_a_credit_mode_before_any_cell(tmp_path, monkeypatch, caps
     assert rc == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == UNUSED_MODE
     assert not out.exists()
+
+
+def test_sweep_refuses_an_unknown_architecture_before_any_cell(monkeypatch):
+    def no_cell(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_cell)
+    with pytest.raises(ConfigurationError, match=r"^unknown architecture 'TAS\+XYZ'"):
+        cli.run_sweep("MM", [0.3], 2, "SP", "TAS+XYZ")
+
+
+def test_compare_without_a_credit_mode_gives_frozen_to_both(gated_file, tmp_path, monkeypatch):
+    modes = {}
+    analyze = engine.analyze
+
+    def recorded(net, architecture, credit_mode=None, **kwargs):
+        modes[architecture] = credit_mode
+        return analyze(net, architecture, credit_mode=credit_mode, **kwargs)
+
+    monkeypatch.setattr(engine, "analyze", recorded)
+    rc = cli.main(["compare", "--network", str(gated_file), "--arch", "TAS+CBS",
+                   "--arch2", "TAS+ATS+CBS", "--out-dir", str(tmp_path / "o")])
+    assert rc == 0
+    assert modes == {"TAS+CBS": "frozen", "TAS+ATS+CBS": "frozen"}
 
 
 @pytest.mark.parametrize("horizon", ["0", "-5", "nan"])
@@ -368,3 +412,35 @@ def test_compare_builds_each_gate_quantity_once(monkeypatch, tmp_path):
     assert rc == 0
     assert {key[0] for key in builds} == {"tt_arrival_curve", "tt_service_curve", "gb_envelope"}
     assert max(builds.values()) == 1
+
+
+def test_compare_reads_each_class_flow_tuple_from_one_memo(monkeypatch, tmp_path):
+    # both analyses of a criterion-6b compare sum each class's flows in the
+    # order of one tuple per view and class, computed once
+    computed = collections.Counter()
+    read = collections.defaultdict(set)
+    raw = sh.ShaperContext.class_flows.__wrapped__
+
+    @functools.wraps(raw)
+    def counted(self, link_id, priority):
+        computed[(link_id, priority)] += 1
+        return raw(self, link_id, priority)
+
+    cached = sh._per_view()(counted)
+
+    def recorded(self, link_id, priority):
+        flows = cached(self, link_id, priority)
+        read[(link_id, priority)].add((self.arch.name, id(flows)))
+        return flows
+
+    monkeypatch.setattr(sh.ShaperContext, "class_flows", recorded)
+    net = tg.generate("MM", tg.GenSpec(target_load=0.3, tt_load_fraction=0.5, seed=0))
+    path = tmp_path / "net.json"
+    nm.save(net, path)
+    rc = cli.main(["compare", "--network", str(path), "--arch", "TAS+ATS+SP",
+                   "--arch2", "TAS+SP", "--out-dir", str(tmp_path / "o")])
+    assert rc == 0
+    assert computed and max(computed.values()) == 1
+    shared = [readers for readers in read.values() if len({a for a, _ in readers}) == 2]
+    assert len(shared) > 10
+    assert all(len({flows for _, flows in readers}) == 1 for readers in shared)

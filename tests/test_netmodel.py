@@ -153,6 +153,14 @@ def test_guard_band_no_interfering_traffic():
     assert nm.guard_band_lengths(net, "L")[1] == 0.0
 
 
+def test_guard_band_of_one_window_is_the_gap_around_the_period():
+    # the window ends at 950 and opens again at 1020: 70 us idle, shorter
+    # than the 121.76-us interfering frame
+    net = guard_band_fixture(offset=900.0, prev_end_gap=500.0)
+    net.gcls["L"] = nm.Gcl(1000.0, (nm.GclWindow(20.0, 930.0),))
+    assert nm.guard_band_lengths(net, "L") == [pytest.approx(70.0)]
+
+
 def test_guard_band_bounded_by_gap_and_frame():
     for seed in range(20):
         net = tg.generate("MM", tg.GenSpec(target_load=0.4, tt_load_fraction=0.5, seed=seed))

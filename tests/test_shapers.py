@@ -41,6 +41,43 @@ def make_ctx(net, arch_name, credit_mode=None, horizon=H):
 
 
 # ---------------------------------------------------------------------------
+# Credit modes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("archs, given, modes", [
+    (("TAS+CBS",), "nonfrozen", ("nonfrozen",)),
+    (("TAS+CBS",), None, ("frozen",)),
+    (("SP",), None, (None,)),
+    (("TAS+ATS+SP", "TAS+ATS+CBS"), "nonfrozen", (None, "nonfrozen")),
+    (("TAS+ATS+CBS", "TAS+CBS"), None, ("frozen", "frozen")),
+    (("CBS", "TAS+SP"), None, (None, None)),
+])
+def test_credit_modes_go_where_gates_and_credit_shaping_combine(archs, given, modes):
+    assert sh.credit_modes(archs, given) == modes
+
+
+def test_credit_modes_refuse_a_mode_no_architecture_takes():
+    with pytest.raises(ConfigurationError, match=r"^credit_mode only applies when gates and "
+                                                 r"credit shaping are combined, not CBS$"):
+        sh.credit_modes(("CBS", "TAS+SP"), "frozen")
+
+
+def test_credit_modes_refuse_a_mode_outside_the_known_ones():
+    with pytest.raises(ConfigurationError, match=r"^architecture TAS\+CBS requires credit_mode in "):
+        sh.credit_modes(("SP", "TAS+CBS", "TAS+ATS+CBS"), "thawed")
+
+
+def test_credit_modes_refuse_an_unknown_architecture():
+    with pytest.raises(ConfigurationError, match=r"unknown architecture 'TAS\+XYZ'"):
+        sh.credit_modes(("SP", "TAS+XYZ"))
+
+
+def test_context_defaults_the_credit_mode_to_frozen():
+    ctx = make_ctx(port_network([("a", "AVB", 12176.0, 5, 1000.0)]), "TAS+CBS")
+    assert ctx.credit_mode == "frozen"
+
+
+# ---------------------------------------------------------------------------
 # Gate curves
 # ---------------------------------------------------------------------------
 
@@ -548,6 +585,29 @@ def test_gated_top_services_are_one_batch_bit_identical_to_the_chain(monkeypatch
     with pytest.raises(StarvationError, match=rf"^priority 6 at {starving} has no residual service "
                                               r"\(residual rate 0 bits/us\)$"):
         ctx.top_sp_service(starving, 6)
+
+
+def test_build_leftovers_takes_only_a_line_less_one_scaled_staircase():
+    gcl = nm.Gcl(1000.0, (nm.GclWindow(300.0, 100.0),))
+    gate = sh.tt_arrival_curve(gcl, [0.0], "TT", C, H)
+    line = mp.Affine(-1000.0, C, H)
+    others = [
+        mp.leftover(line, [(-1.0, gate), (-1.0, mp.Affine(10.0, 1.0, H))]),
+        mp.leftover(line, [(-1.0, mp.Affine(10.0, 1.0, H))]),
+        mp.leftover(mp.RateLatency(C, 10.0, H), [(-1.0, gate)]),
+        mp.up_closure(mp.sum_of([line, gate])),
+        mp.sum_of([line, mp.scale(-1.0, gate)]),
+        gate,
+    ]
+    one = mp.leftover(line, [(-1.0, gate)])
+    for curve in others:
+        with pytest.raises(ValueError, match="one scaled staircase max"):
+            mp.build_leftovers([one, curve])
+    assert one._segments is None  # refused before anything is built
+    mp.build_leftovers([one])
+    want = mp.leftover(line, [(-1.0, gate)]).segments  # built by its own nodes
+    for name in ("t", "at", "right", "slope"):
+        assert np.array_equal(getattr(one.segments, name), getattr(want, name))
 
 
 def test_sp_priority_monotone():
