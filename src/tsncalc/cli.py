@@ -19,8 +19,8 @@ Exit codes: 1 parse or generation error, and any other analysis failure
 (horizon of gated curves exhausted, fixed point not converged, missing
 upstream dependency); 2 validation or configuration error, a horizon that
 is not positive and finite included, and a usage error, such as a missing
---network, --arch or --arch2 that no variable supplies; 3
-instability/starvation; 4 dependency cycle.
+--network, --arch or --arch2 that no variable supplies or a malformed
+comma list; 3 instability/starvation; 4 dependency cycle.
 """
 
 from __future__ import annotations
@@ -72,6 +72,16 @@ def _exit_code(exc) -> int:
     return EXIT_PARSE
 
 
+def _comma_list(item):
+    """An argparse type: a comma list whose elements ``item`` converts."""
+    def parse(text):
+        try:
+            return tuple(item(x) for x in text.split(","))
+        except (ValueError, ConfigurationError) as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tsncalc", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -106,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--flows", type=int, default=None)
     sp.add_argument("--tt-fraction", type=float, default=0.0, dest="tt_fraction",
                     help="share of the target load carried by scheduled flows")
-    sp.add_argument("--priorities", default="5", help="comma list of priority values")
+    sp.add_argument("--priorities", type=_comma_list(int), default="5", help="comma list of priority values")
     sp.add_argument("--kind", default="SP", choices=nm.EVENT_KINDS)
     sp.add_argument("--sporadic-fraction", type=float, default=0.0, dest="sporadic_fraction")
     sp.add_argument("--be-interferer", action="store_true", dest="be_interferer")
@@ -120,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--arch", default=_env("arch"), choices=sh.ARCHITECTURES, required=_env("arch") is None)
     sp.add_argument("--arch2", default=_env("arch2"), choices=sh.ARCHITECTURES, required=_env("arch2") is None)
     sp.add_argument("--credit-mode", default=_env("credit_mode"), choices=sh.CREDIT_MODES, dest="credit_mode")
-    sp.add_argument("--loads", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
+    sp.add_argument("--loads", type=_comma_list(float), default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     sp.add_argument("--tt-load", type=float, default=0.0, dest="tt_load",
                     help="scheduled load added on top of each sweep load")
     sp.add_argument("--seeds", type=int, default=_env("seeds", "20"))
     sp.add_argument("--kind", default="SP", choices=nm.EVENT_KINDS)
-    sp.add_argument("--metrics", default="delay,backlog")
+    sp.add_argument("--metrics", type=_comma_list(engine.check_metric), default="delay,backlog")
     sp.add_argument("--workers", type=int, default=_env("workers", "1"),
                     help="worker processes running the sweep cells")
     sp.add_argument("--out", default=_env("out", "sweep.csv"))
@@ -167,7 +177,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["metric,item,ratio"]
-    for metric in ("delay", "jitter", "backlog"):
+    for metric in engine.METRICS:
         ratios, mean = engine.difference_ratio(r1, r2, metric)
         for key in sorted(ratios):
             item = key if isinstance(key, str) else ":".join(str(k) for k in key)
@@ -189,7 +199,7 @@ def cmd_generate(args) -> int:
         spec = tg.GenSpec(
             target_load=args.load,
             flow_count=args.flows,
-            priorities=tuple(int(x) for x in args.priorities.split(",")),
+            priorities=args.priorities,
             tt_load_fraction=args.tt_fraction,
             sporadic_fraction=args.sporadic_fraction,
             kind=args.kind,
@@ -223,9 +233,12 @@ def run_sweep(template, loads, seeds, arch1, arch2, credit_mode=None, tt_load=0.
               kind="SP", metrics=("delay", "backlog"), workers=1):
     """Ratio table over (load, seed); failures are recorded and skipped.
     Returns (rows, failures) with rows keyed (load, seed, metric).  An
-    unknown architecture, or a credit mode that ``shapers.credit_modes``
-    refuses, raises ConfigurationError before any cell runs."""
+    unknown architecture or metric, or a credit mode that
+    ``shapers.credit_modes`` refuses, raises ConfigurationError before any
+    cell runs."""
     sh.credit_modes((arch1, arch2), credit_mode)
+    for metric in metrics:
+        engine.check_metric(metric)
     cells = [(load, seed) for load in loads for seed in range(seeds)]
     results = {}
     if workers > 1:
@@ -271,15 +284,13 @@ def sweep_csv(rows, failures, pair_label, loads, metrics) -> str:
 
 
 def cmd_sweep(args) -> int:
-    loads = [float(x) for x in args.loads.split(",")]
-    metrics = tuple(args.metrics.split(","))
     rows, failures = run_sweep(
-        args.template, loads, args.seeds, args.arch, args.arch2,
+        args.template, args.loads, args.seeds, args.arch, args.arch2,
         credit_mode=args.credit_mode, tt_load=args.tt_load, kind=args.kind,
-        metrics=metrics, workers=args.workers)
-    text = sweep_csv(rows, failures, f"{args.arch}-vs-{args.arch2}", loads, metrics)
+        metrics=args.metrics, workers=args.workers)
+    text = sweep_csv(rows, failures, f"{args.arch}-vs-{args.arch2}", args.loads, args.metrics)
     Path(args.out).write_text(text)
-    done = len(rows) // max(1, len(metrics))
+    done = len(rows) // max(1, len(args.metrics))
     print(f"wrote {args.out}: {done} analyzed cells, {len(failures)} failures")
     return 0
 

@@ -360,20 +360,26 @@ def ats_closed_form_bounds(network: nm.Network, report: AnalysisReport):
 # Shaper comparison
 # ---------------------------------------------------------------------------
 
+#: What a comparison of two reports reads for each metric: the delay or
+#: jitter of each flow, or the backlog of each queue.
+METRICS = {
+    "delay": lambda report: {k: v.wcd for k, v in report.flows.items()},
+    "jitter": lambda report: {k: v.jitter for k, v in report.flows.items()},
+    "backlog": lambda report: {k: v.backlog for k, v in report.queues.items()},
+}
+
+
+def check_metric(name: str) -> str:
+    """``name`` if it is one of METRICS, else ConfigurationError."""
+    if name not in METRICS:
+        raise ConfigurationError(f"unknown metric {name!r}; choose from {', '.join(METRICS)}")
+    return name
+
+
 def difference_ratio(report1: AnalysisReport, report2: AnalysisReport, metric: str):
     """Relative difference (x1 - x2)/x2 per item plus its average; items with
     a zero reference are skipped with a warning."""
-    if metric == "delay":
-        items1 = {k: v.wcd for k, v in report1.flows.items()}
-        items2 = {k: v.wcd for k, v in report2.flows.items()}
-    elif metric == "jitter":
-        items1 = {k: v.jitter for k, v in report1.flows.items()}
-        items2 = {k: v.jitter for k, v in report2.flows.items()}
-    elif metric == "backlog":
-        items1 = {k: v.backlog for k, v in report1.queues.items()}
-        items2 = {k: v.backlog for k, v in report2.queues.items()}
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    items1, items2 = (METRICS[check_metric(metric)](r) for r in (report1, report2))
     if set(items1) != set(items2):
         raise ValueError("reports cover different item sets")
     ratios = {}

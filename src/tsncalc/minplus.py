@@ -19,8 +19,8 @@ cached on the node:
   by one period of terms or windows, have none.
 - ``segments``: a piecewise-linear function on [0, horizon] with jumps.
   Every curve has it.  A curve with an envelope converts it, one segment
-  per line.  Any other curve builds it from its operands' segments: a sum
-  of any number of curves on one union grid, a min or max folded pairwise,
+  per line.  Any other curve builds it from its operands' segments: a sum,
+  min or max of any number of curves on one union grid (``_pointwise``),
   and the closure with one running maximum.  A leftover (``leftover``: a
   line less scaled terms, closed) is that chain of nodes.  Gate
   staircases, and the leftovers of a line less one scaled staircase (the
@@ -189,48 +189,41 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _distinct_sorted(np.concatenate([a, b]))
 
 
-def _sum_segments(segs: Sequence[Segments]) -> Segments:
-    """Pointwise sum of segment functions, exactly: each is resampled once on
-    the union of their breakpoints, and the values are added in order."""
+def _pointwise(segs: Sequence[Segments], op: str) -> Segments:
+    """Pointwise sum, min or max of segment functions on one horizon,
+    exactly, on the union of their breakpoints.  A sum adds the values in
+    order.  A min or max refines the grid where the extreme function at an
+    interval's start is not the one at its end, at the crossing of those
+    two; each part then holds fewer pieces of the envelope, so k functions
+    take at most k - 1 passes.  Each interval takes the extreme values and
+    the slope of the function extreme at its middle, the first on a tie."""
+    horizon = segs[0].horizon
+
+    def on(grid):  # (at, right, slope), one row per function
+        return np.array([_on_grid(s, grid) for s in segs]).swapaxes(0, 1)
+
     grid = _distinct_sorted(np.concatenate([s.t for s in segs]))
-    at, right, slope = _on_grid(segs[0], grid)
-    for s in segs[1:]:
-        s_at, s_right, s_slope = _on_grid(s, grid)
-        at, right, slope = at + s_at, right + s_right, slope + s_slope
-    return Segments(grid, at, right, slope, segs[0].horizon)
-
-
-def _combine(a: Segments, b: Segments, op: str) -> Segments:
-    """Pointwise min/max of two segment functions on one horizon, exactly."""
-    grid = _union(a.t, b.t)
-
-    # Locate sign changes of (a - b) strictly inside intervals.
-    ra = _on_grid(a, grid)
-    rb = _on_grid(b, grid)
-    ends = _ends(grid, a.horizon)
-    dt = ends - grid
-    d0 = ra[1] - rb[1]
-    d1 = (ra[1] + ra[2] * dt) - (rb[1] + rb[2] * dt)
-    cross = d0 * d1 < 0.0
-    if np.any(cross):
-        frac = d0[cross] / (d0[cross] - d1[cross])
-        extra = grid[cross] + frac * dt[cross]
-        grid = _distinct_sorted(np.concatenate([grid, extra]))
-
-    a_at, a_right, a_slope = _on_grid(a, grid)
-    b_at, b_right, b_slope = _on_grid(b, grid)
-
-    fn = np.minimum if op == "min" else np.maximum
-    ends = _ends(grid, a.horizon)
+    at, right, slope = on(grid)
+    if op == "sum":
+        return Segments(grid, *(np.cumsum(x, axis=0)[-1] for x in (at, right, slope)), horizon)
+    pick, extreme = (np.argmin, np.min) if op == "min" else (np.argmax, np.max)
+    for _ in range(len(segs) - 1):
+        dt = _ends(grid, horizon) - grid
+        end = right + slope * dt
+        first, last = pick(right, axis=0), pick(end, axis=0)
+        k = np.flatnonzero(first != last)
+        d0, d1 = (x[first[k], k] - x[last[k], k] for x in (right, end))
+        cross = d0 * d1 < 0.0
+        if not cross.any():
+            break
+        k, d0, d1 = k[cross], d0[cross], d1[cross]
+        grid = _distinct_sorted(np.concatenate([grid, grid[k] + d0 / (d0 - d1) * dt[k]]))
+        at, right, slope = on(grid)
+    ends = _ends(grid, horizon)
     half = np.where(ends > grid, (ends - grid) * 0.5, 0.0)
-    a_mid = a_right + a_slope * half
-    b_mid = b_right + b_slope * half
-    if op == "min":
-        pick_a = a_mid <= b_mid
-    else:
-        pick_a = a_mid >= b_mid
-    slope = np.where(pick_a, a_slope, b_slope)
-    return Segments(grid, fn(a_at, b_at), fn(a_right, b_right), slope, a.horizon)
+    mid = pick(right + slope * half, axis=0)
+    return Segments(grid, extreme(at, axis=0), extreme(right, axis=0),
+                    slope[mid, np.arange(len(grid))], horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +871,7 @@ def build_leftovers(curves) -> None:
     them: the staircases, the line plus the scaled staircase, compressed,
     then its closure, compressed.  Each step does the floating-point
     operations of the step it mirrors in the chain's own build:
-    ``_staircases``, ``Scale``, ``_sum_segments`` (the line resampled as
+    ``_staircases``, ``Scale``, ``_pointwise``'s sum (the line resampled as
     ``_resample`` reads it), ``Segments.compress`` and ``_up_closure_segments``."""
     todo = [(c, c.horizon, *_leftover_parts(c)) for c in curves]
     todo = [row for row in todo if row[0]._segments is None]
@@ -961,13 +954,9 @@ class TdmaService(Curve):
         return self.rate * float(np.sum(self.lengths)) / self.period
 
 
-#: Long-term rate of a pointwise combination, from its operands' rates.
-_RATE_OF = {"min": min, "max": max, "sum": sum}
-
-
 class Pointwise(Curve):
-    """Pointwise min, max or sum of curves on one horizon: a sum on one
-    union grid, a min or max folded pairwise left to right."""
+    """Pointwise min, max or sum of curves on one horizon, all operands at
+    once on one union grid (``_pointwise``)."""
 
     __slots__ = ("op", "curves")
 
@@ -982,13 +971,7 @@ class Pointwise(Curve):
         self.curves = tuple(curves)
 
     def _build(self) -> Segments:
-        segs = [c.segments for c in self.curves]
-        if self.op == "sum":
-            return _sum_segments(segs).compress()
-        seg = segs[0]
-        for s in segs[1:]:
-            seg = _combine(seg, s, self.op)
-        return seg.compress()
+        return _pointwise([c.segments for c in self.curves], self.op).compress()
 
     def _closed_form(self) -> Envelope | None:
         envs = [c.envelope for c in self.curves]
@@ -1002,7 +985,7 @@ class Pointwise(Curve):
         return _hull(sense, [line for e in envs for line in e.lines])
 
     def long_term_rate(self) -> float:
-        return _RATE_OF[self.op](c.long_term_rate() for c in self.curves)
+        return {"min": min, "max": max, "sum": sum}[self.op](c.long_term_rate() for c in self.curves)
 
 
 class Scale(Curve):

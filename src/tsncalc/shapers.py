@@ -112,9 +112,8 @@ def tt_service_curve(gcl, rate: float, horizon: float) -> mp.Curve:
     lens = np.array([w.length for w in gcl.windows])[j]
     # rotation i starts where window i - 1, its last, ends one period earlier
     starts = oj - (oj[:, -1:] + lens[:, -1:] - gcl.period)
-    rotations = [mp.TdmaService(rate, gcl.period, row_starts, row_lens, horizon)
-                 for row_starts, row_lens in zip(starts, lens)]
-    return rotations[0] if len(rotations) == 1 else mp.min_of(rotations)
+    return mp.min_of([mp.TdmaService(rate, gcl.period, row_starts, row_lens, horizon)
+                      for row_starts, row_lens in zip(starts, lens)])
 
 
 def gb_envelope(gcl, guard_bands, rate: float):

@@ -220,3 +220,52 @@ def to_curve(spec: CurveSpec, horizon: float):
     if spec.kind == "burstdelay":
         return mp.BurstDelay(spec.delay, horizon)
     return mp.StaircaseMax([list(spec.terms)], horizon)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise min and max of segment functions
+# ---------------------------------------------------------------------------
+
+def combine(a, b, op: str):
+    """Pointwise min/max of two segment functions on one horizon, exactly:
+    the union grid refined once at each sign change of a - b inside an
+    interval, the extreme values, and the slope of the operand extreme at
+    the middle of each interval, ``a``'s on a tie."""
+    from tsncalc import minplus as mp
+
+    grid = mp._union(a.t, b.t)
+    ra = mp._on_grid(a, grid)
+    rb = mp._on_grid(b, grid)
+    ends = mp._ends(grid, a.horizon)
+    dt = ends - grid
+    d0 = ra[1] - rb[1]
+    d1 = (ra[1] + ra[2] * dt) - (rb[1] + rb[2] * dt)
+    cross = d0 * d1 < 0.0
+    if np.any(cross):
+        frac = d0[cross] / (d0[cross] - d1[cross])
+        extra = grid[cross] + frac * dt[cross]
+        grid = mp._distinct_sorted(np.concatenate([grid, extra]))
+
+    a_at, a_right, a_slope = mp._on_grid(a, grid)
+    b_at, b_right, b_slope = mp._on_grid(b, grid)
+
+    fn = np.minimum if op == "min" else np.maximum
+    ends = mp._ends(grid, a.horizon)
+    half = np.where(ends > grid, (ends - grid) * 0.5, 0.0)
+    a_mid = a_right + a_slope * half
+    b_mid = b_right + b_slope * half
+    if op == "min":
+        pick_a = a_mid <= b_mid
+    else:
+        pick_a = a_mid >= b_mid
+    slope = np.where(pick_a, a_slope, b_slope)
+    return mp.Segments(grid, fn(a_at, b_at), fn(a_right, b_right), slope, a.horizon)
+
+
+def fold(segs, op: str):
+    """The min or max of segment functions folded pairwise with ``combine``,
+    left to right, uncompressed."""
+    seg = segs[0]
+    for s in segs[1:]:
+        seg = combine(seg, s, op)
+    return seg

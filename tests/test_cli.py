@@ -279,6 +279,35 @@ def test_sweep_refuses_a_credit_mode_before_any_cell(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--priorities", "6,,5"], "--priorities"),
+    (["sweep", "--arch", "SP", "--arch2", "SP", "--loads", "0.2,abc"], "--loads"),
+    (["sweep", "--arch", "SP", "--arch2", "SP", "--metrics", "delay,foo"], "--metrics"),
+])
+def test_a_malformed_list_is_a_usage_error(argv, flag, tmp_path, monkeypatch, capsys):
+    def no_cell(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_cell)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tsncalc {argv[0]}")
+    assert f"argument {flag}: '{argv[-1]}': " in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_refuses_an_unknown_metric_before_any_cell(monkeypatch):
+    def no_cell(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_cell)
+    with pytest.raises(ConfigurationError, match=r"^unknown metric 'foo'"):
+        cli.run_sweep("MM", [0.3], 2, "SP", "SP", metrics=("delay", "foo"))
+
+
 def test_sweep_refuses_an_unknown_architecture_before_any_cell(monkeypatch):
     def no_cell(*args):
         raise AssertionError("a sweep cell ran")

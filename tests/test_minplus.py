@@ -277,15 +277,18 @@ def _looped_up_closure(seg):
 def _random_segments(rng, horizon=None):
     """A segment function with jumps up and down and slopes of either sign.
     Half are small integers, which give flat ties and crossings exactly at
-    a segment's end; the others are continuous draws."""
+    a segment's end; the others are continuous draws.  With a horizon,
+    every breakpoint lies below it."""
     n = int(rng.integers(1, 13))
     if rng.random() < 0.5:
-        t = np.sort(rng.choice(np.arange(1.0, 40.0), n - 1, replace=False))
+        points = np.arange(1.0, 40.0 if horizon is None else min(40.0, math.ceil(horizon)))
+        t = np.sort(rng.choice(points, min(n - 1, len(points)), replace=False))
+        n = len(t) + 1
         at, right = rng.integers(-5, 6, (2, n)).astype(float)
         slope = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0], n)
         end = float(rng.integers(1, 10))
     else:
-        t = np.sort(rng.uniform(0.0, 1000.0, n - 1))
+        t = np.sort(rng.uniform(0.0, 1000.0 if horizon is None else horizon, n - 1))
         at, right = rng.uniform(-500.0, 500.0, (2, n))
         slope = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(-2.0, 3.0, n))
         end = float(rng.uniform(1.0, 500.0))
@@ -334,9 +337,46 @@ def test_k_way_sum_matches_the_pairwise_fold():
         segs = [_random_segments(rng, horizon) for _ in range(int(rng.integers(3, 7)))]
         want = segs[0]
         for s in segs[1:]:
-            want = mp._sum_segments([want, s])
+            want = mp._pointwise([want, s], "sum")
         scale = sum(_magnitude(s) for s in segs)
-        _assert_same_function(mp._sum_segments(segs), want, scale)
+        _assert_same_function(mp._pointwise(segs, "sum"), want, scale)
+
+
+@pytest.mark.parametrize("op", ["min", "max"])
+def test_k_way_min_and_max_match_the_pairwise_fold(op):
+    rng = np.random.default_rng(20261019)
+    for _ in range(500):
+        horizon = float(rng.uniform(1.0, 1200.0))
+        segs = [_random_segments(rng, horizon) for _ in range(int(rng.integers(2, 14)))]
+        got, want = mp._pointwise(segs, op), orc.fold(segs, op)
+        if len(segs) == 2:
+            for name in ("t", "at", "right", "slope"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        else:
+            _assert_same_function(got, want, _magnitude(*segs))
+
+
+def test_k_way_min_follows_two_changes_of_the_lowest_line_in_one_interval():
+    # 3t is lowest until 1, then 2 + t until 8, then 10: the crossing of the
+    # first and last lines (at 10/3) alone puts 2 + t's slope on 3t's start
+    segs = [mp.Segments([0.0], [0.0], [d], [s], 10.0) for d, s in ((0.0, 3.0), (2.0, 1.0), (10.0, 0.0))]
+    got = mp._pointwise(segs, "min")
+    np.testing.assert_allclose(got.t, [0.0, 1.0, 10.0 / 3.0, 8.0], rtol=1e-12)
+    ts = np.linspace(0.0, 10.0, 1001)[1:]
+    want = np.minimum(np.minimum(3.0 * ts, 2.0 + ts), 10.0)
+    np.testing.assert_allclose(got.value_many(ts), want, rtol=1e-12)
+    _assert_same_function(got, orc.fold(segs, "min"), 10.0)
+
+
+@pytest.mark.parametrize("op", ["min", "max"])
+def test_k_way_min_and_max_keep_the_first_slope_on_a_tie(op):
+    # three functions equal at a breakpoint on the horizon, where the
+    # segment from it has no length: the first operand's slope is kept
+    segs = [mp.Segments([0.0, 10.0], [0.0, 5.0], [0.0, 5.0], [0.5, s], 10.0)
+            for s in (1.0, 2.0, 3.0)]
+    got = mp._pointwise(segs, op)
+    assert got.slope[-1] == 1.0
+    assert got.slope[-1] == orc.fold(segs, op).slope[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from tsncalc.errors import (
     StarvationError,
 )
 
+import nc_oracle as orc
+
 H = 8000.0
 C = 100.0
 
@@ -137,9 +139,10 @@ def _looped_staircase(terms, horizon):
 
 
 def _folded_tt_arrival(gcl, guard_bands, variant, rate, horizon):
-    """The gate curve as one staircase per window rotation, folded by a
-    pairwise max: the reference the one-pass build must match bit for bit.
-    Each staircase is checked against the term-by-term accumulation."""
+    """The segments and long-term rate of the gate curve as one staircase
+    per window rotation, folded by a pairwise max and compressed: the
+    reference the one-pass build must match bit for bit.  Each staircase is
+    checked against the term-by-term accumulation."""
     n = len(gcl.windows)
     offs = [w.offset for w in gcl.windows]
     lens = [w.length for w in gcl.windows]
@@ -156,7 +159,9 @@ def _folded_tt_arrival(gcl, guard_bands, variant, rate, horizon):
         seg = rotations[-1].segments
         for got, want in zip((seg.t, seg.at, seg.right), _looped_staircase(terms, horizon)):
             assert np.array_equal(got, want)
-    return rotations[0] if n == 1 else mp.max_of(rotations)
+    segs = [r.segments for r in rotations]
+    folded = segs[0] if n == 1 else orc.fold(segs, "max").compress()
+    return folded, max(r.long_term_rate() for r in rotations)
 
 
 def _random_schedules(rng, count):
@@ -194,11 +199,11 @@ def test_tt_arrival_one_pass_is_bit_identical_to_the_fold():
     for gcl, gbs, rate, horizon in cases:
         for variant in ("TT", "GB+TT"):
             got = sh.tt_arrival_curve(gcl, gbs, variant, rate, horizon)
-            want = _folded_tt_arrival(gcl, gbs, variant, rate, horizon)
+            want, rate_want = _folded_tt_arrival(gcl, gbs, variant, rate, horizon)
             for name in ("t", "at", "right", "slope"):
-                assert np.array_equal(getattr(got.segments, name), getattr(want.segments, name)), \
+                assert np.array_equal(getattr(got.segments, name), getattr(want, name)), \
                     (gcl, gbs, variant, name)
-            assert got.long_term_rate() == want.long_term_rate()
+            assert got.long_term_rate() == rate_want
 
 
 def test_gate_memo_is_shared_per_view_and_horizon():
@@ -318,9 +323,9 @@ def _per_period_tdma(rate, period, length, t0, horizon):
 
 
 def _per_period_tt_service(gcl, rate, horizon):
-    """The TDMA service as a sum of one per-period curve per window for each
-    rotation, folded pairwise, then the min over rotations: the reference
-    the one-period build must match."""
+    """The segments of the TDMA service as a sum of one per-period curve per
+    window for each rotation, then the min over rotations folded pairwise
+    and compressed: the reference the one-period build must match."""
     n = len(gcl.windows)
     period = gcl.period
     offs = [w.offset for w in gcl.windows]
@@ -336,7 +341,8 @@ def _per_period_tt_service(gcl, rate, horizon):
             t0 = period - lens[j] - oj + prev_end
             pieces.append(_per_period_tdma(rate, period, lens[j], t0, horizon))
         rotations.append(mp.sum_of(pieces))
-    return rotations[0] if n == 1 else mp.min_of(rotations)
+    segs = [r.segments for r in rotations]
+    return segs[0] if n == 1 else orc.fold(segs, "min").compress()
 
 
 def test_tt_service_one_period_matches_the_per_period_build():
@@ -348,8 +354,8 @@ def test_tt_service_one_period_matches_the_per_period_build():
         got = sh.tt_service_curve(gcl, rate, horizon)
         want = _per_period_tt_service(gcl, rate, horizon)
         assert got.segments.is_nondecreasing()
-        grid = np.unique(np.concatenate([got.segments.t, want.segments.t]))
-        v_got, v_want = got.segments.value_many(grid), want.segments.value_many(grid)
+        grid = np.unique(np.concatenate([got.segments.t, want.t]))
+        v_got, v_want = got.segments.value_many(grid), want.value_many(grid)
         # relative to the value, or near 0, where the two builds may place a
         # window start an ulp apart, to one period of service at full rate
         scale = np.maximum(np.abs(v_want), rate * gcl.period)
