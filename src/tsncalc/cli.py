@@ -233,12 +233,14 @@ def run_sweep(template, loads, seeds, arch1, arch2, credit_mode=None, tt_load=0.
               kind="SP", metrics=("delay", "backlog"), workers=1):
     """Ratio table over (load, seed); failures are recorded and skipped.
     Returns (rows, failures) with rows keyed (load, seed, metric).  An
-    unknown architecture or metric, or a credit mode that
-    ``shapers.credit_modes`` refuses, raises ConfigurationError before any
-    cell runs."""
+    unknown architecture, an unknown or repeated metric, or a credit mode
+    that ``shapers.credit_modes`` refuses, raises ConfigurationError before
+    any cell runs."""
     sh.credit_modes((arch1, arch2), credit_mode)
     for metric in metrics:
         engine.check_metric(metric)
+    if len(set(metrics)) < len(metrics):
+        raise ConfigurationError(f"repeated metric in {','.join(metrics)}")
     cells = [(load, seed) for load in loads for seed in range(seeds)]
     results = {}
     if workers > 1:

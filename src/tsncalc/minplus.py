@@ -19,10 +19,11 @@ cached on the node:
   by one period of terms or windows, have none.
 - ``segments``: a piecewise-linear function on [0, horizon] with jumps.
   Every curve has it.  A curve with an envelope converts it, one segment
-  per line.  Any other curve builds it from its operands' segments: a sum,
-  min or max of any number of curves on one union grid (``_pointwise``),
-  and the closure with one running maximum.  A leftover (``leftover``: a
-  line less scaled terms, closed) is that chain of nodes.  Gate
+  per line.  Any other curve builds it from its operands' segments: a sum
+  on one union grid, a min or max folded two at a time (``_pointwise``),
+  and the closure with one running maximum.  A TDMA service takes the min
+  of its rotations on one period and repeats it.  A leftover (``leftover``:
+  a line less scaled terms, closed) is that chain of nodes.  Gate
   staircases, and the leftovers of a line less one scaled staircase (the
   gated top-priority services), can also be built as batches of rows, one
   pass over all the rows per step (``build_leftovers``); each step does
@@ -46,6 +47,7 @@ cached on the node:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -191,39 +193,34 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _pointwise(segs: Sequence[Segments], op: str) -> Segments:
     """Pointwise sum, min or max of segment functions on one horizon,
-    exactly, on the union of their breakpoints.  A sum adds the values in
-    order.  A min or max refines the grid where the extreme function at an
-    interval's start is not the one at its end, at the crossing of those
-    two; each part then holds fewer pieces of the envelope, so k functions
-    take at most k - 1 passes.  Each interval takes the extreme values and
-    the slope of the function extreme at its middle, the first on a tie."""
-    horizon = segs[0].horizon
-
-    def on(grid):  # (at, right, slope), one row per function
-        return np.array([_on_grid(s, grid) for s in segs]).swapaxes(0, 1)
-
+    exactly: a sum adds the values in order on the union of their
+    breakpoints, and a min or max folds ``_extreme`` over them left to right."""
+    if op != "sum":
+        return functools.reduce(functools.partial(_extreme, op=op), segs)
     grid = _distinct_sorted(np.concatenate([s.t for s in segs]))
-    at, right, slope = on(grid)
-    if op == "sum":
-        return Segments(grid, *(np.cumsum(x, axis=0)[-1] for x in (at, right, slope)), horizon)
-    pick, extreme = (np.argmin, np.min) if op == "min" else (np.argmax, np.max)
-    for _ in range(len(segs) - 1):
-        dt = _ends(grid, horizon) - grid
-        end = right + slope * dt
-        first, last = pick(right, axis=0), pick(end, axis=0)
-        k = np.flatnonzero(first != last)
-        d0, d1 = (x[first[k], k] - x[last[k], k] for x in (right, end))
-        cross = d0 * d1 < 0.0
-        if not cross.any():
-            break
-        k, d0, d1 = k[cross], d0[cross], d1[cross]
-        grid = _distinct_sorted(np.concatenate([grid, grid[k] + d0 / (d0 - d1) * dt[k]]))
-        at, right, slope = on(grid)
-    ends = _ends(grid, horizon)
+    rows = np.array([_on_grid(s, grid) for s in segs]).swapaxes(0, 1)
+    return Segments(grid, *(np.cumsum(x, axis=0)[-1] for x in rows), segs[0].horizon)
+
+
+def _extreme(a: Segments, b: Segments, op: str) -> Segments:
+    """Pointwise min or max of two segment functions, exactly: two linear
+    pieces cross at most once, at a sign change of a - b inside an interval
+    of the union grid.  Each interval takes the extreme values and the slope
+    of the function extreme at its middle, ``a``'s on a tie."""
+    grid = _union(a.t, b.t)
+    dt = _ends(grid, a.horizon) - grid
+    (_, a_right, a_slope), (_, b_right, b_slope) = _on_grid(a, grid), _on_grid(b, grid)
+    d0 = a_right - b_right
+    d1 = (a_right + a_slope * dt) - (b_right + b_slope * dt)
+    cross = d0 * d1 < 0.0
+    if cross.any():
+        grid = _distinct_sorted(np.concatenate([grid, grid[cross] + d0[cross] / (d0 - d1)[cross] * dt[cross]]))
+    (a_at, a_right, a_slope), (b_at, b_right, b_slope) = _on_grid(a, grid), _on_grid(b, grid)
+    ends = _ends(grid, a.horizon)
     half = np.where(ends > grid, (ends - grid) * 0.5, 0.0)
-    mid = pick(right + slope * half, axis=0)
-    return Segments(grid, extreme(at, axis=0), extreme(right, axis=0),
-                    slope[mid, np.arange(len(grid))], horizon)
+    a_mid, b_mid = a_right + a_slope * half, b_right + b_slope * half
+    fn, pick_a = (np.minimum, a_mid <= b_mid) if op == "min" else (np.maximum, a_mid >= b_mid)
+    return Segments(grid, fn(a_at, b_at), fn(a_right, b_right), np.where(pick_a, a_slope, b_slope), a.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -916,47 +913,56 @@ def running_integral(times, steps):
 
 
 class TdmaService(Curve):
-    """``rate`` times the time on [0, t] that a gate is open, for windows of
-    ``lengths`` that open at ``starts`` and repeat every ``period``: the
-    service of a TDMA schedule, given by one period of windows.
-
-    Starts a rounding error below 0, as back-to-back windows give, are
-    clamped to 0, as staircase offsets are.  The slope follows a running
-    count of open windows, not the order of the starts and ends: one
-    window's end and the next one's start may lie an ulp apart either way.
-    """
+    """The service of a TDMA schedule: the min over rotations of ``rate``
+    times the time on [0, t] that a gate is open.  A rotation's windows
+    (rotation x window arrays ``starts`` and ``lengths``, one rotation when
+    1-D) lie within [0, period] and repeat every ``period``, and every
+    rotation is open for the same time per period.  Each rotation's open
+    time then grows by one period's every period, and so does their min: it
+    is taken on [0, period], and its slopes are repeated up to the horizon
+    and integrated, with no jump at a period's end.  Starts a rounding error
+    below 0 are clamped to 0, and the slope follows a running count of open
+    windows, so one window's end and the next one's start may lie an ulp
+    apart either way."""
 
     __slots__ = ("rate", "period", "starts", "lengths")
 
     def __init__(self, rate: float, period: float, starts, lengths, horizon: float):
         super().__init__(horizon)
-        starts = np.asarray(starts, dtype=float)
-        lengths = np.asarray(lengths, dtype=float)
-        if rate < 0 or period <= 0 or np.any(lengths < 0) or np.any(starts < -TOLERANCE):
-            raise ValueError("TDMA windows need rate >= 0, period > 0, start >= 0, length >= 0")
+        starts, lengths = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (starts, lengths))
+        if (rate < 0 or period <= 0 or np.any(lengths < 0) or np.any(starts < -TOLERANCE)
+                or np.any(starts + lengths > period + TOLERANCE) or np.ptp(lengths.sum(axis=1)) > TOLERANCE):
+            raise ValueError("TDMA windows need rate >= 0, period > 0, to lie in [0, period], one open time")
         self.rate = float(rate)
         self.period = float(period)
         self.starts = np.maximum(0.0, starts)
         self.lengths = lengths
 
     def _build(self) -> Segments:
-        reps = self.period * np.arange(int(self.horizon // self.period) + 1)[:, None]
-        opens = (self.starts + reps).ravel()
-        closes = (self.starts + self.lengths + reps).ravel()
-        times = np.concatenate([[0.0], opens, closes])
-        steps = np.concatenate([[0.0], np.ones(len(opens)), -np.ones(len(closes))])
-        keep = times <= self.horizon
-        t, count, open_time = running_integral(times[keep], steps[keep])
-        value = self.rate * open_time
-        return Segments(t, value, value, self.rate * count, self.horizon).compress()
+        period, rate = self.period, self.rate
+        rotations = []
+        for starts, lengths in zip(self.starts, self.lengths):
+            times = np.concatenate([[0.0], starts, starts + lengths])
+            steps = np.repeat([0.0, 1.0, -1.0], [1, len(starts), len(starts)])
+            t, count, open_time = running_integral(times[times < period], steps[times < period])
+            rotations.append(Segments(t, rate * open_time, rate * open_time, rate * count, period))
+        one = _pointwise(rotations, "min")
+        live = one.t < period
+        copies = int(self.horizon // period) + 1
+        t = (one.t[live] + period * np.arange(copies)[:, None]).ravel()
+        # a period's end that rounds onto the next one's start gives way to it
+        keep = (t <= self.horizon) & np.append(t[1:] > t[:-1], True)
+        t, slope = t[keep], np.tile(one.slope[live], copies)[keep]
+        value = np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(t))])
+        return Segments(t, value, value, slope, self.horizon).compress()
 
     def long_term_rate(self) -> float:
-        return self.rate * float(np.sum(self.lengths)) / self.period
+        return self.rate * float(np.min(np.sum(self.lengths, axis=1))) / self.period
 
 
 class Pointwise(Curve):
-    """Pointwise min, max or sum of curves on one horizon, all operands at
-    once on one union grid (``_pointwise``)."""
+    """Pointwise min, max or sum of curves on one horizon (``_pointwise``):
+    a sum on one union grid, a min or max folded two at a time."""
 
     __slots__ = ("op", "curves")
 

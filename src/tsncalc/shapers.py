@@ -105,15 +105,14 @@ def tt_arrival_curve(gcl, guard_bands, variant: str, rate: float, horizon: float
 def tt_service_curve(gcl, rate: float, horizon: float) -> mp.Curve:
     """Minimum service obtained by gate-scheduled traffic over any interval:
     the min over window rotations of the gate-open time since the end of the
-    window before, each built from one period of the window table."""
+    window before: one TDMA service of every rotation's period of windows."""
     if gcl is None or not gcl.windows:
         return mp.zero(horizon)
     j, oj = _rotations(gcl)
     lens = np.array([w.length for w in gcl.windows])[j]
     # rotation i starts where window i - 1, its last, ends one period earlier
     starts = oj - (oj[:, -1:] + lens[:, -1:] - gcl.period)
-    return mp.min_of([mp.TdmaService(rate, gcl.period, row_starts, row_lens, horizon)
-                      for row_starts, row_lens in zip(starts, lens)])
+    return mp.TdmaService(rate, gcl.period, starts, lens, horizon)
 
 
 def gb_envelope(gcl, guard_bands, rate: float):

@@ -186,6 +186,9 @@ class GenSpec:
             raise GenerationError(f"target load {self.target_load} outside [0, 1)")
         if self.kind not in nm.EVENT_KINDS:
             raise GenerationError("event flows must be SP or AVB")
+        for priority in self.priorities:
+            if not 0 <= priority <= 7:
+                raise GenerationError(f"priority {priority} outside 0..7")
 
 
 def _draw_flows(network: nm.Network, routes: _Routes, spec: GenSpec, rng, count: int):

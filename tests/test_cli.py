@@ -308,6 +308,31 @@ def test_sweep_refuses_an_unknown_metric_before_any_cell(monkeypatch):
         cli.run_sweep("MM", [0.3], 2, "SP", "SP", metrics=("delay", "foo"))
 
 
+def test_sweep_refuses_a_repeated_metric_before_any_cell(tmp_path, monkeypatch, capsys):
+    def no_cell(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_cell)
+    with pytest.raises(ConfigurationError, match=r"^repeated metric in delay,backlog,delay$"):
+        cli.run_sweep("MM", [0.3], 2, "SP", "SP", metrics=("delay", "backlog", "delay"))
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--arch", "SP", "--arch2", "SP", "--loads", "0.3", "--seeds", "1",
+                   "--metrics", "delay,delay", "--out", str(out)])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: repeated metric in delay,delay\n"
+    assert not out.exists()
+
+
+def test_generate_refuses_a_priority_outside_0_to_7(tmp_path, capsys):
+    out = tmp_path / "net.json"
+    for priorities, bad in (("9", 9), ("6,-1", -1)):
+        rc = cli.main(["generate", "--template", "MM", "--load", "0.3", "--priorities", priorities,
+                       "--out", str(out)])
+        assert rc == cli.EXIT_PARSE
+        assert capsys.readouterr().err == f"error: priority {bad} outside 0..7\n"
+        assert not out.exists()
+
+
 def test_sweep_refuses_an_unknown_architecture_before_any_cell(monkeypatch):
     def no_cell(*args):
         raise AssertionError("a sweep cell ran")

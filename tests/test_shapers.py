@@ -362,6 +362,37 @@ def test_tt_service_one_period_matches_the_per_period_build():
         assert np.all(np.abs(v_got - v_want) <= 1e-12 * scale), (gcl, rate, horizon)
 
 
+def test_tt_service_takes_its_min_on_one_period_and_repeats_it(monkeypatch):
+    # five windows, two of them back to back: the min over the rotations is
+    # taken on one period, and each period adds one period's service
+    gcl = nm.Gcl(1000.0, tuple(nm.GclWindow(o, l) for o, l in
+                               ((50.0, 100.0), (150.0, 40.0), (400.0, 75.0), (610.0, 30.0), (800.0, 120.0))))
+    operands = []
+    pointwise = mp._pointwise
+
+    def spy(segs, op):
+        operands.extend(segs)
+        return pointwise(segs, op)
+
+    monkeypatch.setattr(mp, "_pointwise", spy)
+    seg = sh.tt_service_curve(gcl, C, H).segments
+    assert len(operands) == len(gcl.windows)
+    assert {s.horizon for s in operands} == {gcl.period}
+    ts = np.linspace(0.0, H - gcl.period, 97)
+    v, v_next = seg.value_many(ts), seg.value_many(ts + gcl.period)
+    per_period = C * sum(w.length for w in gcl.windows)
+    assert np.all(np.abs(v_next - v - per_period) <= 1e-12 * np.maximum(v_next, C * gcl.period))
+    # an always-open gate at a rate that rounds: no jump is left at a
+    # period's end, so the service is one segment
+    always = sh.tt_service_curve(nm.Gcl(1000.0, (nm.GclWindow(0.0, 1000.0),)), 100.0 / 3.0, H).segments
+    assert always.t.tolist() == [0.0]
+    # the one-period build needs every window within the period, and the
+    # same open time per period in every rotation
+    for starts, lengths in (([900.0], [150.0]), ([[0.0], [0.0]], [[100.0], [50.0]])):
+        with pytest.raises(ValueError):
+            mp.TdmaService(C, 1000.0, starts, lengths, H)
+
+
 def test_tt_service_long_term_rate_is_exact_at_every_horizon():
     # horizons in a closed gap and in an open window: the rate is the open
     # share of a period at the link rate, not the slope at the horizon
