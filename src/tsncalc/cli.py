@@ -17,8 +17,9 @@ before any analysis runs.
 
 Exit codes: 1 parse or generation error, and any other analysis failure
 (horizon of gated curves exhausted, fixed point not converged, missing
-upstream dependency); 2 validation or configuration error, a horizon that
-is not positive and finite included, and a usage error, such as a missing
+upstream dependency); 2 validation or configuration error, such as a
+horizon that is not positive and finite, or a sweep with fewer than one
+seed or worker or a negative --tt-load, and a usage error, such as a missing
 --network, --arch or --arch2 that no variable supplies or a malformed
 comma list; 3 instability/starvation; 4 dependency cycle.
 """
@@ -233,10 +234,15 @@ def run_sweep(template, loads, seeds, arch1, arch2, credit_mode=None, tt_load=0.
               kind="SP", metrics=("delay", "backlog"), workers=1):
     """Ratio table over (load, seed); failures are recorded and skipped.
     Returns (rows, failures) with rows keyed (load, seed, metric).  An
-    unknown architecture, an unknown or repeated metric, or a credit mode
-    that ``shapers.credit_modes`` refuses, raises ConfigurationError before
-    any cell runs."""
+    unknown architecture, an unknown or repeated metric, a credit mode
+    that ``shapers.credit_modes`` refuses, fewer than one seed or worker, or
+    a negative scheduled load raises ConfigurationError before any cell
+    runs."""
     sh.credit_modes((arch1, arch2), credit_mode)
+    for label, value, least in (("seed count", seeds, 1), ("worker count", workers, 1),
+                                ("scheduled load", tt_load, 0)):
+        if not value >= least:
+            raise ConfigurationError(f"{label} {value} below {least}")
     for metric in metrics:
         engine.check_metric(metric)
     if len(set(metrics)) < len(metrics):

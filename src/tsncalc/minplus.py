@@ -114,11 +114,11 @@ class Segments:
     def is_nondecreasing(self) -> bool:
         return self.table.nondecreasing
 
-    def compress(self, tol: float = 1e-12) -> "Segments":
+    def compress(self) -> "Segments":
         """Drop breakpoints that carry neither a jump nor a slope change."""
         if len(self.t) <= 1:
             return self
-        keep = _kept(self.t, self.at, self.right, self.slope, _first_of_one(len(self.t)), tol)
+        keep = _kept(self.t, self.at, self.right, self.slope, _first_of_one(len(self.t)))
         return Segments(self.t[keep], self.at[keep], self.right[keep], self.slope[keep], self.horizon)
 
 
@@ -249,9 +249,10 @@ def _ends(t, horizon, first=None) -> np.ndarray:
     return np.where(last, horizon, np.concatenate((t[1:], [0.0])))
 
 
-def _kept(t, at, right, slope, first, tol=1e-12) -> np.ndarray:
+def _kept(t, at, right, slope, first) -> np.ndarray:
     """The rows that ``Segments.compress`` keeps: each function's first row
-    and every row with a jump or a slope change, beyond ``tol``."""
+    and every row with a jump or a slope change, beyond 1e-12 absolute."""
+    tol = 1e-12
     left = np.empty_like(at)
     left[0] = at[0]
     left[1:] = right[:-1] + slope[:-1] * (t[1:] - t[:-1])
@@ -260,14 +261,16 @@ def _kept(t, at, right, slope, first, tol=1e-12) -> np.ndarray:
     return first | ~(no_jump & same_slope)
 
 
-def _running_max(values, first) -> np.ndarray:
-    """The running maximum of ``values`` within each function."""
+def _running(ufunc, values, first) -> np.ndarray:
+    """``ufunc.accumulate`` of ``values`` within each function.  Each
+    function's row is padded after its values, which no accumulation
+    reads, so zeros pad for a sum and a max alike."""
     starts = np.flatnonzero(first)
     group = np.cumsum(first) - 1
     col = np.arange(len(values)) - starts[group]
-    padded = np.full((len(starts), int(col.max()) + 1), -INF)
+    padded = np.zeros((len(starts), int(col.max()) + 1))
     padded[group, col] = values
-    return np.maximum.accumulate(padded, axis=1)[group, col]
+    return ufunc.accumulate(padded, axis=1)[group, col]
 
 
 def _closure_rows(t, at, right, slope, first, horizon):
@@ -284,7 +287,7 @@ def _closure_rows(t, at, right, slope, first, horizon):
     peak = np.maximum(np.maximum(at, right), f_end)
     # max(0, f(0)) at each function's first row, else the peak before
     prior = np.where(first, np.where(at > 0.0, at, 0.0), np.append(0.0, peak[:-1]))
-    run = _running_max(prior, first)
+    run = _running(np.maximum, prior, first)
     new_at = np.maximum(run, at)
     new_right = np.maximum(new_at, right)
     rising = slope > 0.0
@@ -740,7 +743,9 @@ class StaircaseMax(Curve):
     height * ceil((t - offset)/period), each clamped below at zero: the
     shape of gate-window arrival envelopes, one sum per window rotation.
     Each rotation is a sequence of (height, offset, period) terms, the same
-    number in each."""
+    number in each.  Each rotation is non-decreasing, so the max at t is
+    the largest value any rotation has reached by t: a running max over
+    the rotations' jumps in time order."""
 
     __slots__ = ("rotations", "_rate")
 
@@ -767,13 +772,14 @@ def _staircases(curves) -> list:
     """The segments of staircase maxes, every rotation of every curve in one
     pass.  Each term's jumps on [0, horizon] are summed per (rotation, time)
     in term order, as one rotation alone would sum them, and accumulated
-    along each rotation.  Each curve is then the max over its rotations on
-    the union of their jump times, where a rotation reads its value at its
-    own jump times and elsewhere the value after its last jump (0 before the
-    first).  A curve of several rotations is compressed."""
-    n_rot = np.array([c.rotations.shape[0] for c in curves])
+    along each rotation.  Each curve lives on the union of its rotations'
+    jump times and 0.  Every rotation is non-decreasing, so their max after
+    a point is the running max, within the curve, of the values its
+    rotations reach at or before it, and its value at a point is the right
+    limit at the point before (0 at t = 0), since each step is
+    left-continuous.  Each curve is then compressed."""
     n_terms = np.array([c.rotations.shape[1] for c in curves])
-    curve_of_rot = np.repeat(np.arange(len(curves)), n_rot)
+    curve_of_rot = np.repeat(np.arange(len(curves)), [c.rotations.shape[0] for c in curves])
     rot_of_term = np.repeat(np.arange(len(curve_of_rot)), n_terms[curve_of_rot])
     height, offset, period = np.concatenate([c.rotations.reshape(-1, 3) for c in curves]).T
     horizon = np.array([c.horizon for c in curves])[curve_of_rot[rot_of_term]]
@@ -789,40 +795,19 @@ def _staircases(curves) -> list:
     jumps = np.zeros(len(times))
     np.add.at(jumps, inverse, np.repeat(height, counts))
     # accumulate each rotation's jumps along its own row
-    rot_start = np.searchsorted(rot, np.arange(len(curve_of_rot)))
-    col = np.arange(len(times)) - rot_start[rot]
-    padded = np.zeros((len(curve_of_rot), col.max() + 1))
-    padded[rot, col] = jumps
-    right = np.cumsum(padded, axis=1)[rot, col]
-    at = right - jumps
+    right = _running(np.add, jumps, np.append(True, rot[1:] != rot[:-1]))
     # each curve's grid: 0 and the jump times of its rotations
     n = len(curves)
-    curve_of_time = curve_of_rot[rot]
-    grid_curve, grid, point = _distinct(np.concatenate([np.arange(n), curve_of_time]),
+    grid_curve, grid, point = _distinct(np.concatenate([np.arange(n), curve_of_rot[rot]]),
                                         np.concatenate([np.zeros(n), times]))
-    n_grid = np.bincount(grid_curve, minlength=n)
-    grid_start = np.cumsum(n_grid) - n_grid
-    # one cell per rotation and point of its curve's grid, rotation by rotation
-    width = n_grid[curve_of_rot]
-    cell_start = np.cumsum(width) - width
-    cell_rot = np.repeat(np.arange(len(width)), width)
-    cell_point = np.arange(len(cell_rot)) + np.repeat(grid_start[curve_of_rot] - cell_start, width)
-    own = np.full(len(cell_rot), -1)
-    own[cell_start[rot] + point[n:] - grid_start[curve_of_time]] = np.arange(len(times))
-    # the last jump so far, a running max over all cells, in which a jump of
-    # an earlier rotation means none of this one yet
-    last = np.maximum.accumulate(own)
-    last = np.where(last >= rot_start[cell_rot], last, -1)
-    right_on = np.where(last >= 0, right[last], 0.0)
-    at_on = np.where(own >= 0, at[own], right_on)
-    seg_at = np.full(len(grid), -INF)
-    seg_right = np.full(len(grid), -INF)
-    np.maximum.at(seg_at, cell_point, at_on)
-    np.maximum.at(seg_right, cell_point, right_on)
+    first = np.append(True, grid_curve[1:] != grid_curve[:-1])
+    # the largest value a rotation reaches at each point, then so far
+    seg_right = np.zeros(len(grid))
+    np.maximum.at(seg_right, point[n:], right)
+    seg_right = _running(np.maximum, seg_right, first)
+    seg_at = np.where(first, 0.0, np.append(0.0, seg_right[:-1]))
     slope = np.zeros(len(grid))
-    first = np.zeros(len(grid), dtype=bool)
-    first[grid_start] = True
-    keep = _kept(grid, seg_at, seg_right, slope, first) | (n_rot[grid_curve] == 1)
+    keep = _kept(grid, seg_at, seg_right, slope, first)
     return _split([c.horizon for c in curves], grid_curve[keep],
                   grid[keep], seg_at[keep], seg_right[keep], slope[keep])
 

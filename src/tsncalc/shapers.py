@@ -294,7 +294,6 @@ class CreditBounds:
     c_max: float            # frozen-credit upper bound (also the standalone bound)
     c_max_nonfrozen: float  # upper bound with credit accruing during guard bands
     c_min: float
-    sigma_gb: float
     rho_gb: float
 
     def upper(self, credit_mode) -> float:
@@ -338,8 +337,7 @@ def cbs_credit_bounds(ctx: ShaperContext, link_id: str, priority: int) -> Credit
             f"over-reserved credit shaping at {link_id} including guard-band rate "
             f"{rho:.3f} (priority {priority})")
     c_max_nf = idsl_i * (c_min_sum - lower_max - sigma) / denom_nf
-    return CreditBounds(c_max=c_max, c_max_nonfrozen=c_max_nf, c_min=c_min,
-                        sigma_gb=sigma, rho_gb=rho)
+    return CreditBounds(c_max=c_max, c_max_nonfrozen=c_max_nf, c_min=c_min, rho_gb=rho)
 
 
 def cbs_service_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Curve:

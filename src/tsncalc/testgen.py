@@ -184,6 +184,12 @@ class GenSpec:
     def __post_init__(self):
         if not (0.0 <= self.target_load < 1.0):
             raise GenerationError(f"target load {self.target_load} outside [0, 1)")
+        for label, share in (("scheduled load fraction", self.tt_load_fraction),
+                             ("sporadic fraction", self.sporadic_fraction)):
+            if not 0.0 <= share <= 1.0:
+                raise GenerationError(f"{label} {share} outside [0, 1]")
+        if self.flow_count is not None and self.flow_count < 1:
+            raise GenerationError(f"flow count {self.flow_count} below 1")
         if self.kind not in nm.EVENT_KINDS:
             raise GenerationError("event flows must be SP or AVB")
         for priority in self.priorities:

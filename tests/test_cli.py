@@ -333,6 +333,45 @@ def test_generate_refuses_a_priority_outside_0_to_7(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--tt-fraction", "1.5"], "scheduled load fraction 1.5 outside [0, 1]"),
+    (["--tt-fraction", "-0.5"], "scheduled load fraction -0.5 outside [0, 1]"),
+    (["--sporadic-fraction", "3"], "sporadic fraction 3.0 outside [0, 1]"),
+    (["--flows", "0"], "flow count 0 below 1"),
+    (["--flows", "-3"], "flow count -3 below 1"),
+])
+def test_generate_refuses_out_of_range_fractions_and_flow_counts(flags, message, tmp_path, capsys):
+    out = tmp_path / "net.json"
+    rc = cli.main(["generate", "--template", "MM", "--load", "0.3", *flags, "--out", str(out)])
+    assert rc == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds, workers, tt_load, message", [
+    (0, 1, 0.0, "seed count 0 below 1"),
+    (-2, 1, 0.0, "seed count -2 below 1"),
+    (2, 0, 0.0, "worker count 0 below 1"),
+    (2, 1, -0.1, "scheduled load -0.1 below 0"),
+])
+def test_sweep_refuses_out_of_range_seeds_workers_and_tt_load_before_any_cell(
+        seeds, workers, tt_load, message, tmp_path, monkeypatch, capsys):
+    def no_cell(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_cell)
+    with pytest.raises(ConfigurationError) as refused:
+        cli.run_sweep("MM", [0.3], seeds, "SP", "SP", tt_load=tt_load, workers=workers)
+    assert str(refused.value) == message
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--arch", "SP", "--arch2", "SP", "--loads", "0.3",
+                   "--seeds", str(seeds), "--workers", str(workers), "--tt-load", str(tt_load),
+                   "--out", str(out)])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_refuses_an_unknown_architecture_before_any_cell(monkeypatch):
     def no_cell(*args):
         raise AssertionError("a sweep cell ran")

@@ -179,6 +179,34 @@ def test_max_of_staircases_matches_pointwise():
     assert m.long_term_rate() == pytest.approx(max(1000.0 / 300.0, 1500.0 / 500.0 + 200.0 / 250.0))
 
 
+@pytest.mark.parametrize("heights", [(0.1, 0.2), (0.3, 0.6), (0.2, 0.1, 0.7)])
+def test_staircase_value_at_each_jump_is_the_limit_before_it(heights):
+    # a step is left-continuous: its value at a jump is exactly the right
+    # limit at the point before, never a rounding below it; one rotation per
+    # window, as a gate curve has
+    n, period = len(heights), 1000.0
+    rotations = [[(heights[(i + j) % n], 100.0 * j + (period - 100.0 * n if i + j >= n else 0.0), period)
+                  for j in range(n)] for i in range(n)]
+    curves = [mp.StaircaseMax([r], H) for r in rotations] + [mp.StaircaseMax(rotations, H)]
+    built = [c.segments for c in curves]
+    for alone, batched in zip(built, mp._staircases(curves)):
+        for name in ("t", "at", "right"):
+            assert np.array_equal(getattr(alone, name), getattr(batched, name))
+    for seg in built:
+        values = np.column_stack([seg.at, seg.right]).ravel()
+        assert np.all(values[1:] >= values[:-1])
+    for seg in built[:n]:
+        assert np.array_equal(seg.at[1:], seg.right[:-1])
+    # the max: its right limit after each jump time of any rotation, and the
+    # value at each of its points is that limit at the jump time before
+    # (compression may have merged a rise of at most 1e-12 in between)
+    grid = np.unique(np.concatenate([seg.t for seg in built[:n]]))
+    after = np.max([seg.right[seg._locate(grid)] for seg in built[:n]], axis=0)
+    point = np.searchsorted(grid, built[n].t)
+    assert np.array_equal(built[n].right, after[point])
+    assert np.array_equal(built[n].at, np.append(0.0, after[:-1])[point])
+
+
 def test_empty_lists_rejected():
     with pytest.raises(ValueError):
         mp.min_of([])

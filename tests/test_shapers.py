@@ -121,7 +121,8 @@ def test_tt_arrival_two_windows_matches_enumeration():
 
 
 def _looped_staircase(terms, horizon):
-    """(t, at, right) of one sum of step terms, accumulated term by term."""
+    """(t, at, right) of one sum of step terms, accumulated term by term;
+    the value at each jump is the right limit at the point before."""
     times, heights = [], []
     for height, offset, period in terms:
         if height == 0.0 or offset > horizon:
@@ -135,7 +136,7 @@ def _looped_staircase(terms, horizon):
     if t[0] != 0.0:
         t, jumps = np.concatenate([[0.0], t]), np.concatenate([[0.0], jumps])
     right = np.cumsum(jumps)
-    return t, right - jumps, right
+    return t, np.concatenate([[0.0], right[:-1]]), right
 
 
 def _folded_tt_arrival(gcl, guard_bands, variant, rate, horizon):
