@@ -30,9 +30,8 @@ cached on the node:
   the floating-point operations of the one-curve operator it replaces, so
   a batch is bit for bit the curves built one by one.
 
-``deviations`` has three cases, all exact; nothing is sampled:
+``deviations`` has two cases, both exact; nothing is sampled:
 
-- against a burst-delay service (shaped queues), a formula, over all t;
 - a concave arrival curve against a convex service curve (the gate-free
   strict-priority, reshaping and credit-based analyses), the line crossings
   of the envelopes, over all t;
@@ -71,11 +70,9 @@ class Segments:
 
     ``t`` are strictly increasing breakpoints with t[0] == 0.  For each k,
     ``at[k]`` is f(t[k]), ``right[k]`` is f(t[k]+) and ``slope[k]`` applies on
-    (t[k], t[k+1]); the last slope extends to the horizon.  Only a burst
-    delay's own segments hold ``inf`` (on a zero slope), for ``evaluate``; the
-    operators and deviations below take finite values.  The four arrays are
-    read-only, so the inverse table computed from them on first use stays
-    valid.
+    (t[k], t[k+1]); the last slope extends to the horizon.  The four arrays
+    are read-only, so the inverse table computed from them on first use
+    stays valid.
     """
 
     __slots__ = ("t", "at", "right", "slope", "horizon", "_table")
@@ -591,28 +588,6 @@ def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
                      argmax_h=h_witness, argmax_v=v_witness)
 
 
-def _burst_delay_deviations(alpha: "Curve", delay: float) -> Deviation:
-    """Deviations of any arrival curve against the burst delay delta_D.
-
-    With t0 the first time alpha exceeds 0, the horizontal deviation is
-    D - t0 (0 when t0 >= D) and the vertical one alpha(D); the witnesses
-    are t0 (0 when the deviation is 0) and D.  A segment curve gives
-    alpha(D) only within its horizon.
-    """
-    env = _operand(alpha, concave=True)
-    if env is not None:
-        t0 = env.inverse(0.0, strict=True)
-        backlog = env.value(delay) if delay > 0.0 else 0.0
-    else:
-        seg = alpha.segments
-        if not seg.is_nondecreasing():
-            raise ValueError("deviations require non-decreasing curves")
-        t0 = float(_pinv(seg, np.zeros(1))[1][0])
-        backlog = alpha.evaluate(delay)
-    h = max(0.0, delay - t0)
-    return Deviation(horizontal=h, vertical=backlog, argmax_h=t0 if h > 0.0 else 0.0, argmax_v=delay)
-
-
 # ---------------------------------------------------------------------------
 # Curve nodes
 # ---------------------------------------------------------------------------
@@ -655,8 +630,13 @@ class Curve:
         raise NotImplementedError
 
     def evaluate(self, t: float) -> float:
-        if t < 0:
+        """f(t), 0 for t <= 0: from the closed form, exact for every t, when
+        the curve has one; else from the segments, within the horizon only."""
+        if t <= 0.0:
             return 0.0
+        env = self.envelope
+        if env is not None:
+            return env.value(t)
         if t > self.horizon + TOLERANCE:
             raise HorizonExceededError(f"t={t} exceeds curve horizon {self.horizon}")
         return self.segments.value(min(t, self.horizon))
@@ -714,28 +694,6 @@ class RateLatency(Curve):
 
     def long_term_rate(self) -> float:
         return self.rate
-
-
-class BurstDelay(Curve):
-    """0 up to and including the delay, +inf after (delta_D)."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float, horizon: float):
-        super().__init__(horizon)
-        if delay < 0:
-            raise ValueError("delay must be >= 0")
-        self.delay = float(delay)
-
-    def _build(self) -> Segments:
-        if self.delay >= self.horizon:
-            return _zero_segments(self.horizon)
-        if self.delay == 0.0:
-            return Segments([0.0], [0.0], [INF], [0.0], self.horizon)
-        return Segments([0.0, self.delay], [0.0, 0.0], [0.0, INF], [0.0, 0.0], self.horizon)
-
-    def long_term_rate(self) -> float:
-        return INF
 
 
 class StaircaseMax(Curve):
@@ -1070,17 +1028,14 @@ def zero(horizon: float) -> Curve:
 def deviations(alpha: Curve, beta: Curve) -> Deviation:
     """Both deviations between an arrival and a service curve, with witnesses.
 
-    Three cases, each exact and sampling nothing: a burst-delay service by
-    its formula; a concave arrival against a convex service from the line
-    crossings of their closed forms, over all t; every other pair from the
-    segments on [0, H], at the union of curve breakpoints, staircase jump
-    points and the level crossings they induce.  Raises InstabilityError
-    when the deviations are unbounded, and HorizonExceededError when the
-    segments' alpha(H) > beta(H).
+    Two cases, each exact and sampling nothing: a concave arrival against a
+    convex service from the line crossings of their closed forms, over all
+    t; every other pair from the segments on [0, H], at the union of curve
+    breakpoints, staircase jump points and the level crossings they induce.
+    Raises InstabilityError when the deviations are unbounded, and
+    HorizonExceededError when the segments' alpha(H) > beta(H).
     """
     _check_rates(alpha, beta)
-    if isinstance(beta, BurstDelay):
-        return _burst_delay_deviations(alpha, beta.delay)
     closed = _closed_deviations(alpha, beta)
     return closed if closed is not None else _segment_deviations(alpha, beta)
 

@@ -276,7 +276,7 @@ class ShaperContext:
             return budget
         return budget * class_rates[priority] / total
 
-    @_per_view()
+    @_per_view("credit_mode")
     def credit_bounds(self, link_id: str, priority: int) -> CreditBounds:
         return cbs_credit_bounds(self, link_id, priority)
 
@@ -292,9 +292,8 @@ class ShaperContext:
 @dataclass(frozen=True)
 class CreditBounds:
     c_max: float            # frozen-credit upper bound (also the standalone bound)
-    c_max_nonfrozen: float  # upper bound with credit accruing during guard bands
+    c_max_nonfrozen: float  # with credit accruing during guard bands; inf if unbounded
     c_min: float
-    rho_gb: float
 
     def upper(self, credit_mode) -> float:
         return self.c_max_nonfrozen if credit_mode == "nonfrozen" else self.c_max
@@ -302,7 +301,9 @@ class CreditBounds:
 
 def cbs_credit_bounds(ctx: ShaperContext, link_id: str, priority: int) -> CreditBounds:
     """Credit bounds of the class serving ``priority`` at a port, for any
-    number of classes above it."""
+    number of classes above it.  Where guard bands let credit accrue
+    without bound, the nonfrozen bound is refused in nonfrozen mode and inf
+    in any other, which never reads it."""
     rate = ctx.link_rate(link_id)
     prios = ctx.priorities_at(link_id)
     if priority not in prios:
@@ -332,12 +333,15 @@ def cbs_credit_bounds(ctx: ShaperContext, link_id: str, priority: int) -> Credit
 
     sigma, rho = ctx.envelope(link_id) if ctx.arch.tas else (0.0, 0.0)
     denom_nf = rho + idsl_sum - rate
-    if denom_nf >= 0.0:
+    if denom_nf < 0.0:
+        c_max_nf = idsl_i * (c_min_sum - lower_max - sigma) / denom_nf
+    elif ctx.credit_mode == "nonfrozen":
         raise ConfigurationError(
             f"over-reserved credit shaping at {link_id} including guard-band rate "
             f"{rho:.3f} (priority {priority})")
-    c_max_nf = idsl_i * (c_min_sum - lower_max - sigma) / denom_nf
-    return CreditBounds(c_max=c_max, c_max_nonfrozen=c_max_nf, c_min=c_min, rho_gb=rho)
+    else:
+        c_max_nf = mp.INF
+    return CreditBounds(c_max=c_max, c_max_nonfrozen=c_max_nf, c_min=c_min)
 
 
 def cbs_service_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Curve:
@@ -457,7 +461,8 @@ def shaped_queue_analysis(ctx: ShaperContext, link_id: str, upstream_id: str,
 
     Reshaping adds nothing to the combined upstream-plus-regulator delay, so
     the shaped-queue bound is the upstream bound minus the minimum residence
-    time there; its service is a pure delay element.
+    time there, and its backlog bound is the queue's arrival curve at that
+    delay.
     """
     flows = [f for f in ctx.class_flows(link_id, priority)
              if ctx.network.previous_link(f, link_id) == upstream_id]
@@ -471,8 +476,7 @@ def shaped_queue_analysis(ctx: ShaperContext, link_id: str, upstream_id: str,
     terms = [mp.Affine(b + r * upstream_delay, r, ctx.horizon)
              for b, r in map(nm.leaky_bucket_of, flows)]
     alpha = _upstream_capped(ctx, upstream_id, priority, mp.sum_of(terms))
-    beta = mp.BurstDelay(delay, ctx.horizon)
-    return delay, mp.deviations(alpha, beta).vertical
+    return delay, alpha.evaluate(delay)
 
 
 # ---------------------------------------------------------------------------

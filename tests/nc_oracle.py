@@ -22,11 +22,10 @@ STEP = 0.1   # grid step, us
 class CurveSpec:
     """Parametric description of one test curve."""
 
-    kind: str  # affine | ratelatency | burstdelay | staircase | minlines | maxlines | sum
+    kind: str  # affine | ratelatency | staircase | minlines | maxlines | sum
     burst: float = 0.0
     rate: float = 0.0
     latency: float = 0.0
-    delay: float = 0.0
     # staircase: (height, offset, period); minlines/maxlines: (intercept,
     # slope); sum: CurveSpecs
     terms: tuple = field(default_factory=tuple)
@@ -36,8 +35,6 @@ class CurveSpec:
             return self.rate
         if self.kind == "ratelatency":
             return self.rate
-        if self.kind == "burstdelay":
-            return math.inf
         if self.kind == "minlines":
             return min(s for _, s in self.terms)
         if self.kind == "maxlines":
@@ -54,8 +51,6 @@ def oracle_eval(spec: CurveSpec, ts: np.ndarray) -> np.ndarray:
         return np.where(ts > 0, spec.burst + spec.rate * ts, 0.0)
     if spec.kind == "ratelatency":
         return spec.rate * np.maximum(0.0, ts - spec.latency)
-    if spec.kind == "burstdelay":
-        return np.where(ts > spec.delay, math.inf, 0.0)
     if spec.kind == "staircase":
         total = np.zeros_like(ts)
         for height, offset, period in spec.terms:
@@ -160,8 +155,6 @@ def _beta_floor(spec: CurveSpec, horizon: float) -> float:
         return spec.burst + spec.rate * horizon
     if spec.kind == "ratelatency":
         return spec.rate * max(0.0, horizon - spec.latency)
-    if spec.kind == "burstdelay":
-        return math.inf
     return sum(h * math.floor((horizon - o) / p) for h, o, p in spec.terms)
 
 
@@ -170,8 +163,6 @@ def random_spec(rng: np.random.Generator, kind: str) -> CurveSpec:
         return CurveSpec("affine", burst=float(rng.uniform(0, 15000)), rate=float(rng.uniform(0.05, 60)))
     if kind == "ratelatency":
         return CurveSpec("ratelatency", rate=float(rng.uniform(5, 100)), latency=_snap(rng.uniform(0, 400)))
-    if kind == "burstdelay":
-        return CurveSpec("burstdelay", delay=_snap(rng.uniform(0, 400)))
     n_terms = int(rng.integers(1, 4))
     terms = []
     for _ in range(n_terms):
@@ -199,7 +190,7 @@ def random_deviation_pair(rng: np.random.Generator):
     well inside four hyperperiods, so horizon truncation plays no role."""
     for _ in range(500):
         alpha = random_spec(rng, str(rng.choice(["affine", "staircase"])))
-        beta = random_spec(rng, str(rng.choice(["ratelatency", "affine", "staircase", "burstdelay"])))
+        beta = random_spec(rng, str(rng.choice(["ratelatency", "affine", "staircase"])))
         ra, rb = alpha.long_term_rate(), beta.long_term_rate()
         if not (ra <= 0.6 * rb):
             continue
@@ -217,8 +208,6 @@ def to_curve(spec: CurveSpec, horizon: float):
         return mp.Affine(spec.burst, spec.rate, horizon)
     if spec.kind == "ratelatency":
         return mp.RateLatency(spec.rate, spec.latency, horizon)
-    if spec.kind == "burstdelay":
-        return mp.BurstDelay(spec.delay, horizon)
     return mp.StaircaseMax([list(spec.terms)], horizon)
 
 

@@ -389,6 +389,20 @@ def test_combined_cbs_credit_modes_end_to_end():
             assert fb.wcd >= fb.lb - 1e-9
 
 
+def test_guard_band_credit_refusal_does_not_mask_a_frozen_analysis():
+    # guard bands take 27 % of SW1->SW2's unscheduled time; only the
+    # nonfrozen credit bound reads them, and the frozen analysis fails for
+    # its own reason, priority 5's arrival rate
+    net = tg.generate("MT", tg.GenSpec(target_load=0.6, tt_load_fraction=0.5, priorities=(6, 5),
+                                       seed=0, periods=(1000.0, 2000.0)))
+    net.idle_slopes = {"SW1->SW2": {6: 74.0, 5: 1.0}}
+    with pytest.raises(InstabilityError, match=r"^queue \(SW1->SW2, P5\): arrival rate"):
+        engine.analyze(net, "TAS+CBS", credit_mode="frozen")
+    with pytest.raises(ConfigurationError, match=r"^over-reserved credit shaping at SW1->SW2 "
+                                                 r"including guard-band rate 27\.363 \(priority 5\)$"):
+        engine.analyze(net, "TAS+CBS", credit_mode="nonfrozen")
+
+
 def test_horizon_override_respected():
     net = single_hop_net()
     rep = engine.analyze(net, "SP", horizon=64000.0)

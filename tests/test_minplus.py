@@ -23,12 +23,6 @@ def test_evaluate_affine():
     assert c.evaluate(0.0) == 0.0
 
 
-def test_evaluate_burst_delay():
-    c = mp.BurstDelay(50.0, H)
-    assert c.evaluate(50.0) == 0.0
-    assert c.evaluate(50.0001) == math.inf
-
-
 def test_evaluate_staircase_single_term():
     c = mp.StaircaseMax([[(1e4, 0.0, 1000.0)]], H)
     assert c.evaluate(1.0) == pytest.approx(1e4)
@@ -66,7 +60,7 @@ def test_running_integral_adds_the_steps_of_equal_times():
 
 
 def test_evaluate_beyond_horizon_raises():
-    c = mp.Affine(1.0, 1.0, 100.0)
+    c = mp.StaircaseMax([[(1e4, 0.0, 50.0)]], 100.0)
     with pytest.raises(mp.HorizonExceededError):
         c.evaluate(101.0)
 
@@ -471,16 +465,13 @@ def _random_concave(rng):
 
 
 def _random_convex(rng):
-    """(curve, oracle spec): rate-latency, burst-delay, or the leftover of a
-    link after higher-priority traffic, as closure or as positive part."""
-    kind = rng.integers(4)
+    """(curve, oracle spec): rate-latency, or the leftover of a link after
+    higher-priority traffic, as closure or as positive part."""
+    kind = rng.integers(3)
     if kind == 0:
         rate, latency = float(rng.uniform(5, 100)), orc._snap(rng.uniform(0, 400))
         return (mp.RateLatency(rate, latency, CLOSED_H),
                 orc.CurveSpec("ratelatency", rate=rate, latency=latency))
-    if kind == 1:
-        delay = orc._snap(rng.uniform(0, 400))
-        return mp.BurstDelay(delay, CLOSED_H), orc.CurveSpec("burstdelay", delay=delay)
     link = float(rng.uniform(60, 100))
     higher = _concave_lines(rng, int(rng.integers(1, 4)), 0.5 * link)
     while True:
@@ -491,7 +482,7 @@ def _random_convex(rng):
             break
     inner = mp.sum_of([mp.Affine(-lower, link, CLOSED_H),
                        mp.scale(-1.0, mp.min_of([mp.Affine(d, s, CLOSED_H) for d, s in higher]))])
-    curve = mp.up_closure(inner) if kind == 2 else mp.max_of([inner, mp.zero(CLOSED_H)])
+    curve = mp.up_closure(inner) if kind == 1 else mp.max_of([inner, mp.zero(CLOSED_H)])
     lines = tuple((-lower - d, link - s) for d, s in higher)
     return curve, orc.CurveSpec("maxlines", terms=lines)
 
@@ -549,9 +540,8 @@ def test_randomized_closed_form_matches_segments_and_oracle():
         if orc.oracle_eval(b_spec, ends)[0] < orc.oracle_eval(a_spec, ends)[0] + 1000.0:
             continue
         dev = mp.deviations(alpha, beta)
-        if b_spec.kind != "burstdelay":
-            assert mp._closed_deviations(alpha, beta) == dev
-            _assert_same_deviations(dev, mp._segment_deviations(alpha, beta))
+        assert mp._closed_deviations(alpha, beta) == dev
+        _assert_same_deviations(dev, mp._segment_deviations(alpha, beta))
         _assert_matches_oracle(dev, a_spec, b_spec, CLOSED_H)
         checked += 1
 
@@ -565,10 +555,6 @@ def _rate_latency(rate, latency):
 
 def _affine(burst, rate):
     return lambda h: (mp.Affine(burst, rate, h), orc.CurveSpec("affine", burst=burst, rate=rate))
-
-
-def _burst_delay(delay):
-    return lambda h: (mp.BurstDelay(delay, h), orc.CurveSpec("burstdelay", delay=delay))
 
 
 def _min_affines(*lines):
@@ -602,17 +588,6 @@ CLOSED_EDGE_CASES = {
     "service kink above the burst": (_affine(1000.0, 20.0),
                                      _max_affines((-500.0, 10.0), (-18500.0, 100.0)),
                                      (175.0, 3500.0)),
-    "burst delay 0": (_affine(2000.0, 10.0), _burst_delay(0.0), (0.0, 0.0)),
-    "burst delay inside": (_affine(2000.0, 10.0), _burst_delay(150.0), (150.0, 3500.0)),
-    "burst delay at horizon": (_affine(2000.0, 10.0), _burst_delay(H), (H, 42000.0)),
-    "burst delay at horizon, no traffic": (_affine(0.0, 0.0), _burst_delay(H), (0.0, 0.0)),
-    "burst delay beyond horizon": (_affine(1.0, 0.0), _burst_delay(2 * H), (2 * H, 1.0)),
-    # arrival curves without a closed form: alpha first exceeds 0 at 120 us
-    "burst delay up to the first arrival": (_staircase((3000.0, 120.0, 500.0)),
-                                            _burst_delay(120.0), (0.0, 0.0)),
-    "burst delay after the first arrival": (_staircase((3000.0, 120.0, 500.0)),
-                                            _burst_delay(300.0), (180.0, 3000.0)),
-    "burst delay inside the latency": (_rate_latency(20.0, 80.0), _burst_delay(50.0), (0.0, 0.0)),
     "first arrival rate equals service rate": (
         _min_affines((1000.0, 100.0), (5000.0, 10.0)),
         _rate_latency(100.0, 20.0), (30.0, 3000.0)),  # flat up to the kink at 44.4
@@ -643,10 +618,34 @@ def test_closed_form_edge_cases(name):
     dev = mp.deviations(alpha, beta)
     assert (dev.horizontal, dev.vertical) == pytest.approx(want, abs=1e-9)
     _assert_matches_oracle(dev, a_spec, b_spec, ORACLE_H)
-    if b_spec.kind != "burstdelay":
-        assert mp._closed_deviations(alpha, beta) == dev
-        seg = mp._segment_deviations(make_alpha(SEGMENTS_H)[0], make_beta(SEGMENTS_H)[0])
-        _assert_same_deviations(dev, seg)
+    assert mp._closed_deviations(alpha, beta) == dev
+    seg = mp._segment_deviations(make_alpha(SEGMENTS_H)[0], make_beta(SEGMENTS_H)[0])
+    _assert_same_deviations(dev, seg)
+
+
+# a shaped queue's backlog: its arrival curve at its delay
+EVALUATE_CASES = {
+    # name: (curve, t, value)
+    "delay 0": (_affine(2000.0, 10.0), 0.0, 0.0),
+    "inside": (_affine(2000.0, 10.0), 150.0, 3500.0),
+    "at horizon": (_affine(2000.0, 10.0), H, 42000.0),
+    "at horizon, no traffic": (_affine(0.0, 0.0), H, 0.0),
+    "beyond horizon": (_affine(1.0, 0.0), 2 * H, 1.0),
+    # a closed form is read for every t
+    "line beyond horizon": (_affine(2000.0, 10.0), 2 * H, 82000.0),
+    # curves without a closed form: alpha first exceeds 0 at 120 us
+    "up to the first arrival": (_staircase((3000.0, 120.0, 500.0)), 120.0, 0.0),
+    "after the first arrival": (_staircase((3000.0, 120.0, 500.0)), 300.0, 3000.0),
+    "inside the latency": (_rate_latency(20.0, 80.0), 50.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATE_CASES))
+def test_evaluate_cases(name):
+    make, t, want = EVALUATE_CASES[name]
+    curve, spec = make(H)
+    assert curve.evaluate(t) == pytest.approx(want, abs=1e-9)
+    assert orc.oracle_eval(spec, np.array([t]))[0] == pytest.approx(want, abs=1e-9)
 
 
 def test_segment_witness_is_the_first_maximum():
@@ -859,7 +858,6 @@ def test_envelope_absent_outside_the_token_bucket_family():
     falling = mp.sum_of([mp.Affine(500.0, 10.0, H), mp.scale(-1.0, mp.Affine(0.0, 20.0, H))])
     concave = mp.min_of([mp.Affine(100.0, 30.0, H), mp.Affine(2000.0, 5.0, H)])
     assert gate.envelope is None
-    assert mp.BurstDelay(10.0, H).envelope is None
     assert mp.sum_of([mp.Affine(0.0, 100.0, H), mp.scale(-1.0, gate)]).envelope is None
     # the closure of a curve that jumps up at 0 and then falls stays flat,
     # which no max of lines is

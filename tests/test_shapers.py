@@ -739,6 +739,27 @@ def test_credit_bounds_over_reserved():
         sh.cbs_credit_bounds(ctx, "L", 4)
 
 
+def test_guard_band_credit_refusal_holds_in_nonfrozen_mode_only():
+    # three guard bands of 121.76 us take 43 % of the unscheduled time, so
+    # credit accruing in them outgrows what priority 5's 74 bits/us leaves
+    # priority 4; the frozen bound never reads the guard-band rate
+    net = port_network([("a", "AVB", 12176.0, 5, 1000.0), ("b", "AVB", 512.0, 4, 10000.0)],
+                       tt_windows=[(100.0, 50.0), (400.0, 50.0), (700.0, 50.0)],
+                       idle_slopes={5: 74.0, 4: 1.0}, be=True)
+    frozen, nonfrozen = make_ctx(net, "TAS+CBS", "frozen"), make_ctx(net, "TAS+CBS", "nonfrozen")
+    bounds = sh.cbs_credit_bounds(frozen, "L", 4)
+    assert bounds.c_max == pytest.approx((-26.0 * 12176.0 / 100.0 - 12176.0) / -26.0)
+    assert np.isinf(bounds.c_max_nonfrozen)
+    with pytest.raises(ConfigurationError, match=r"^over-reserved credit shaping at L including "
+                                                 r"guard-band rate 42\.974 \(priority 4\)$"):
+        sh.cbs_credit_bounds(nonfrozen, "L", 4)
+    # the top class's nonfrozen bound is finite, and the same in both modes
+    top = sh.cbs_credit_bounds(frozen, "L", 5)
+    assert np.isfinite(top.c_max_nonfrozen)
+    assert top == sh.cbs_credit_bounds(nonfrozen, "L", 5)
+    assert sh.cbs_service_curve(frozen, "L", 4).long_term_rate() > 0.0
+
+
 def test_cbs_service_curve_alone_is_rate_latency():
     ctx = make_ctx(cbs_port(), "CBS")
     beta = sh.cbs_service_curve(ctx, "L", 5)
@@ -766,7 +787,7 @@ def test_cbs_service_nonfrozen_credit_dominance():
                        idle_slopes={5: 40.0}, be=True)
     ctx_nf = make_ctx(net, "TAS+CBS", "nonfrozen")
     bounds = sh.cbs_credit_bounds(ctx_nf, "L", 5)
-    assert bounds.rho_gb > 0.0
+    assert ctx_nf.envelope("L")[1] > 0.0  # the guard-band rate
     assert bounds.c_max_nonfrozen >= bounds.c_max
     beta_nf = sh.cbs_service_curve(ctx_nf, "L", 5)
     idsl = 40.0
