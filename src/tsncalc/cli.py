@@ -7,7 +7,12 @@ in capitals with dashes as underscores: --network, --arch, --arch2,
 --credit-mode, --out-dir, --horizon-us (``TSNCALC_HORIZON_US``), --template,
 --load, --seed, --seeds, --workers and --out.  A number there that does not
 parse is a usage error of the subcommand that takes the flag, and only of
-it; the other flags read no variable.
+it; the other flags read no variable.  ``main`` reuses its parser while
+these twelve variables are unchanged, and builds a new one when one of
+them changes.
+
+Sweep workers run the cells of one ``run_sweep`` and exit once its process
+is gone.
 
 Every subcommand resolves --credit-mode with ``shapers.credit_modes``: an
 architecture that combines gates and credit shaping takes it, "frozen" by
@@ -28,8 +33,11 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import os
 import sys
+import threading
+import time
 from pathlib import Path
 
 from . import engine
@@ -51,6 +59,13 @@ EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_INSTABILITY = 3
 EXIT_CYCLE = 4
+
+WORKER_WATCH_S = 0.2  # how often a sweep worker checks that its sweep lives
+
+
+#: The flags whose defaults ``build_parser`` reads from the environment.
+ENV_FLAGS = ("network", "arch", "arch2", "credit_mode", "out_dir", "horizon_us",
+             "template", "load", "seed", "seeds", "workers", "out")
 
 
 def _env(name, default=None):
@@ -230,6 +245,35 @@ def _sweep_point(template, load, tt_load, kind, seed, arch1, arch2, credit_mode,
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
+def _exit_with_parent(sweep_pid) -> None:
+    """Sweep worker initializer: a daemon thread ends the worker once its
+    sweep is gone.  A forked or spawned worker sees that as a change of its
+    parent's pid.  The parent of a fork server's worker is the server,
+    which lives as long as its workers, so such a worker checks that the
+    sweep's pid still names a process (on POSIX only, where signal 0 tests
+    for one).  A forked worker holds the write end of its own call queue,
+    so it would otherwise wait for cells forever after a SIGTERM to the
+    sweep."""
+    parent = os.getppid()
+    probe = parent != sweep_pid and os.name == "posix"
+
+    def sweep_lives():
+        if os.getppid() != parent:
+            return False
+        try:
+            if probe:
+                os.kill(sweep_pid, 0)
+        except OSError:
+            return False
+        return True
+
+    def watch():
+        while sweep_lives():
+            time.sleep(WORKER_WATCH_S)
+        os._exit(1)
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 def run_sweep(template, loads, seeds, arch1, arch2, credit_mode=None, tt_load=0.0,
               kind="SP", metrics=("delay", "backlog"), workers=1):
     """Ratio table over (load, seed); failures are recorded and skipped.
@@ -252,7 +296,8 @@ def run_sweep(template, loads, seeds, arch1, arch2, credit_mode=None, tt_load=0.
     if workers > 1:
         # processes, not threads: a cell is pure Python, which the
         # interpreter lock would run one thread at a time
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
             futs = {
                 pool.submit(_sweep_point, template, load, tt_load, kind, seed,
                             arch1, arch2, credit_mode, metrics): (load, seed)
@@ -312,8 +357,16 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(env) -> argparse.ArgumentParser:
+    """The parser built while the variables of ENV_FLAGS have the values
+    ``env``.  A parse leaves no state on the parser, so calls, and threads,
+    share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser(tuple(map(_env, ENV_FLAGS))).parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except TsnCalcError as exc:

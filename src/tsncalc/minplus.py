@@ -8,27 +8,30 @@ for t > 0).
 Units are microseconds for time and bits for data, so rates are bits/us
 (numerically equal to Mb/s).
 
-A node has up to two exact representations, each computed lazily and
-cached on the node:
+A curve has up to two exact representations:
 
 - ``envelope``: the token-bucket family in closed form, for t > 0 the min
-  (concave) or the max (convex) of a few lines, and 0 at t = 0.  Affine and
-  rate-latency curves have one, and so do min, max, sum, scaling and the
-  non-decreasing closure of curves that have one, as long as the result
-  stays a min or a max of lines.  Gate staircases and TDMA curves, given
-  by one period of terms or windows, have none.
-- ``segments``: a piecewise-linear function on [0, horizon] with jumps.
-  Every curve has it.  A curve with an envelope converts it, one segment
-  per line.  Any other curve builds it from its operands' segments: a sum
-  on one union grid, a min or max folded two at a time (``_pointwise``),
-  and the closure with one running maximum.  A TDMA service takes the min
-  of its rotations on one period and repeats it.  A leftover (``leftover``:
-  a line less scaled terms, closed) is that chain of nodes.  Gate
-  staircases, and the leftovers of a line less one scaled staircase (the
-  gated top-priority services), can also be built as batches of rows, one
-  pass over all the rows per step (``build_leftovers``); each step does
-  the floating-point operations of the one-curve operator it replaces, so
-  a batch is bit for bit the curves built one by one.
+  (concave) or the max (convex) of a few lines, and 0 at t = 0, computed
+  when the curve is built.  Affine and rate-latency curves have one, and so
+  do min, max, sum, scaling and the non-decreasing closure of curves that
+  have one, as long as the result stays a min or a max of lines: the
+  operators then fold their operands' closed forms into a ``Closed`` curve,
+  and build a node (``Pointwise``, ``Scale``, ``UpClosure``) only for a
+  result outside the family.  Gate staircases and TDMA curves, given by one
+  period of terms or windows, have none.
+- ``segments``: a piecewise-linear function on [0, horizon] with jumps,
+  built on first use and kept.  Every curve has it.  A curve with an
+  envelope converts it, one segment per line.  Any other curve builds it
+  from its operands' segments: a sum on one union grid, a min or max
+  folded two at a time (``_pointwise``), and the closure with one running
+  maximum.  A TDMA service takes the min of its rotations on one period
+  and repeats it.  A leftover (``leftover``: a line less scaled terms,
+  closed) is that chain of nodes.  Gate staircases, and the leftovers of a
+  line less one scaled staircase (the gated top-priority services), can
+  also be built as batches of rows, one pass over all the rows per step
+  (``build_leftovers``); each step does the floating-point operations of
+  the one-curve operator it replaces, so a batch is bit for bit the curves
+  built one by one.
 
 ``deviations`` has two cases, both exact; nothing is sampled:
 
@@ -46,6 +49,7 @@ cached on the node:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -410,56 +414,51 @@ def _vdev_segments(a: Segments, b: Segments):
 # Closed form of the token-bucket family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Envelope:
     """f(0) = 0 and, for t > 0, the min (``sense`` 1, concave) or the max
     (``sense`` -1, convex) of the lines ``intercept + slope*t`` in ``lines``.
 
     ``lines`` is the envelope itself: each line is active on one interval,
     in order of t, and no other line is ever active.  A single line is both
-    a min and a max (``sense`` 0).
+    a min and a max (``sense`` 0).  What the deviations read is computed
+    once, when the envelope is made: ``start`` (f(0+)), ``sup`` (the last
+    line's intercept when that line is flat, else inf), ``kinks`` (every
+    time t > 0 where the active line changes, in order) and ``rising`` (the
+    lines of positive slope).
     """
 
-    sense: int
-    lines: tuple  # ((intercept, slope), ...)
+    __slots__ = ("sense", "lines", "start", "sup", "kinks", "rising")
+
+    def __init__(self, sense: int, lines: tuple):
+        self.sense = sense
+        self.lines = lines  # ((intercept, slope), ...)
+        self.start = lines[0][0]
+        d, s = lines[-1]
+        self.sup = INF if s > 0.0 else d
+        if len(lines) == 1:
+            self.kinks = ()
+            self.rising = lines if s > 0.0 else ()
+        else:
+            self.kinks = tuple((d1 - d0) / (s0 - s1) for (d0, s0), (d1, s1) in zip(lines, lines[1:]))
+            self.rising = tuple(line for line in lines if line[1] > 0.0)
+
+    def __eq__(self, other):
+        return isinstance(other, Envelope) and (self.sense, self.lines) == (other.sense, other.lines)
+
+    def __repr__(self):
+        return f"Envelope(sense={self.sense}, lines={self.lines})"
 
     def value(self, t: float) -> float:
         """f(t) for t > 0."""
         vals = [d + s * t for d, s in self.lines]
         return max(vals) if self.sense < 0 else min(vals)
 
-    def kinks(self) -> list:
-        """Every time t > 0 where the active line changes, in order."""
-        return [(d1 - d0) / (s0 - s1) for (d0, s0), (d1, s1) in zip(self.lines, self.lines[1:])]
-
-    @property
-    def start(self) -> float:
-        """f(0+)."""
-        return self.lines[0][0]
-
-    @property
-    def sup(self) -> float:
-        """The supremum of a non-decreasing envelope: the last line's
-        intercept when that line is flat, else inf."""
-        d, s = self.lines[-1]
-        return INF if s > 0.0 else d
-
-    def inverse(self, y: float, strict: bool) -> float:
-        """First t at which a non-decreasing envelope reaches (strict:
-        exceeds) level y >= 0; inf if it never does."""
-        top = self.sup
-        if y > top or (strict and y >= top):
-            return INF
-        if y < self.start or (y == self.start and not strict):
-            return 0.0
-        # a min of lines reaches y once every line has; a max once one has
-        times = [(y - d) / s for d, s in self.lines if s > 0.0]
-        return max(times) if self.sense > 0 else min(times)
-
 
 def _hull(sense: int, lines) -> Envelope:
     """The lower (``sense`` 1) or upper (``sense`` -1) envelope over t > 0
-    of the lines (intercept, slope)."""
+    of the lines (intercept, slope), a sequence of tuples."""
+    if len(lines) <= 2:
+        return _hull_of_two(sense, lines)
     hull = []
     # the lower envelope of the mirrored lines, steepest first; on a tie of
     # slopes the lowest intercept is the only candidate
@@ -482,10 +481,27 @@ def _hull(sense: int, lines) -> Envelope:
     return Envelope(sense if len(hull) > 1 else 0, tuple((sense * d, sense * s) for d, s in hull))
 
 
+def _hull_of_two(sense: int, lines) -> Envelope:
+    """``_hull`` of one or two lines, with the same comparisons and no sort.
+    Mirroring twice by the sense gives back each line bit for bit, so the
+    lines kept are the ones given."""
+    if len(lines) == 1:
+        return Envelope(0, (lines[0],))
+    first, second = lines
+    (d0, s0), (d1, s1) = ((sense * d, sense * s) for d, s in lines)
+    if (-s1, d1) < (-s0, d0):  # the order that ``_hull`` sorts them in
+        first, second, d0, s0, d1, s1 = second, first, d1, s1, d0, s0
+    if s1 == s0:
+        return Envelope(0, (first,))
+    if d1 <= d0:
+        return Envelope(0, (second,))
+    return Envelope(sense, (first, second))
+
+
 def _envelope_segments(env: Envelope, horizon: float) -> Segments:
     """The segments of a closed form on [0, horizon]: 0 at t = 0, then one
     segment per line that becomes active before the horizon, from its kink."""
-    start = np.concatenate([[0.0], env.kinks()])
+    start = np.concatenate([[0.0], env.kinks])
     live = start < horizon
     t = start[live]
     intercept, slope = np.array(env.lines)[live].T
@@ -515,40 +531,26 @@ def _sum_envelopes(envs) -> Envelope | None:
         return envs[0]
     if not senses:
         return Envelope(0, (_add_lines(e.lines[0] for e in envs),))
-    kinks = [e.kinks() for e in envs]
-    # each term's line active just after each merged kink
-    lines = [_add_lines(e.lines[sum(k <= x for k in ks)] for e, ks in zip(envs, kinks))
-             for x in sorted({0.0}.union(*kinks))]
+    # each term's line active just after each merged kink: the one after
+    # the term's kinks up to it
+    lines = [_add_lines(e.lines[bisect.bisect_right(e.kinks, x)] for e in envs)
+             for x in sorted({0.0}.union(*(e.kinks for e in envs)))]
     return _hull(senses.pop(), lines)
 
 
-#: Marks a node whose closed form is not computed yet.
-_UNSET = object()
-
-
-def _operand(curve: "Curve", concave: bool) -> Envelope | None:
-    """The closed form of a non-decreasing curve that is concave (arrival)
-    or convex (service); else None."""
-    env = curve.envelope
-    if env is None or env.sense == (-1 if concave else 1):
-        return None
-    if env.start < 0.0 or min(s for _, s in env.lines) < 0.0:
-        return None
-    return env
-
-
-def _first_max(cands):
-    """The largest value of (value, time) candidates, and as the witness the
-    time of the first candidate within rounding of it: exact ties (a flat
-    stretch) go to the earliest candidate, not to the rounding error."""
-    best = max(v for v, _ in cands)
+def _first_max(values, times):
+    """The largest of ``values``, and as the witness the time of the first
+    value within rounding of it: exact ties (a flat stretch) go to the
+    earliest candidate, not to the rounding error."""
+    best = max(values)
     tol = 1e-12 * max(1.0, abs(best))
-    return best, next(t for v, t in cands if v >= best - tol)
+    return best, next(t for v, t in zip(values, times) if v >= best - tol)
 
 
 def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
     """Deviations over all t of a concave arrival curve against a convex
-    service curve, from their closed forms; None for any other pair.
+    service curve, from their closed forms; None for any other pair, or
+    when either curve falls somewhere.
 
     Between kinks the horizontal deviation is linear in the level and the
     vertical one in time, and past the last kinks neither grows, so the
@@ -559,31 +561,53 @@ def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
     Raises InstabilityError when the deviations are unbounded: alpha's
     supremum above beta's, or alpha's last slope above beta's, which only
     the tolerance of ``_check_rates`` lets through.
+
+    The slopes of a min of lines fall in order of t and those of a max
+    rise, so the first line of beta and the last of alpha are the flattest.
+    A min of lines reaches a level once every line has, and a max once one
+    has; each inverse is written out in the loop.
     """
-    b = _operand(beta, concave=False)  # first, so that gated curves fail fast
-    if b is None:
+    b = beta.envelope  # first, so that gated curves fail fast
+    if b is None or b.sense > 0 or b.start < 0.0 or b.lines[0][1] < 0.0:
         return None
-    a = _operand(alpha, concave=True)
-    if a is None:
+    a = alpha.envelope
+    if a is None or a.sense < 0 or a.start < 0.0 or a.lines[-1][1] < 0.0:
         return None
     top = a.sup
     if top > b.sup or a.lines[-1][1] > b.lines[-1][1]:
         raise InstabilityError("the arrival curve outgrows the service curve")
 
-    a_kinks, b_kinks = a.kinks(), b.kinks()
-    levels = [0.0, a.start] + [a.value(t) for t in a_kinks] + [b.value(t) for t in b_kinks]
+    a_lines, b_lines, a_start, b_start, b_top = a.lines, b.lines, a.start, b.start, b.sup
+    a_rising, b_rising = a.rising, b.rising
+    # each curve at its own kinks: a min of a's lines, a max of b's
+    levels = [0.0, a_start]
+    levels += [min([d + s * t for d, s in a_lines]) for t in a.kinks]
+    levels += [max([d + s * t for d, s in b_lines]) for t in b.kinks]
     levels = sorted({min(y, top) for y in levels})
-    cands = []
+    gaps, witnesses = [], []
     for strict in (False, True):
         for y in levels:
-            ta = a.inverse(y, strict)
-            g = b.inverse(y, strict) - ta
-            cands.append((g if math.isfinite(g) else -INF, ta))
-    g, h_witness = _first_max(cands)
+            if y > top or (strict and y >= top):
+                ta = INF
+            elif y < a_start or (y == a_start and not strict):
+                ta = 0.0
+            else:
+                ta = max([(y - d) / s for d, s in a_rising])
+            if y > b_top or (strict and y >= b_top):
+                tb = INF
+            elif y < b_start or (y == b_start and not strict):
+                tb = 0.0
+            else:
+                tb = min([(y - d) / s for d, s in b_rising])
+            g = tb - ta
+            gaps.append(g if math.isfinite(g) else -INF)
+            witnesses.append(ta)
+    g, h_witness = _first_max(gaps, witnesses)
 
-    cands = [(0.0, 0.0), (a.start - b.start, 0.0)]
-    cands += [(a.value(t) - b.value(t), t) for t in sorted(set(a_kinks + b_kinks))]
-    v, v_witness = _first_max(cands)
+    kinks = sorted(set(a.kinks + b.kinks))
+    gaps = [0.0, a_start - b_start]
+    gaps += [min([d + s * t for d, s in a_lines]) - max([d + s * t for d, s in b_lines]) for t in kinks]
+    v, v_witness = _first_max(gaps, [0.0, 0.0] + kinks)
     return Deviation(horizontal=max(0.0, g), vertical=max(0.0, v),
                      argmax_h=h_witness, argmax_v=v_witness)
 
@@ -593,16 +617,21 @@ def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
 # ---------------------------------------------------------------------------
 
 class Curve:
-    """A non-decreasing function on [0, horizon] in closed representation."""
+    """A non-decreasing function on [0, horizon] in closed representation.
 
-    __slots__ = ("horizon", "_segments", "_envelope")
+    ``envelope`` is the closed form, or None outside the token-bucket
+    family: Affine and RateLatency curves, and the Closed curves that the
+    operators fold, have theirs from the start, and the nodes built from
+    segments have none."""
 
-    def __init__(self, horizon: float):
+    __slots__ = ("horizon", "envelope", "_segments")
+
+    def __init__(self, horizon: float, envelope: Envelope | None = None):
         if not 0.0 < horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, not {horizon}")
         self.horizon = float(horizon)
+        self.envelope = envelope
         self._segments = None
-        self._envelope = _UNSET
 
     @property
     def segments(self) -> Segments:
@@ -613,18 +642,8 @@ class Curve:
             self._segments = self._build() if env is None else _envelope_segments(env, self.horizon)
         return self._segments
 
-    @property
-    def envelope(self) -> Envelope | None:
-        """The closed form, or None outside the token-bucket family."""
-        if self._envelope is _UNSET:
-            self._envelope = self._closed_form()
-        return self._envelope
-
     def _build(self) -> Segments:
         raise NotImplementedError
-
-    def _closed_form(self) -> Envelope | None:
-        return None
 
     def long_term_rate(self) -> float:
         raise NotImplementedError
@@ -645,55 +664,48 @@ class Curve:
         return f"<{type(self).__name__} horizon={self.horizon:g}>"
 
 
-class Affine(Curve):
+class Closed(Curve):
+    """A curve of the token-bucket family: its closed form and its long-term
+    ``rate``, as the operators fold them from their operands'."""
+
+    __slots__ = ("rate",)
+
+    def __init__(self, envelope: Envelope, rate: float, horizon: float):
+        super().__init__(horizon, envelope)
+        self.rate = rate
+
+    def long_term_rate(self) -> float:
+        return self.rate
+
+
+class Affine(Closed):
     """Token bucket: 0 at t = 0, burst + rate*t for t > 0.
 
     Negative bursts are tolerated so that service-curve expressions can embed
     constant offsets; arrival curves always use burst >= 0.
     """
 
-    __slots__ = ("burst", "rate")
+    __slots__ = ("burst",)
 
     def __init__(self, burst: float, rate: float, horizon: float):
-        super().__init__(horizon)
+        burst, rate = float(burst), float(rate)
+        super().__init__(Envelope(0, ((burst, rate),)), rate, horizon)
         if rate < 0:
             raise ValueError("rate must be >= 0")
-        self.burst = float(burst)
-        self.rate = float(rate)
-
-    def _build(self) -> Segments:
-        return Segments([0.0], [0.0], [self.burst], [self.rate], self.horizon)
-
-    def _closed_form(self) -> Envelope:
-        return Envelope(0, ((self.burst, self.rate),))
-
-    def long_term_rate(self) -> float:
-        return self.rate
+        self.burst = burst
 
 
-class RateLatency(Curve):
+class RateLatency(Closed):
     """rate * max(0, t - latency)."""
 
-    __slots__ = ("rate", "latency")
+    __slots__ = ("latency",)
 
     def __init__(self, rate: float, latency: float, horizon: float):
-        super().__init__(horizon)
+        rate, latency = float(rate), float(latency)
+        super().__init__(_hull(-1, [(0.0, 0.0), (-rate * latency, rate)]), rate, horizon)
         if rate < 0 or latency < 0:
             raise ValueError("rate and latency must be >= 0")
-        self.rate = float(rate)
-        self.latency = float(latency)
-
-    def _build(self) -> Segments:
-        if self.latency == 0.0 or self.latency >= self.horizon:
-            slope = self.rate if self.latency == 0.0 else 0.0
-            return Segments([0.0], [0.0], [0.0], [slope], self.horizon)
-        return Segments([0.0, self.latency], [0.0, 0.0], [0.0, 0.0], [0.0, self.rate], self.horizon)
-
-    def _closed_form(self) -> Envelope:
-        return _hull(-1, [(0.0, 0.0), (-self.rate * self.latency, self.rate)])
-
-    def long_term_rate(self) -> float:
-        return self.rate
+        self.latency = latency
 
 
 class StaircaseMax(Curve):
@@ -903,6 +915,23 @@ class TdmaService(Curve):
         return self.rate * float(np.min(np.sum(self.lengths, axis=1))) / self.period
 
 
+def _operands(op: str, curves: Iterable[Curve]) -> tuple:
+    """The operands of a pointwise ``op``, refused when there are none or
+    when their horizons differ."""
+    curves = tuple(curves)
+    if not curves:
+        raise ValueError(f"{op} of an empty curve list")
+    horizon = curves[0].horizon
+    for c in curves:
+        if c.horizon != horizon:
+            raise ValueError(f"{op} of curves on different horizons")
+    return curves
+
+
+#: How a pointwise min, max or sum folds its operands' long-term rates.
+_FOLD_RATES = {"min": min, "max": max, "sum": sum}
+
+
 class Pointwise(Curve):
     """Pointwise min, max or sum of curves on one horizon (``_pointwise``):
     a sum on one union grid, a min or max folded two at a time."""
@@ -910,31 +939,16 @@ class Pointwise(Curve):
     __slots__ = ("op", "curves")
 
     def __init__(self, op: str, curves: Sequence[Curve]):
-        curves = list(curves)
-        if not curves:
-            raise ValueError(f"{op} of an empty curve list")
-        if any(c.horizon != curves[0].horizon for c in curves):
-            raise ValueError(f"{op} of curves on different horizons")
+        curves = _operands(op, curves)
         super().__init__(curves[0].horizon)
         self.op = op
-        self.curves = tuple(curves)
+        self.curves = curves
 
     def _build(self) -> Segments:
         return _pointwise([c.segments for c in self.curves], self.op).compress()
 
-    def _closed_form(self) -> Envelope | None:
-        envs = [c.envelope for c in self.curves]
-        if any(e is None for e in envs):
-            return None
-        if self.op == "sum":
-            return _sum_envelopes(envs)
-        sense = 1 if self.op == "min" else -1
-        if any(e.sense == -sense for e in envs):
-            return None
-        return _hull(sense, [line for e in envs for line in e.lines])
-
     def long_term_rate(self) -> float:
-        return {"min": min, "max": max, "sum": sum}[self.op](c.long_term_rate() for c in self.curves)
+        return _FOLD_RATES[self.op](c.long_term_rate() for c in self.curves)
 
 
 class Scale(Curve):
@@ -953,15 +967,6 @@ class Scale(Curve):
         f = self.factor
         return Segments(seg.t, seg.at * f, seg.right * f, seg.slope * f, seg.horizon)
 
-    def _closed_form(self) -> Envelope | None:
-        env = self.curve.envelope
-        if env is None:
-            return None
-        f = self.factor
-        sense = env.sense if f > 0.0 else -env.sense
-        # a single line (sense 0) is its own lower envelope
-        return _hull(sense or 1, [(d * f, s * f) for d, s in env.lines])
-
     def long_term_rate(self) -> float:
         return self.factor * self.curve.long_term_rate()
 
@@ -978,14 +983,6 @@ class UpClosure(Curve):
     def _build(self) -> Segments:
         return _up_closure_segments(self.curve.segments)
 
-    def _closed_form(self) -> Envelope | None:
-        # a max of lines that starts at or below 0 at 0+: max(0, f) is
-        # convex with its minimum at 0, so it is already non-decreasing
-        env = self.curve.envelope
-        if env is None or env.sense > 0 or env.lines[0][0] > 0.0:
-            return None
-        return _hull(-1, env.lines + ((0.0, 0.0),))
-
     def long_term_rate(self) -> float:
         return max(0.0, self.curve.long_term_rate())
 
@@ -993,25 +990,57 @@ class UpClosure(Curve):
 # ---------------------------------------------------------------------------
 # Public operators
 # ---------------------------------------------------------------------------
+#
+# Each returns a Closed curve when its operands have closed forms and the
+# result has one, folded from theirs with the floating-point operations of
+# the node it stands for, long-term rate included; else the node.
+
+def _pointwise_of(op: str, curves: Iterable[Curve]) -> Curve:
+    curves = _operands(op, curves)
+    envs = [c.envelope for c in curves]
+    for env in envs:
+        if env is None:
+            return Pointwise(op, curves)
+    if op == "sum":
+        env = _sum_envelopes(envs)
+    else:
+        sense = 1 if op == "min" else -1
+        env = None if any(e.sense == -sense for e in envs) else _hull(
+            sense, [line for e in envs for line in e.lines])
+    if env is None:
+        return Pointwise(op, curves)
+    return Closed(env, _FOLD_RATES[op](c.rate for c in curves), curves[0].horizon)
+
 
 def min_of(curves: Iterable[Curve]) -> Curve:
-    return Pointwise("min", curves)
+    return _pointwise_of("min", curves)
 
 
 def max_of(curves: Iterable[Curve]) -> Curve:
-    return Pointwise("max", curves)
+    return _pointwise_of("max", curves)
 
 
 def sum_of(curves: Iterable[Curve]) -> Curve:
-    return Pointwise("sum", curves)
+    return _pointwise_of("sum", curves)
 
 
 def scale(factor: float, curve: Curve) -> Curve:
-    return Scale(factor, curve)
+    env = curve.envelope
+    if env is None:
+        return Scale(factor, curve)
+    f = float(factor)
+    sense = env.sense if f > 0.0 else -env.sense
+    # a single line (sense 0) is its own lower envelope
+    return Closed(_hull(sense or 1, [(d * f, s * f) for d, s in env.lines]), f * curve.rate, curve.horizon)
 
 
 def up_closure(curve: Curve) -> Curve:
-    return UpClosure(curve)
+    # a max of lines that starts at or below 0 at 0+: max(0, f) is convex
+    # with its minimum at 0, so it is already non-decreasing
+    env = curve.envelope
+    if env is None or env.sense > 0 or env.start > 0.0:
+        return UpClosure(curve)
+    return Closed(_hull(-1, env.lines + ((0.0, 0.0),)), max(0.0, curve.rate), curve.horizon)
 
 
 def leftover(line: Curve, terms) -> Curve:

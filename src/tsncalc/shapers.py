@@ -398,12 +398,22 @@ def sp_service_curve(ctx: ShaperContext, link_id: str, priority: int,
 # Arrival curves
 # ---------------------------------------------------------------------------
 
+def _token_buckets(buckets, horizon: float) -> mp.Curve:
+    """The sum of token buckets (burst, rate) as one line, added left to
+    right: the additions ``minplus.sum_of`` makes for single lines, with no
+    curve per bucket."""
+    (burst, rate), *rest = buckets
+    for b, r in rest:
+        burst += b
+        rate += r
+    return mp.Affine(burst, rate, horizon)
+
+
 def shared_queue_arrival_ats(ctx: ShaperContext, link_id: str, priority: int) -> mp.Curve:
     """Aggregate input at a shared queue when every flow was reshaped to its
     committed envelope: a plain sum of token buckets."""
-    curves = [mp.Affine(*nm.leaky_bucket_of(f), ctx.horizon)
-              for f in ctx.class_flows(link_id, priority)]
-    return mp.sum_of(curves) if curves else mp.zero(ctx.horizon)
+    buckets = [nm.leaky_bucket_of(f) for f in ctx.class_flows(link_id, priority)]
+    return _token_buckets(buckets, ctx.horizon) if buckets else mp.zero(ctx.horizon)
 
 
 def unshaped_queue_arrival(ctx: ShaperContext, link_id: str, priority: int,
@@ -413,12 +423,11 @@ def unshaped_queue_arrival(ctx: ShaperContext, link_id: str, priority: int,
     A flow's burst grows by its rate times the delay bound, in ``delays``,
     of each queue of its priority before this port on its route, added in
     route order; a missing bound raises DependencyError.  Flows that enter
-    at this port from their source end system contribute raw envelopes.
-    The others are summed per upstream port, in order of port, and each sum
-    is capped by ``_upstream_capped``.
+    at this port from their source end system contribute raw envelopes,
+    summed first.  The others are summed per upstream port, in order of
+    port, and each sum is capped by ``_upstream_capped``.
     """
-    parts = []
-    groups = {}
+    groups = {}  # upstream port, or None at the source -> token buckets
     for f in ctx.class_flows(link_id, priority):
         burst, r = nm.leaky_bucket_of(f)
         hop = f.route.index(link_id)
@@ -427,13 +436,11 @@ def unshaped_queue_arrival(ctx: ShaperContext, link_id: str, priority: int,
                 raise DependencyError(
                     f"queue ({link_id}, P{priority}) needs the bound of ({up}, P{priority})")
             burst += r * delays[(up, priority)]
-        curve = mp.Affine(burst, r, ctx.horizon)
-        if hop == 0:
-            parts.append(curve)
-        else:
-            groups.setdefault(f.route[hop - 1], []).append(curve)
-    for upstream_id, terms in sorted(groups.items()):
-        parts.append(_upstream_capped(ctx, upstream_id, priority, mp.sum_of(terms)))
+        groups.setdefault(f.route[hop - 1] if hop else None, []).append((burst, r))
+    source = groups.pop(None, None)
+    parts = [_token_buckets(source, ctx.horizon)] if source else []
+    for upstream_id, buckets in sorted(groups.items()):
+        parts.append(_upstream_capped(ctx, upstream_id, priority, _token_buckets(buckets, ctx.horizon)))
     return mp.sum_of(parts) if parts else mp.zero(ctx.horizon)
 
 
@@ -473,9 +480,8 @@ def shaped_queue_analysis(ctx: ShaperContext, link_id: str, upstream_id: str,
     delay = upstream_delay - l_min / up_rate
     if delay < 0.0:
         delay = 0.0
-    terms = [mp.Affine(b + r * upstream_delay, r, ctx.horizon)
-             for b, r in map(nm.leaky_bucket_of, flows)]
-    alpha = _upstream_capped(ctx, upstream_id, priority, mp.sum_of(terms))
+    buckets = [(b + r * upstream_delay, r) for b, r in map(nm.leaky_bucket_of, flows)]
+    alpha = _upstream_capped(ctx, upstream_id, priority, _token_buckets(buckets, ctx.horizon))
     return delay, alpha.evaluate(delay)
 
 

@@ -67,10 +67,24 @@ def oracle_eval(spec: CurveSpec, ts: np.ndarray) -> np.ndarray:
     raise ValueError(spec.kind)
 
 
+def _drop_repeats(x: np.ndarray) -> np.ndarray:
+    """``x`` without the values equal to the one before them."""
+    return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
+
+
+def _distinct(runs) -> np.ndarray:
+    """The distinct values of the arrays ``runs``, sorted, as ``np.unique``
+    of their concatenation gives them.  Each run is sorted, and most of its
+    values repeat: repeats are dropped from each run, and then from the
+    stable sort of what is left, which merges sorted runs in linear time."""
+    return _drop_repeats(np.sort(np.concatenate([_drop_repeats(r) for r in runs]), kind="stable"))
+
+
 def sample(spec: CurveSpec, horizon: float, step: float = STEP):
     """Sorted sample times (grid plus +/- probes) and curve values."""
     grid = np.arange(0.0, horizon + step / 2, step)
-    ts = np.unique(np.concatenate([grid, grid + TINY, np.maximum(grid - TINY, 0.0)]))
+    # each grid point between its probes: one sorted run when step > 2*TINY
+    ts = _distinct([np.stack([np.maximum(grid - TINY, 0.0), grid, grid + TINY], axis=1).ravel()])
     return ts, oracle_eval(spec, ts)
 
 
@@ -100,9 +114,8 @@ def hdev_sampled(ta, va, tb, vb) -> float:
     """Horizontal deviation of two sampled non-decreasing curves via a level
     sweep with interpolated pseudo-inverses."""
     amax = va[-1]
-    levels = np.concatenate([va, vb])
-    levels = levels[np.isfinite(levels)]
-    levels = np.unique(np.concatenate([levels, levels + TINY]))
+    runs = [_distinct([v[np.isfinite(v)]]) for v in (va, vb)]
+    levels = _distinct(runs + [r + TINY for r in runs])
     levels = levels[(levels >= 0.0) & (levels <= amax)]
     if len(levels) == 0:
         return 0.0

@@ -4,6 +4,10 @@ import collections
 import functools
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -140,6 +144,78 @@ def test_gated_sweep_identical_in_worker_processes():
     assert texts[0] == texts[1]
 
 
+def _process_table():
+    """{pid: (state, parent pid)} of every process, from /proc."""
+    table = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+            except OSError:
+                continue
+            table[int(entry)] = (state, int(ppid))
+    return table
+
+
+def _descendants(pid):
+    """The pids of the processes below ``pid`` in the process tree."""
+    children = collections.defaultdict(list)
+    for child, (_, ppid) in _process_table().items():
+        children[ppid].append(child)
+    found, todo = [], [pid]
+    while todo:
+        kids = children[todo.pop()]
+        found += kids
+        todo += kids
+    return found
+
+
+WORKERS_GONE_S = 5.0  # the time a killed sweep's workers have to exit
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads the process table from /proc")
+@pytest.mark.parametrize("start_method", ["fork", "forkserver", "spawn"])
+def test_sweep_workers_exit_with_their_parent(tmp_path, start_method):
+    # a gated grid long enough to be running when it is killed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = ("import multiprocessing, sys; from tsncalc import cli; "
+           "multiprocessing.set_start_method(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
+    sweep = subprocess.Popen(
+        [sys.executable, "-c", run, start_method, "sweep", "--template", "MM", "--arch", "TAS+ATS+SP",
+         "--arch2", "TAS+SP", "--tt-load", "0.2", "--loads", "0.3,0.4,0.5", "--seeds", "60",
+         "--workers", "2", "--out", str(tmp_path / "sweep.csv")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(workers) < 2 and time.monotonic() < deadline and sweep.poll() is None:
+            time.sleep(0.05)
+            workers = _descendants(sweep.pid)
+        assert len(workers) >= 2
+        time.sleep(0.5)  # under a fork server, the workers come after the server
+        workers = _descendants(sweep.pid)
+        sweep.send_signal(signal.SIGTERM)
+        assert sweep.wait(timeout=10.0) == -signal.SIGTERM
+        # an exited worker may stay a zombie of whichever process adopted it
+        deadline = time.monotonic() + WORKERS_GONE_S
+        while time.monotonic() < deadline:
+            table = _process_table()
+            alive = [pid for pid in workers if table.get(pid, ("Z",))[0] != "Z"]
+            if not alive:
+                break
+            time.sleep(0.05)
+        assert not alive, f"sweep workers {alive} outlived their parent by {WORKERS_GONE_S} s"
+    finally:
+        sweep.kill()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_records_infeasible_load_as_failed_cell(tmp_path, workers):
     # 0.9 + 0.2 scheduled load is a target above 1: that cell fails, the rest run
@@ -166,6 +242,27 @@ def test_env_variable_defaults(net_file, tmp_path, monkeypatch):
     rc = cli.main(["analyze"])
     assert rc == 0
     assert (tmp_path / "envout" / "report.json").exists()
+
+
+def test_the_reused_parser_follows_the_environment(net_file, tmp_path, monkeypatch, capsys):
+    # the parser is reused while the TSNCALC_* variables are unchanged, and
+    # rebuilt with the new defaults when one of them changes
+    argv = ["analyze", "--network", str(net_file), "--out-dir", str(tmp_path / "out")]
+    monkeypatch.delenv("TSNCALC_ARCH", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --arch" in capsys.readouterr().err
+    monkeypatch.setenv("TSNCALC_ARCH", "SP")
+    assert cli.main(argv) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["architecture"] == "SP"
+
+
+def test_the_parser_reads_only_the_variables_of_its_cache_key(monkeypatch):
+    read = []
+    monkeypatch.setattr(cli, "_env", lambda name, default=None: read.append(name) or default)
+    cli.build_parser()
+    assert set(read) == set(cli.ENV_FLAGS)
 
 
 def test_bad_environment_number_fails_only_the_subcommand_that_reads_it(

@@ -714,27 +714,58 @@ def test_gated_service_keeps_segments():
     assert mp._closed_deviations(mp.Affine(1000.0, 5.0, H), beta) is None
 
 
+def _fold(kind, *args):
+    """The curve that the operator of ``kind`` returns from ``args``, and the
+    same composition as a node, whose ``_build`` folds the operands'
+    segments."""
+    operator, node = {
+        "sum": (mp.sum_of, lambda curves: mp.Pointwise("sum", curves)),
+        "min": (mp.min_of, lambda curves: mp.Pointwise("min", curves)),
+        "max": (mp.max_of, lambda curves: mp.Pointwise("max", curves)),
+        "scale": (mp.scale, mp.Scale),
+        "closure": (mp.up_closure, mp.UpClosure),
+    }[kind]
+    return operator(*args), node(*args)
+
+
+def _leaf_segments(curve):
+    """The segments of an Affine or RateLatency curve written out from its
+    parameters: a reference for the conversion of its closed form."""
+    h = curve.horizon
+    if isinstance(curve, mp.Affine):
+        return mp.Segments([0.0], [0.0], [curve.burst], [curve.rate], h)
+    rate, latency = curve.rate, curve.latency
+    if latency == 0.0 or latency >= h:
+        return mp.Segments([0.0], [0.0], [0.0], [rate if latency == 0.0 else 0.0], h)
+    return mp.Segments([0.0, latency], [0.0, 0.0], [0.0, 0.0], [0.0, rate], h)
+
+
 def _envelope_cases():
+    """Name -> (the curve, the node that folds the same composition from
+    segments, or None for a leaf)."""
     higher = mp.min_of([mp.Affine(100.0, 30.0, H), mp.Affine(2000.0, 5.0, H)])
     leftover = mp.sum_of([mp.Affine(-500.0, 50.0, H), mp.scale(-1.0, higher)])
-    return {
+    leaves = {
         "affine": mp.Affine(300.0, 2.0, H),
         "rate-latency": mp.RateLatency(40.0, 25.0, H),
         "rate-latency, no latency": mp.RateLatency(40.0, 0.0, H),
         "rate-latency beyond the horizon": mp.RateLatency(40.0, 2 * H, H),
         "rate-latency with its kink at the horizon": mp.RateLatency(40.0, H, H),
-        "min": higher,
-        "min with its kink beyond the horizon": mp.min_of([mp.Affine(100.0, 30.0, H),
-                                                           mp.Affine(2e5, 5.0, H)]),
-        "sum of mins": mp.sum_of([higher, mp.min_of([mp.Affine(0.0, 80.0, H),
-                                                    mp.Affine(900.0, 1.0, H)])]),
-        "scaled": mp.scale(2.5, higher),
-        "leftover": leftover,
-        "leftover closure": mp.up_closure(leftover),
-        "leftover positive part": mp.max_of([leftover, mp.zero(H)]),
-        "closure of a line": mp.up_closure(mp.Affine(-100.0, 3.0, H)),
-        "max of mins": mp.max_of([mp.Affine(50.0, 1.0, H), mp.Affine(-10.0, 4.0, H)]),
     }
+    folds = {
+        "min": _fold("min", [mp.Affine(100.0, 30.0, H), mp.Affine(2000.0, 5.0, H)]),
+        "min with its kink beyond the horizon": _fold("min", [mp.Affine(100.0, 30.0, H),
+                                                              mp.Affine(2e5, 5.0, H)]),
+        "sum of mins": _fold("sum", [higher, mp.min_of([mp.Affine(0.0, 80.0, H),
+                                                        mp.Affine(900.0, 1.0, H)])]),
+        "scaled": _fold("scale", 2.5, higher),
+        "leftover": _fold("sum", [mp.Affine(-500.0, 50.0, H), mp.scale(-1.0, higher)]),
+        "leftover closure": _fold("closure", leftover),
+        "leftover positive part": _fold("max", [leftover, mp.zero(H)]),
+        "closure of a line": _fold("closure", mp.Affine(-100.0, 3.0, H)),
+        "max of mins": _fold("max", [mp.Affine(50.0, 1.0, H), mp.Affine(-10.0, 4.0, H)]),
+    }
+    return {**{name: (curve, None) for name, curve in leaves.items()}, **folds}
 
 
 def _envelope_magnitude(curve, *segs):
@@ -749,39 +780,48 @@ def _children(curve):
     return getattr(curve, "curves", ()) + ((curve.curve,) if hasattr(curve, "curve") else ())
 
 
-def _nodes(curve):
-    yield curve
-    for child in _children(curve):
-        yield from _nodes(child)
+def _fold_of(curve, node):
+    """What the closed form of ``curve`` is compared with: the segments that
+    ``node`` folds from its operands', or a leaf's own; and the operands'."""
+    if node is None:
+        return _leaf_segments(curve), []
+    return node._build(), [c.segments for c in _children(node)]
 
 
 @pytest.mark.parametrize("name", sorted(_envelope_cases()))
 def test_envelope_matches_segments(name):
-    # segments come from the envelope; _build folds the operands' segments
-    curve = _envelope_cases()[name]
+    # segments come from the envelope; the node folds the operands' segments
+    curve, node = _envelope_cases()[name]
     assert curve.envelope is not None
-    want = curve._build()
+    want, _ = _fold_of(curve, node)
     _assert_same_function(curve.segments, want, _envelope_magnitude(curve, curve.segments, want))
 
 
-def _random_token_bucket_tree(rng, horizon, depth=0):
-    """A random tree of token-bucket nodes: Affine, RateLatency, sum, min,
-    max, scaling by either sign and the closure.  Kinks fall before, at and
+def _random_token_bucket_tree(rng, horizon, folds, depth=0):
+    """A random tree of token-bucket curves built by the operators: Affine,
+    RateLatency, sum, min, max, scaling by either sign and the closure.
+    Each curve goes to ``folds`` with the node that folds the same
+    composition from segments (None for a leaf).  Kinks fall before, at and
     beyond the horizon."""
     kind = int(rng.integers(0, 7)) if depth < 3 else int(rng.integers(0, 2))
     if kind == 0:
-        return mp.Affine(float(rng.uniform(-2000.0, 5000.0)), float(rng.uniform(0.0, 100.0)), horizon)
-    if kind == 1:
+        curve, node = mp.Affine(float(rng.uniform(-2000.0, 5000.0)), float(rng.uniform(0.0, 100.0)),
+                                horizon), None
+    elif kind == 1:
         latency = float(rng.choice([0.0, horizon, rng.uniform(0.0, 2 * horizon)]))
-        return mp.RateLatency(float(rng.uniform(0.0, 100.0)), latency, horizon)
-    if kind <= 4:
-        children = [_random_token_bucket_tree(rng, horizon, depth + 1)
+        curve, node = mp.RateLatency(float(rng.uniform(0.0, 100.0)), latency, horizon), None
+    elif kind <= 4:
+        children = [_random_token_bucket_tree(rng, horizon, folds, depth + 1)
                     for _ in range(int(rng.integers(2, 5)))]
-        return mp.Pointwise(("sum", "min", "max")[kind - 2], children)
-    child = _random_token_bucket_tree(rng, horizon, depth + 1)
-    if kind == 5:
-        return mp.scale(float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)), child)
-    return mp.up_closure(child)
+        curve, node = _fold(("sum", "min", "max")[kind - 2], children)
+    else:
+        child = _random_token_bucket_tree(rng, horizon, folds, depth + 1)
+        if kind == 5:
+            curve, node = _fold("scale", float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)), child)
+        else:
+            curve, node = _fold("closure", child)
+    folds.append((curve, node))
+    return curve
 
 
 def test_random_envelope_trees_match_the_fold():
@@ -789,12 +829,13 @@ def test_random_envelope_trees_match_the_fold():
     compared = 0
     for _ in range(400):
         horizon = float(rng.choice([50.0, 500.0, H]))
-        for node in _nodes(_random_token_bucket_tree(rng, horizon)):
-            if node.envelope is None:
+        folds = []
+        _random_token_bucket_tree(rng, horizon, folds)
+        for curve, node in folds:
+            if curve.envelope is None:
                 continue
-            operands = [c.segments for c in _children(node)]
-            want = node._build()
-            _assert_same_function(node.segments, want, _envelope_magnitude(node, want, *operands))
+            want, operands = _fold_of(curve, node)
+            _assert_same_function(curve.segments, want, _envelope_magnitude(curve, want, *operands))
             compared += 1
     assert compared > 1000
 
@@ -829,10 +870,25 @@ def test_envelope_sum_matches_the_pairwise_fold():
         envs = [_random_envelope(rng, sense) for _ in range(int(rng.integers(2, 6)))]
         got, want = mp._sum_envelopes(envs), _folded_sum(envs)
         assert got.sense == want.sense
-        ts = np.concatenate([rng.uniform(0.0, 2000.0, 50), got.kinks(), want.kinks()])
+        ts = np.concatenate([rng.uniform(0.0, 2000.0, 50), got.kinks, want.kinks])
         for t in ts[ts > 0.0]:
             scale = sum(max(abs(d), abs(s * t)) for e in envs for d, s in e.lines)
             assert got.value(t) == pytest.approx(want.value(t), rel=0.0, abs=1e-12 * scale)
+
+
+def test_hull_of_one_or_two_lines_matches_the_sorted_hull():
+    # one more copy of a line sends two lines through the sorted hull, which
+    # skips the copy as a tie of slopes
+    rng = np.random.default_rng(20261021)
+    values = [0.0, -0.0, 1.0, -1.0, 2.5, 100.0]
+    for _ in range(2000):
+        lines = [(float(rng.choice(values) if rng.random() < 0.5 else rng.uniform(-100.0, 100.0)),
+                  float(rng.choice(values) if rng.random() < 0.5 else rng.uniform(-10.0, 10.0)))
+                 for _ in range(int(rng.integers(1, 3)))]
+        for sense in (1, -1):
+            got, want = mp._hull(sense, lines), mp._hull(sense, lines + [lines[-1], lines[0]])
+            assert got.sense == want.sense
+            assert [(d.hex(), s.hex()) for d, s in got.lines] == [(d.hex(), s.hex()) for d, s in want.lines]
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])

@@ -841,6 +841,32 @@ def test_shared_queue_arrival_sums_committed_envelopes():
         assert alpha.evaluate(t) == pytest.approx(3000.0 + 3.0 * t)
 
 
+def _bits(curve):
+    """A curve's closed form and long-term rate, each float in hex."""
+    env = curve.envelope
+    return (env.sense, [(d.hex(), s.hex()) for d, s in env.lines], curve.long_term_rate().hex())
+
+
+def test_token_buckets_sum_as_one_line_bit_for_bit():
+    # a class's token buckets summed as one line, against the sum of one
+    # Affine per flow; one-flow groups, round numbers and grown bursts
+    rng = np.random.default_rng(20261020)
+    sizes = [1] * 100 + [int(n) for n in rng.integers(2, 60, 300)]
+    for n in sizes:
+        kind = rng.integers(3)
+        if kind == 0:
+            buckets = [(float(rng.integers(64, 12000) * 8), float(rng.integers(1, 50)) / 4.0)
+                       for _ in range(n)]
+        else:
+            buckets = [(float(rng.uniform(0.0, 1e5)), float(rng.uniform(0.0, 100.0))) for _ in range(n)]
+        if kind == 2:
+            delay = float(rng.uniform(0.0, 5000.0))
+            buckets = [(b + r * delay, r) for b, r in buckets]
+        got = sh._token_buckets(buckets, H)
+        want = mp.sum_of([mp.Affine(b, r, H) for b, r in buckets])
+        assert _bits(got) == _bits(want)
+
+
 def test_shared_queue_arrival_empty():
     net = port_network([])
     ctx = make_ctx(net, "ATS")
