@@ -20,13 +20,14 @@ default, and any other takes none.  ``compare`` and ``sweep`` refuse a mode
 that neither architecture takes as ``analyze`` refuses it for the first,
 before any analysis runs.
 
-Exit codes: 1 parse or generation error, and any other analysis failure
+Exit codes: 1 parse or generation error, any other analysis failure
 (horizon of gated curves exhausted, fixed point not converged, missing
-upstream dependency); 2 validation or configuration error, such as a
-horizon that is not positive and finite, or a sweep with fewer than one
-seed or worker or a negative --tt-load, and a usage error, such as a missing
---network, --arch or --arch2 that no variable supplies or a malformed
-comma list; 3 instability/starvation; 4 dependency cycle.
+upstream dependency), and a sweep cell failed by an exception other than
+tsncalc's own, once the CSV is written; 2 validation or configuration
+error, such as a horizon that is not positive and finite, or a sweep with
+fewer than one seed or worker or a negative --tt-load, and a usage error,
+such as a missing --network, --arch or --arch2 that no variable supplies
+or a malformed comma list; 3 instability/starvation; 4 dependency cycle.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     archs = (args.arch, args.arch2)
     modes = sh.credit_modes(archs, args.credit_mode)
-    net = nm.load(args.network).indexed()  # both analyses share its memo
+    net = nm.load(args.network).indexed()  # both analyses share its memos
     r1, r2 = (engine.analyze(net, arch, credit_mode=mode,
                              horizon=args.horizon_us, fixed_point=args.fixed_point)
               for arch, mode in zip(archs, modes))
@@ -229,6 +230,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
+class CellFailure(str):
+    """A failed sweep cell's "Class: message"; ``typed`` is whether its
+    exception was a TsnCalcError."""
+
+    def __new__(cls, text: str, typed: bool):
+        failure = super().__new__(cls, text)
+        failure.typed = typed
+        return failure
+
+
 def _sweep_point(template, load, tt_load, kind, seed, arch1, arch2, credit_mode, metrics):
     """One (load, seed) cell: generate, analyze both, per-seed mean ratios."""
     total = load + tt_load
@@ -236,13 +247,13 @@ def _sweep_point(template, load, tt_load, kind, seed, arch1, arch2, credit_mode,
         spec = tg.GenSpec(target_load=total,
                           tt_load_fraction=tt_load / total if total > 0 else 0.0,
                           kind=kind, seed=seed)
-        net = tg.generate(template, spec).indexed()  # both analyses share its memo
+        net = tg.generate(template, spec).indexed()  # both analyses share its memos
         archs = (arch1, arch2)
         r1, r2 = (engine.analyze(net, arch, credit_mode=mode)
                   for arch, mode in zip(archs, sh.credit_modes(archs, credit_mode)))
         return {m: engine.difference_ratio(r1, r2, m)[1] for m in metrics}
-    except TsnCalcError as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
+    except Exception as exc:  # one failed cell must not lose the grid
+        return {"error": f"{type(exc).__name__}: {exc}", "typed": isinstance(exc, TsnCalcError)}
 
 
 def _exit_with_parent(sweep_pid) -> None:
@@ -276,12 +287,12 @@ def _exit_with_parent(sweep_pid) -> None:
 
 def run_sweep(template, loads, seeds, arch1, arch2, credit_mode=None, tt_load=0.0,
               kind="SP", metrics=("delay", "backlog"), workers=1):
-    """Ratio table over (load, seed); failures are recorded and skipped.
-    Returns (rows, failures) with rows keyed (load, seed, metric).  An
-    unknown architecture, an unknown or repeated metric, a credit mode
-    that ``shapers.credit_modes`` refuses, fewer than one seed or worker, or
-    a negative scheduled load raises ConfigurationError before any cell
-    runs."""
+    """Ratio table over (load, seed); a failed cell, whatever its exception,
+    is recorded as a CellFailure and skipped.  Returns (rows, failures) with
+    rows keyed (load, seed, metric) and failures (load, seed).  An unknown
+    architecture, an unknown or repeated metric, a credit mode that
+    ``shapers.credit_modes`` refuses, fewer than one seed or worker, or a
+    negative scheduled load raises ConfigurationError before any cell runs."""
     sh.credit_modes((arch1, arch2), credit_mode)
     for label, value, least in (("seed count", seeds, 1), ("worker count", workers, 1),
                                 ("scheduled load", tt_load, 0)):
@@ -313,7 +324,7 @@ def run_sweep(template, loads, seeds, arch1, arch2, credit_mode=None, tt_load=0.
     failures = {}
     for (load, seed), res in sorted(results.items()):
         if "error" in res:
-            failures[(load, seed)] = res["error"]
+            failures[(load, seed)] = CellFailure(res["error"], res["typed"])
             continue
         for metric, ratio in res.items():
             rows[(load, seed, metric)] = ratio
@@ -345,7 +356,10 @@ def cmd_sweep(args) -> int:
     Path(args.out).write_text(text)
     done = len(rows) // max(1, len(args.metrics))
     print(f"wrote {args.out}: {done} analyzed cells, {len(failures)} failures")
-    return 0
+    untyped = [msg for msg in failures.values() if not msg.typed]
+    if untyped:
+        _err(f"{len(untyped)} cells failed with an unexpected error, first {untyped[0]}")
+    return EXIT_PARSE if untyped else 0
 
 
 COMMANDS = {

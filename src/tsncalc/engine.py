@@ -154,7 +154,7 @@ def analyze(network: nm.Network, architecture: str, credit_mode: str | None = No
     if violations:
         raise ValidationError(violations)
     if network.memo is None:
-        # a snapshot with one flow index and memo for every horizon
+        # a snapshot with one flow index and a memo for each horizon
         # tried; a view handed in is shared with the caller's other analyses
         network = network.indexed()
     arch = sh.parse_architecture(architecture)
@@ -237,7 +237,8 @@ def _bound_queue(ctx, link_id, priority, alpha, alphas):
 def _analyze_ats(ctx, report):
     """Shared queues are local under per-hop reshaping: arrivals are sums of
     committed envelopes, so no upstream bound is needed.  Shaped queues are
-    then a reporting pass over the shared-queue results."""
+    then a reporting pass over the shared-queue results: the flows of each
+    crossed its upstream port at its priority, whose queue is bounded."""
     network = ctx.network
     alphas = {}
     for link_id in sorted(network.links):
@@ -245,12 +246,10 @@ def _analyze_ats(ctx, report):
             alpha = sh.shared_queue_arrival_ats(ctx, link_id, priority)
             report.queues[(link_id, priority)] = _bound_queue(ctx, link_id, priority, alpha, alphas)
     for link_id in sorted(network.links):
-        for upstream, priority in sorted(nm.shaped_queue_map(network, link_id)):
-            up = report.queues.get((upstream, priority))
-            if up is None:
-                raise DependencyError(
-                    f"missing upstream bound for shaped queue ({link_id} <- {upstream}, P{priority})")
-            d_q, b_q = sh.shaped_queue_analysis(ctx, link_id, upstream, priority, up.delay)
+        for upstream, priority in sorted((up, p) for p in ctx.priorities_at(link_id)
+                                         for up in ctx.upstream_groups(link_id, p) if up is not None):
+            delay = report.queues[(upstream, priority)].delay
+            d_q, b_q = sh.shaped_queue_analysis(ctx, link_id, upstream, priority, delay)
             report.shaped_queues[(link_id, upstream, priority)] = ShapedQueueBounds(
                 link_id, upstream, priority, d_q, b_q)
 

@@ -665,17 +665,16 @@ class Curve:
 
 
 class Closed(Curve):
-    """A curve of the token-bucket family: its closed form and its long-term
-    ``rate``, as the operators fold them from their operands'."""
+    """A curve of the token-bucket family, given by its closed form.  Its
+    long-term ``rate`` is the slope of the envelope's last line: the
+    flattest line of a min of lines, the steepest of a max."""
 
-    __slots__ = ("rate",)
-
-    def __init__(self, envelope: Envelope, rate: float, horizon: float):
-        super().__init__(horizon, envelope)
-        self.rate = rate
+    __slots__ = ()
 
     def long_term_rate(self) -> float:
-        return self.rate
+        return self.envelope.lines[-1][1]
+
+    rate = property(long_term_rate)
 
 
 class Affine(Closed):
@@ -689,7 +688,7 @@ class Affine(Closed):
 
     def __init__(self, burst: float, rate: float, horizon: float):
         burst, rate = float(burst), float(rate)
-        super().__init__(Envelope(0, ((burst, rate),)), rate, horizon)
+        super().__init__(horizon, Envelope(0, ((burst, rate),)))
         if rate < 0:
             raise ValueError("rate must be >= 0")
         self.burst = burst
@@ -702,7 +701,7 @@ class RateLatency(Closed):
 
     def __init__(self, rate: float, latency: float, horizon: float):
         rate, latency = float(rate), float(latency)
-        super().__init__(_hull(-1, [(0.0, 0.0), (-rate * latency, rate)]), rate, horizon)
+        super().__init__(horizon, _hull(-1, [(0.0, 0.0), (-rate * latency, rate)]))
         if rate < 0 or latency < 0:
             raise ValueError("rate and latency must be >= 0")
         self.latency = latency
@@ -928,10 +927,6 @@ def _operands(op: str, curves: Iterable[Curve]) -> tuple:
     return curves
 
 
-#: How a pointwise min, max or sum folds its operands' long-term rates.
-_FOLD_RATES = {"min": min, "max": max, "sum": sum}
-
-
 class Pointwise(Curve):
     """Pointwise min, max or sum of curves on one horizon (``_pointwise``):
     a sum on one union grid, a min or max folded two at a time."""
@@ -948,7 +943,8 @@ class Pointwise(Curve):
         return _pointwise([c.segments for c in self.curves], self.op).compress()
 
     def long_term_rate(self) -> float:
-        return _FOLD_RATES[self.op](c.long_term_rate() for c in self.curves)
+        fold = {"min": min, "max": max, "sum": sum}[self.op]
+        return fold(c.long_term_rate() for c in self.curves)
 
 
 class Scale(Curve):
@@ -993,7 +989,7 @@ class UpClosure(Curve):
 #
 # Each returns a Closed curve when its operands have closed forms and the
 # result has one, folded from theirs with the floating-point operations of
-# the node it stands for, long-term rate included; else the node.
+# the node it stands for; else the node.
 
 def _pointwise_of(op: str, curves: Iterable[Curve]) -> Curve:
     curves = _operands(op, curves)
@@ -1009,7 +1005,7 @@ def _pointwise_of(op: str, curves: Iterable[Curve]) -> Curve:
             sense, [line for e in envs for line in e.lines])
     if env is None:
         return Pointwise(op, curves)
-    return Closed(env, _FOLD_RATES[op](c.rate for c in curves), curves[0].horizon)
+    return Closed(curves[0].horizon, env)
 
 
 def min_of(curves: Iterable[Curve]) -> Curve:
@@ -1031,7 +1027,7 @@ def scale(factor: float, curve: Curve) -> Curve:
     f = float(factor)
     sense = env.sense if f > 0.0 else -env.sense
     # a single line (sense 0) is its own lower envelope
-    return Closed(_hull(sense or 1, [(d * f, s * f) for d, s in env.lines]), f * curve.rate, curve.horizon)
+    return Closed(curve.horizon, _hull(sense or 1, [(d * f, s * f) for d, s in env.lines]))
 
 
 def up_closure(curve: Curve) -> Curve:
@@ -1040,7 +1036,7 @@ def up_closure(curve: Curve) -> Curve:
     env = curve.envelope
     if env is None or env.sense > 0 or env.start > 0.0:
         return UpClosure(curve)
-    return Closed(_hull(-1, env.lines + ((0.0, 0.0),)), max(0.0, curve.rate), curve.horizon)
+    return Closed(curve.horizon, _hull(-1, env.lines + ((0.0, 0.0),)))
 
 
 def leftover(line: Curve, terms) -> Curve:

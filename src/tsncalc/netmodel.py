@@ -89,7 +89,7 @@ class Network:
     tt_queue_counts: dict = field(default_factory=dict)  # link id -> #TT queues
     ats_shaped_queues: dict = field(default_factory=dict)  # explicit maps, validation only
     # only on the views that ``indexed`` returns: link id -> flows crossing
-    # it, in flow order, and the memo of the view's analyses
+    # it, in flow order, and the memos of the view's analyses by setting
     link_flows: dict | None = field(default=None, init=False, repr=False, compare=False)
     memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -103,12 +103,12 @@ class Network:
 
     def indexed(self) -> "Network":
         """A snapshot view of this network that answers ``flows_on`` from a
-        per-link index built once.  It also carries the memo of its
-        analyses: the curves and bounds they build, keyed by what each
-        depends on (see ``shapers.ShaperContext``).  The view shares every
-        table with this network and does not see changes made after it was
-        made, so callers may share one view across the analyses of an
-        unchanged network, and must build a new one after a change."""
+        per-link index built once.  It also carries the memos of its
+        analyses, one per analysis setting, with the curves and bounds they
+        build (see ``shapers.ShaperContext``).  The view shares every table
+        with this network and does not see changes made after it was made,
+        so callers may share one view across the analyses of an unchanged
+        network, and must build a new one after a change."""
         view = dataclasses.replace(self)
         view.memo = {}
         view.link_flows = {}
@@ -179,23 +179,6 @@ def lower_priority_max_frame(network: Network, link_id: str, priority: int) -> f
 def event_priorities(network: Network, link_id: str):
     """Distinct SP/AVB priorities at a port, highest first (queue order)."""
     return sorted({f.priority for f in event_flows_on(network, link_id)}, reverse=True)
-
-
-def shaped_queue_map(network: Network, link_id: str):
-    """Derived shaped-queue layout at a switch egress port.
-
-    One shaped queue per (upstream link, priority) pair, which satisfies the
-    queuing rules: frames from different input ports or of different
-    priorities never share a shaped queue.  Flows entering at their source
-    end system are not reshaped and do not appear here.
-    """
-    queues = {}
-    for f in event_flows_on(network, link_id):
-        prev = network.previous_link(f, link_id)
-        if prev is None:
-            continue
-        queues.setdefault((prev, f.priority), []).append(f)
-    return queues
 
 
 def guard_band_lengths(network: Network, link_id: str):

@@ -10,15 +10,15 @@ seen from each window in turn: the staircases and TDMA curves as one
 period of terms or windows per rotation, and the guard-band envelope from
 one period of interval ends.
 
-Each of three rules has one home: every leftover service or shaping curve
-is a ``minplus.leftover``, ``credit_modes`` gives each architecture its
-credit mode, and ``ShaperContext.class_flows`` the order of a class's flows.
+Each rule has one home: every leftover service or shaping curve is a
+``minplus.leftover``, ``credit_modes`` gives each architecture its credit
+mode, ``ShaperContext`` the memo of each analysis setting, the order of a
+class's flows (``class_flows``) and their split by upstream port.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,31 +153,27 @@ def gb_envelope(gcl, guard_bands, rate: float):
 # Analysis context
 # ---------------------------------------------------------------------------
 
-def _per_view(*attrs):
-    """Compute a ShaperContext quantity once per network view, in the view's
-    memo, keyed by the method, whether the architecture has gates, the
-    arguments, and the context ``attrs`` the quantity depends on."""
-    context = operator.attrgetter(*attrs) if attrs else (lambda ctx: None)
-
-    def decorate(method):
-        @functools.wraps(method)
-        def cached(self, *args):
-            key = (method.__name__, self.arch.tas, args, context(self))
-            memo = self.network.memo
-            if key not in memo:
-                memo[key] = method(self, *args)
-            return memo[key]
-        return cached
-    return decorate
+def _memo(method):
+    """Compute a ShaperContext quantity once per analysis setting of a
+    network view, in the setting's memo, keyed by the method and its
+    arguments."""
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self.memo:
+            self.memo[key] = method(self, *args)
+        return self.memo[key]
+    return cached
 
 
 class ShaperContext:
     """Per-analysis state: architecture, credit mode and horizon.
 
-    Every quantity it computes lives in the memo of the network view (see
-    ``Network.indexed``), so the analyses of one view share what they have
-    in common; a plain network gets a view of its own.  Every curve is
-    built at the context's horizon.
+    Every quantity it computes lives in the network view's memo for the
+    analysis setting (see ``Network.indexed``): whether the architecture has
+    gates, the credit mode and the horizon, which the analyses of one view
+    and setting share; a plain network gets a view of its own.  Every curve
+    is built at the context's horizon.
     """
 
     def __init__(self, network: nm.Network, arch: Architecture, credit_mode, horizon: float):
@@ -185,42 +181,43 @@ class ShaperContext:
         self.network = network if network.memo is not None else network.indexed()
         self.arch = arch
         self.horizon = float(horizon)
+        self.memo = self.network.memo.setdefault((arch.tas, self.credit_mode, self.horizon), {})
 
     # -- per-port gate state ------------------------------------------------
 
     def link_rate(self, link_id: str) -> float:
         return self.network.links[link_id].rate
 
-    @_per_view()
+    @_memo
     def guard_bands(self, link_id: str):
         return nm.guard_band_lengths(self.network, link_id)
 
     def _gcl(self, link_id: str):
         return self.network.gcl(link_id) if self.arch.tas else None
 
-    @_per_view("horizon")
+    @_memo
     def tt_arrival(self, link_id: str, variant: str) -> mp.Curve:
         return tt_arrival_curve(self._gcl(link_id), self.guard_bands(link_id), variant,
                                 self.link_rate(link_id), self.horizon)
 
-    @_per_view("horizon")
+    @_memo
     def tt_service(self, link_id: str) -> mp.Curve:
         return tt_service_curve(self._gcl(link_id), self.link_rate(link_id), self.horizon)
 
-    @_per_view()
+    @_memo
     def envelope(self, link_id: str):
         return gb_envelope(self._gcl(link_id), self.guard_bands(link_id), self.link_rate(link_id))
 
-    @_per_view("horizon")
+    @_memo
     def top_sp_service(self, link_id: str, priority: int) -> mp.Curve:
         """The strict-priority service of a queue with no higher-priority
         arrivals: the link less the gates and one lower frame, which depend
-        on the network view alone.  Under gates, that of each port's top
+        on the analysis setting alone.  Under gates, that of each port's top
         priority comes from ``gated_top_services``."""
         top = self.gated_top_services().get((link_id, priority)) if self.arch.tas else None
         return top if top is not None else sp_service_curve(self, link_id, priority, ())
 
-    @_per_view("horizon")
+    @_memo
     def gated_top_services(self) -> dict:
         """The top-priority strict-priority service of every port of the view
         with gate windows and event traffic, by (port, priority), their
@@ -240,23 +237,34 @@ class ShaperContext:
 
     # -- per-port class structure --------------------------------------------
 
-    @_per_view()
+    @_memo
     def priorities_at(self, link_id: str):
         return nm.event_priorities(self.network, link_id)
 
-    @_per_view()
+    @_memo
     def class_flows(self, link_id: str, priority: int) -> tuple:
         """The event flows of a priority at a port, in order of id: the order
         in which their curves are summed."""
         return tuple(sorted((f for f in nm.event_flows_on(self.network, link_id)
                              if f.priority == priority), key=lambda f: f.id))
 
-    @_per_view()
+    @_memo
+    def upstream_groups(self, link_id: str, priority: int) -> dict:
+        """The event flows of a priority at a port by the port they come
+        from, each group in order of id: first, under None, those that enter
+        here from their source end system, then each upstream port in order
+        of id."""
+        groups = {}
+        for f in self.class_flows(link_id, priority):
+            groups.setdefault(self.network.previous_link(f, link_id), []).append(f)
+        return dict(sorted(groups.items(), key=lambda group: (group[0] is not None, group[0])))
+
+    @_memo
     def class_frames(self, link_id: str, priority: int):
         sizes = [f.size for f in self.class_flows(link_id, priority)]
         return (max(sizes), min(sizes)) if sizes else (0.0, 0.0)
 
-    @_per_view()
+    @_memo
     def idle_slope(self, link_id: str, priority: int) -> float:
         """Configured idle slope, or the default reservable share split in
         proportion to class committed rates."""
@@ -276,11 +284,11 @@ class ShaperContext:
             return budget
         return budget * class_rates[priority] / total
 
-    @_per_view("credit_mode")
+    @_memo
     def credit_bounds(self, link_id: str, priority: int) -> CreditBounds:
         return cbs_credit_bounds(self, link_id, priority)
 
-    @_per_view("credit_mode", "horizon")
+    @_memo
     def shaping_curve(self, link_id: str, priority: int) -> mp.Curve:
         return cbs_shaping_curve(self, link_id, priority)
 
@@ -422,25 +430,24 @@ def unshaped_queue_arrival(ctx: ShaperContext, link_id: str, priority: int,
 
     A flow's burst grows by its rate times the delay bound, in ``delays``,
     of each queue of its priority before this port on its route, added in
-    route order; a missing bound raises DependencyError.  Flows that enter
-    at this port from their source end system contribute raw envelopes,
-    summed first.  The others are summed per upstream port, in order of
-    port, and each sum is capped by ``_upstream_capped``.
+    route order; a missing bound raises DependencyError.  The flows are
+    summed per ``ShaperContext.upstream_groups``: those that enter at this
+    port from their source end system as raw envelopes, and each upstream
+    port's capped by ``_upstream_capped``.
     """
-    groups = {}  # upstream port, or None at the source -> token buckets
-    for f in ctx.class_flows(link_id, priority):
-        burst, r = nm.leaky_bucket_of(f)
-        hop = f.route.index(link_id)
-        for up in f.route[:hop]:
-            if (up, priority) not in delays:
-                raise DependencyError(
-                    f"queue ({link_id}, P{priority}) needs the bound of ({up}, P{priority})")
-            burst += r * delays[(up, priority)]
-        groups.setdefault(f.route[hop - 1] if hop else None, []).append((burst, r))
-    source = groups.pop(None, None)
-    parts = [_token_buckets(source, ctx.horizon)] if source else []
-    for upstream_id, buckets in sorted(groups.items()):
-        parts.append(_upstream_capped(ctx, upstream_id, priority, _token_buckets(buckets, ctx.horizon)))
+    parts = []
+    for upstream_id, flows in ctx.upstream_groups(link_id, priority).items():
+        buckets = []
+        for f in flows:
+            burst, r = nm.leaky_bucket_of(f)
+            for up in f.route[:f.route.index(link_id)]:
+                if (up, priority) not in delays:
+                    raise DependencyError(
+                        f"queue ({link_id}, P{priority}) needs the bound of ({up}, P{priority})")
+                burst += r * delays[(up, priority)]
+            buckets.append((burst, r))
+        group = _token_buckets(buckets, ctx.horizon)
+        parts.append(group if upstream_id is None else _upstream_capped(ctx, upstream_id, priority, group))
     return mp.sum_of(parts) if parts else mp.zero(ctx.horizon)
 
 
@@ -471,8 +478,7 @@ def shaped_queue_analysis(ctx: ShaperContext, link_id: str, upstream_id: str,
     time there, and its backlog bound is the queue's arrival curve at that
     delay.
     """
-    flows = [f for f in ctx.class_flows(link_id, priority)
-             if ctx.network.previous_link(f, link_id) == upstream_id]
+    flows = ctx.upstream_groups(link_id, priority).get(upstream_id)
     if not flows:
         raise ValueError(f"no flows from {upstream_id} into {link_id} at priority {priority}")
     up_rate = ctx.link_rate(upstream_id)

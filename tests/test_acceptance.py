@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; every tolerance is pinned here, nothing is calibrated elsewhere.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -282,6 +283,57 @@ def test_criterion_7a_monotone_under_traffic_removal():
             assert qb.backlog <= full.queues[key].backlog + 1e-9
     _report("7a", f"removing a competing flow never raised a bound "
                   f"({checked} flow instances)")
+
+
+#: Every architecture, and both credit modes where gates and credit shaping
+#: combine.
+ALL_SETTINGS = (("SP", None), ("ATS", None), ("CBS", None), ("TAS+SP", None), ("TAS+ATS+SP", None),
+                ("TAS+CBS", "frozen"), ("TAS+CBS", "nonfrozen"),
+                ("TAS+ATS+CBS", "frozen"), ("TAS+ATS+CBS", "nonfrozen"))
+
+
+def _pin_idle_slopes(net, arch, credit_mode):
+    """Fix every class's idle slope at the one derived for ``net``: a derived
+    slope is a share of the link in proportion to the class rates, so it
+    moves when any flow is removed."""
+    ctx = sh.ShaperContext(net, sh.parse_architecture(arch), credit_mode, nm.hyperperiod_horizon(net))
+    net.idle_slopes = {link_id: {p: ctx.idle_slope(link_id, p) for p in ctx.priorities_at(link_id)}
+                       for link_id in net.links}
+
+
+def test_criterion_7a_no_bound_rises_when_event_traffic_is_removed_under_any_architecture():
+    # MM and MT at load 0.5, seed 0, with three priorities (two under credit
+    # shaping) and, under gates, 30 % scheduled load; every fourth event
+    # flow is removed in turn, and no remaining flow's delay bound and no
+    # remaining queue's backlog bound may rise by more than rounding
+    start = time.monotonic()
+    rel = 1e-9
+    checked = 0
+    for arch, credit_mode in ALL_SETTINGS:
+        gated, credit = arch.startswith("TAS"), "CBS" in arch
+        for template in ("MM", "MT"):
+            net = tg.generate(template, tg.GenSpec(
+                target_load=0.5, periods=(1000.0, 2000.0), priorities=(6, 5) if credit else (6, 5, 4),
+                tt_load_fraction=0.3 if gated else 0.0, seed=0))
+            if credit:
+                _pin_idle_slopes(net, arch, credit_mode)
+            full = engine.analyze(net, arch, credit_mode)
+            events = sorted(f.id for f in net.flows.values() if f.kind in nm.EVENT_KINDS)
+            for victim in events[::4]:
+                where = (arch, credit_mode, template, victim)
+                slim_net = dataclasses.replace(net, flows={k: f for k, f in net.flows.items() if k != victim})
+                slim = engine.analyze(slim_net, arch, credit_mode)
+                assert set(slim.flows) == set(full.flows) - {victim}, where
+                for fid, fb in slim.flows.items():
+                    assert fb.wcd <= full.flows[fid].wcd * (1.0 + rel), (*where, fid)
+                for key, qb in [*slim.queues.items(), *slim.shaped_queues.items()]:
+                    was = (full.queues if len(key) == 2 else full.shaped_queues)[key].backlog
+                    assert qb.backlog <= was * (1.0 + rel), (*where, key)
+                checked += len(slim.flows) + len(slim.queues) + len(slim.shaped_queues)
+    elapsed = time.monotonic() - start
+    assert elapsed < 15.0, f"runtime {elapsed:.1f}s exceeds 15 s"
+    _report("7a", f"removing an event flow never raised a bound under {len(ALL_SETTINGS)} "
+                  f"architecture settings ({checked} comparisons, {elapsed:.1f}s)")
 
 
 def test_criterion_7b_credit_dominance():

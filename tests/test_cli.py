@@ -3,6 +3,7 @@
 import collections
 import functools
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -233,6 +234,41 @@ def test_sweep_records_infeasible_load_as_failed_cell(tmp_path, workers):
     assert "target load 1.1" in failed[0][4]
     assert "[0; 1)" in failed[0][4]
     assert not [r for r in rows if r[0] == "0.9" and r[2] != "failed"]
+
+
+def _pool_forks() -> bool:
+    """Whether a sweep's worker processes are forked, and so inherit a
+    monkeypatch made in this process."""
+    method = multiprocessing.get_start_method(allow_none=True)
+    return (method or multiprocessing.get_all_start_methods()[0]) == "fork"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_keeps_its_grid_when_a_cell_raises_an_untyped_error(tmp_path, monkeypatch, capsys, workers):
+    # a ValueError in one seed's cells is recorded as that cell's failure:
+    # the other cells run, the CSV is written, and the exit code is 1
+    if workers != "1" and not _pool_forks():
+        pytest.skip("the workers inherit the patch only when they are forked")
+    generate = tg.generate
+
+    def failing(template, spec):
+        if spec.seed == 1:
+            raise ValueError("no network, at seed 1")
+        return generate(template, spec)
+
+    monkeypatch.setattr(tg, "generate", failing)
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--template", "ST", "--arch", "SP", "--arch2", "ATS",
+                   "--loads", "0.2,0.3", "--seeds", "3", "--workers", workers, "--out", str(out)])
+    assert rc == 1
+    assert "2 cells failed with an unexpected error, first ValueError" in capsys.readouterr().err
+    rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
+    failed = [r for r in rows if r[2] == "failed"]
+    assert failed == [[load, "1", "failed", "SP-vs-ATS", "ValueError: no network; at seed 1"]
+                      for load in ("0.2", "0.3")]
+    cells = {(r[0], r[1], r[2]) for r in rows if r[2] != "failed"}
+    assert cells == {(load, seed, metric) for load in ("0.2", "0.3") for seed in ("0", "2", "all")
+                     for metric in ("delay", "backlog")}
 
 
 def test_env_variable_defaults(net_file, tmp_path, monkeypatch):
@@ -584,7 +620,10 @@ def test_view_builds_each_top_gated_service_and_its_inverse_table_once(monkeypat
     view = tg.generate("MM", tg.GenSpec(target_load=0.4, tt_load_fraction=0.5, seed=0)).indexed()
     for arch in ("TAS+ATS+SP", "TAS+SP"):
         engine.analyze(view, arch)
-    batches = [v for k, v in view.memo.items() if k[0] == "gated_top_services"]
+    # one memo per analysis setting, which both architectures share
+    assert all(tas and mode is None for tas, mode, _ in view.memo)
+    batches = [v for memo in view.memo.values() for k, v in memo.items() if k[0] == "gated_top_services"]
+    assert len(batches) == len(view.memo)
     tops = [curve for batch in batches for curve in batch.values()]
     assert len(tops) > 10
     assert max(services.values()) == 1
@@ -605,25 +644,26 @@ def test_compare_builds_each_gate_quantity_once(monkeypatch, tmp_path):
 
 
 def test_compare_reads_each_class_flow_tuple_from_one_memo(monkeypatch, tmp_path):
-    # both analyses of a criterion-6b compare sum each class's flows in the
-    # order of one tuple per view and class, computed once
+    # both analyses of a criterion-6b compare sum each class's flows as one
+    # split by upstream port per setting and class, built from one tuple of
+    # the class's flows, computed once
     computed = collections.Counter()
     read = collections.defaultdict(set)
     raw = sh.ShaperContext.class_flows.__wrapped__
+    split = sh.ShaperContext.upstream_groups
 
     @functools.wraps(raw)
     def counted(self, link_id, priority):
         computed[(link_id, priority)] += 1
         return raw(self, link_id, priority)
 
-    cached = sh._per_view()(counted)
-
     def recorded(self, link_id, priority):
-        flows = cached(self, link_id, priority)
-        read[(link_id, priority)].add((self.arch.name, id(flows)))
-        return flows
+        groups = split(self, link_id, priority)
+        read[(link_id, priority)].add((self.arch.name, id(groups)))
+        return groups
 
-    monkeypatch.setattr(sh.ShaperContext, "class_flows", recorded)
+    monkeypatch.setattr(sh.ShaperContext, "class_flows", sh._memo(counted))
+    monkeypatch.setattr(sh.ShaperContext, "upstream_groups", recorded)
     net = tg.generate("MM", tg.GenSpec(target_load=0.3, tt_load_fraction=0.5, seed=0))
     path = tmp_path / "net.json"
     nm.save(net, path)
@@ -633,4 +673,4 @@ def test_compare_reads_each_class_flow_tuple_from_one_memo(monkeypatch, tmp_path
     assert computed and max(computed.values()) == 1
     shared = [readers for readers in read.values() if len({a for a, _ in readers}) == 2]
     assert len(shared) > 10
-    assert all(len({flows for _, flows in readers}) == 1 for readers in shared)
+    assert all(len({groups for _, groups in readers}) == 1 for readers in shared)

@@ -836,6 +836,9 @@ def test_random_envelope_trees_match_the_fold():
                 continue
             want, operands = _fold_of(curve, node)
             _assert_same_function(curve.segments, want, _envelope_magnitude(curve, want, *operands))
+            if node is not None:
+                # the rate read off the envelope is the one the node folds
+                assert curve.long_term_rate().hex() == node.long_term_rate().hex()
             compared += 1
     assert compared > 1000
 

@@ -209,15 +209,3 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"nodes": [{"id": "a"}]}))
     with pytest.raises(ParseError):
         nm.load(path)
-
-
-def test_shaped_queue_map_groups_by_upstream_and_priority():
-    net = line_network()
-    net.flows["s1"] = nm.Flow("s1", "SP", 1000.0, 5, ("L1", "L2", "L3"), period=1000.0)
-    net.flows["s2"] = nm.Flow("s2", "SP", 2000.0, 5, ("L1", "L2", "L3"), period=2000.0)
-    net.flows["s3"] = nm.Flow("s3", "SP", 2000.0, 3, ("L1", "L2", "L3"), period=2000.0)
-    qmap = nm.shaped_queue_map(net, "L2")
-    assert set(qmap) == {("L1", 5), ("L1", 3)}
-    assert {f.id for f in qmap[("L1", 5)]} == {"s1", "s2"}
-    # flows entering at their source ES are not reshaped
-    assert nm.shaped_queue_map(net, "L1") == {}

@@ -874,6 +874,29 @@ def test_shared_queue_arrival_empty():
     assert alpha.evaluate(100.0) == 0.0
 
 
+def test_upstream_groups_split_a_class_by_upstream_port_and_priority():
+    # ES3 -> SW1 over L0 and ES1 -> SW1 over L1 both feed L2, SW1 -> SW2
+    net = nm.Network()
+    for nid, kind in [("ES1", "ES"), ("ES3", "ES"), ("SW1", "SW"), ("SW2", "SW")]:
+        net.nodes[nid] = nm.Node(nid, kind)
+    for lid, a, b in [("L1", "ES1", "SW1"), ("L0", "ES3", "SW1"), ("L2", "SW1", "SW2")]:
+        net.links[lid] = nm.Link(lid, a, b, rate=C)
+    for fid, prio, route in [("s4", 5, ("L1", "L2")), ("s2", 5, ("L0", "L2")),
+                             ("s3", 3, ("L1", "L2")), ("s1", 5, ("L1", "L2"))]:
+        net.flows[fid] = nm.Flow(fid, "SP", 1000.0, prio, route, period=1000.0)
+    ctx = make_ctx(net, "ATS")
+
+    def ids(link_id, priority):
+        return [(up, [f.id for f in flows]) for up, flows in ctx.upstream_groups(link_id, priority).items()]
+
+    # upstream ports in order of id, each with its flows in order of id
+    assert ids("L2", 5) == [("L0", ["s2"]), ("L1", ["s1", "s4"])]
+    assert ids("L2", 3) == [("L1", ["s3"])]
+    # flows entering at their source ES come under None
+    assert ids("L1", 5) == [(None, ["s1", "s4"])]
+    assert ctx.upstream_groups("L2", 5) is ctx.upstream_groups("L2", 5)
+
+
 def test_unshaped_arrival_single_upstream():
     net = port_network([("a", "SP", 1000.0, 5, 1000.0)])
     ctx = make_ctx(net, "SP")
