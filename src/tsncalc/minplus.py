@@ -19,32 +19,39 @@ A curve has up to two exact representations:
   and build a node (``Pointwise``, ``Scale``, ``UpClosure``) only for a
   result outside the family.  Gate staircases and TDMA curves, given by one
   period of terms or windows, have none.
-- ``segments``: a piecewise-linear function on [0, horizon] with jumps,
-  built on first use and kept.  Every curve has it.  A curve with an
-  envelope converts it, one segment per line.  Any other curve builds it
-  from its operands' segments: a sum on one union grid, a min or max
-  folded two at a time (``_pointwise``), and the closure with one running
-  maximum.  A TDMA service takes the min of its rotations on one period
-  and repeats it.  A leftover (``leftover``: a line less scaled terms,
-  closed) is that chain of nodes.  Gate staircases, and the leftovers of a
-  line less one scaled staircase (the gated top-priority services), can
-  also be built as batches of rows, one pass over all the rows per step
-  (``build_leftovers``); each step does the floating-point operations of
-  the one-curve operator it replaces, so a batch is bit for bit the curves
-  built one by one.
+- ``segments``: a piecewise-linear function with jumps, built on first use
+  and kept: a closed curve's on [0, inf), one segment per line, and any
+  other curve's on [0, horizon].  Only gate curves need a finite window, so
+  a curve has a ``horizon`` if and only if a gate curve is among its
+  leaves, and a node takes that of its operands; a closed curve is read
+  on the horizon of the gate curves it meets (``_segments_on``).  A node
+  builds its segments from its operands': a sum on one union grid, a min
+  or max folded two at a time (``_pointwise``), and the closure with one
+  running maximum.  A TDMA service takes the min of its rotations on one
+  period and repeats it.  A leftover (``leftover``: a line less scaled
+  terms, closed) is that chain of nodes.  Gate staircases, and the
+  leftovers of a line less one scaled staircase (the gated top-priority
+  services), can also be built as batches of rows, one pass over all the
+  rows per step (``build_leftovers``); each step does the floating-point
+  operations of the one-curve operator it replaces, so a batch is bit for
+  bit the curves built one by one.
 
 ``deviations`` has two cases, both exact; nothing is sampled:
 
 - a concave arrival curve against a convex service curve (the gate-free
   strict-priority, reshaping and credit-based analyses), the line crossings
   of the envelopes, over all t;
-- every other pair (gate staircases, TDMA service), the segments, with
-  each period unrolled up to the horizon.  Only this case can raise
-  HorizonExceededError.  Each segment function computes its inverse table
-  (the left limit at each segment's end, the running maximum of values
-  reached, and whether it never falls) once, and one pass over it gives
-  the first and the strict inverse, so a service that two analyses share
-  is read, not rebuilt.
+- every pair with a gate curve among its leaves (gate staircases, TDMA
+  service), the segments, with each period unrolled up to the horizon.
+  Only this case can raise HorizonExceededError.  Each segment function
+  computes its inverse table (the left limit at each segment's end, the
+  running maximum of values reached, and whether it never falls) once, and
+  one pass over it gives the first and the strict inverse, so a service
+  that two analyses share is read, not rebuilt.
+
+Rounding has one rule: values computed from terms of magnitude x may
+differ by ``slack(x)``, the larger of ``TOLERANCE`` and ``ROUNDING`` times
+x.  Compression compares exactly (``_kept``).
 """
 
 from __future__ import annotations
@@ -61,8 +68,15 @@ from .errors import HorizonExceededError, InstabilityError
 
 #: Absolute comparison tolerance in internal units (us, bits).
 TOLERANCE = 1e-9
+#: Relative rounding of a value computed from terms of its magnitude.
+ROUNDING = 1e-12
 
 INF = float("inf")
+
+
+def slack(x: float) -> float:
+    """How far values computed from terms of magnitude ``x`` may differ."""
+    return max(TOLERANCE, ROUNDING * abs(x))
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +157,14 @@ class InverseTable:
 
 
 def _inverse_table(seg: Segments) -> InverseTable:
-    end_left = _read_only(seg.right + seg.slope * (_ends(seg.t, seg.horizon) - seg.t))
+    span = _ends(seg.t, seg.horizon) - seg.t
+    # the last segment of a closed curve's own segments ends at inf, flat
+    # if its slope is 0
+    if seg.slope[-1] == 0.0:
+        span[-1] = 0.0
+    end_left = _read_only(seg.right + seg.slope * span)
     reach = _read_only(np.maximum.accumulate(np.maximum(end_left, np.maximum(seg.at, seg.right))))
-    tol = max(TOLERANCE, 1e-12 * float(np.abs(seg.right).max(initial=1.0)))
+    tol = slack(float(np.abs(seg.right).max(initial=1.0)))
     # the left limit at each breakpoint after the first is the end of the
     # segment before it
     nondecreasing = not ((seg.right - seg.at < -tol).any() or (seg.at[1:] - end_left[:-1] < -tol).any()
@@ -251,15 +270,18 @@ def _ends(t, horizon, first=None) -> np.ndarray:
 
 
 def _kept(t, at, right, slope, first) -> np.ndarray:
-    """The rows that ``Segments.compress`` keeps: each function's first row
-    and every row with a jump or a slope change, beyond 1e-12 absolute."""
-    tol = 1e-12
-    left = np.empty_like(at)
-    left[0] = at[0]
-    left[1:] = right[:-1] + slope[:-1] * (t[1:] - t[:-1])
-    same_slope = np.append(False, np.abs(slope[1:] - slope[:-1]) <= tol)
-    no_jump = (np.abs(at - left) <= tol) & (np.abs(right - at) <= tol)
-    return first | ~(no_jump & same_slope)
+    """The rows that ``Segments.compress`` keeps: each function's first row,
+    and every row with a jump or a slope change, or whose value the last
+    row kept, extended to it, misses; repeated until no row is dropped that
+    must stay, so every breakpoint keeps its value and right limit exactly."""
+    keep = first | (right != at) | np.append(True, slope[1:] != slope[:-1])
+    rows = np.arange(len(t))
+    while True:
+        last = np.maximum.accumulate(np.where(keep, rows, 0))
+        miss = ~keep & (right[last] + slope[last] * (t - t[last]) != at)
+        if not miss.any():
+            return keep
+        keep |= miss
 
 
 def _running(ufunc, values, first) -> np.ndarray:
@@ -356,7 +378,7 @@ class Deviation:
 def _check_rates(alpha: "Curve", beta: "Curve") -> None:
     ra = alpha.long_term_rate()
     rb = beta.long_term_rate()
-    if ra > rb + max(TOLERANCE, 1e-9 * abs(rb)):
+    if ra > rb + slack(rb):
         raise InstabilityError(
             f"arrival rate {ra:.6g} bits/us exceeds service rate {rb:.6g} bits/us"
         )
@@ -366,7 +388,7 @@ def _first_max_at(values: np.ndarray):
     """The largest value and the index of the first value within rounding
     of it, as ``_first_max`` picks its witness."""
     best = float(values.max())
-    return best, int((values >= best - 1e-12 * max(1.0, abs(best))).argmax())
+    return best, int((values >= best - slack(best)).argmax())
 
 
 def _hdev_segments(a: Segments, b: Segments):
@@ -543,7 +565,7 @@ def _first_max(values, times):
     value within rounding of it: exact ties (a flat stretch) go to the
     earliest candidate, not to the rounding error."""
     best = max(values)
-    tol = 1e-12 * max(1.0, abs(best))
+    tol = slack(best)
     return best, next(t for v, t in zip(values, times) if v >= best - tol)
 
 
@@ -617,32 +639,41 @@ def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
 # ---------------------------------------------------------------------------
 
 class Curve:
-    """A non-decreasing function on [0, horizon] in closed representation.
+    """A non-decreasing function of time in closed representation.
 
     ``envelope`` is the closed form, or None outside the token-bucket
     family: Affine and RateLatency curves, and the Closed curves that the
     operators fold, have theirs from the start, and the nodes built from
-    segments have none."""
+    segments have none.  ``horizon`` is the end of the window the gate
+    curves among the curve's leaves are built on, or None when there are
+    none."""
 
     __slots__ = ("horizon", "envelope", "_segments")
 
-    def __init__(self, horizon: float, envelope: Envelope | None = None):
-        if not 0.0 < horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, not {horizon}")
-        self.horizon = float(horizon)
+    def __init__(self, envelope: Envelope | None = None, horizon: float | None = None):
+        if horizon is not None:
+            if not 0.0 < horizon < math.inf:
+                raise ValueError(f"horizon must be positive and finite, not {horizon}")
+            horizon = float(horizon)
+        self.horizon = horizon
         self.envelope = envelope
         self._segments = None
 
     @property
     def segments(self) -> Segments:
-        """The curve on [0, horizon]: converted from the envelope when the
-        curve has one, else built from its operands by ``_build``."""
+        """The curve on [0, horizon], built by ``_build``; a closed curve's
+        envelope on [0, inf), one segment per line.  A gate-free node has
+        segments only on the horizon of a gate curve it meets."""
         if self._segments is None:
-            env = self.envelope
-            self._segments = self._build() if env is None else _envelope_segments(env, self.horizon)
+            if self.envelope is not None:
+                self._segments = _envelope_segments(self.envelope, INF)
+            elif self.horizon is None:
+                raise ValueError("a gate-free curve outside the token-bucket family has no horizon")
+            else:
+                self._segments = self._build(self.horizon)
         return self._segments
 
-    def _build(self) -> Segments:
+    def _build(self, horizon: float) -> Segments:
         raise NotImplementedError
 
     def long_term_rate(self) -> float:
@@ -650,24 +681,38 @@ class Curve:
 
     def evaluate(self, t: float) -> float:
         """f(t), 0 for t <= 0: from the closed form, exact for every t, when
-        the curve has one; else from the segments, within the horizon only."""
+        the curve has one; else from the segments, within the horizon only,
+        or built up to t for a gate-free node."""
         if t <= 0.0:
             return 0.0
         env = self.envelope
         if env is not None:
             return env.value(t)
+        if self.horizon is None:
+            return self._build(t).value(t)
         if t > self.horizon + TOLERANCE:
             raise HorizonExceededError(f"t={t} exceeds curve horizon {self.horizon}")
         return self.segments.value(min(t, self.horizon))
 
     def __repr__(self):
-        return f"<{type(self).__name__} horizon={self.horizon:g}>"
+        shown = self.envelope if self.horizon is None else f"horizon={self.horizon:g}"
+        return f"<{type(self).__name__} {shown}>"
+
+
+def _segments_on(curve: Curve, horizon: float) -> Segments:
+    """The segments of ``curve`` where it meets gate curves of ``horizon``:
+    its own if it has one, else its envelope or its node built there."""
+    if curve.horizon is not None:
+        return curve.segments
+    if curve.envelope is not None:
+        return _envelope_segments(curve.envelope, horizon)
+    return curve._build(horizon)
 
 
 class Closed(Curve):
-    """A curve of the token-bucket family, given by its closed form.  Its
-    long-term ``rate`` is the slope of the envelope's last line: the
-    flattest line of a min of lines, the steepest of a max."""
+    """A curve of the token-bucket family, given by its closed form, exact
+    for every t.  Its long-term ``rate`` is the slope of the envelope's
+    last line: the flattest line of a min of lines, the steepest of a max."""
 
     __slots__ = ()
 
@@ -686,9 +731,9 @@ class Affine(Closed):
 
     __slots__ = ("burst",)
 
-    def __init__(self, burst: float, rate: float, horizon: float):
+    def __init__(self, burst: float, rate: float):
         burst, rate = float(burst), float(rate)
-        super().__init__(horizon, Envelope(0, ((burst, rate),)))
+        super().__init__(Envelope(0, ((burst, rate),)))
         if rate < 0:
             raise ValueError("rate must be >= 0")
         self.burst = burst
@@ -699,9 +744,9 @@ class RateLatency(Closed):
 
     __slots__ = ("latency",)
 
-    def __init__(self, rate: float, latency: float, horizon: float):
+    def __init__(self, rate: float, latency: float):
         rate, latency = float(rate), float(latency)
-        super().__init__(horizon, _hull(-1, [(0.0, 0.0), (-rate * latency, rate)]))
+        super().__init__(_hull(-1, [(0.0, 0.0), (-rate * latency, rate)]))
         if rate < 0 or latency < 0:
             raise ValueError("rate and latency must be >= 0")
         self.latency = latency
@@ -719,7 +764,7 @@ class StaircaseMax(Curve):
     __slots__ = ("rotations", "_rate")
 
     def __init__(self, rotations, horizon: float):
-        super().__init__(horizon)
+        super().__init__(horizon=horizon)
         if not len(rotations):
             raise ValueError("a staircase max needs at least one rotation")
         terms = np.array(rotations, dtype=float).reshape(len(rotations), -1, 3)
@@ -730,7 +775,7 @@ class StaircaseMax(Curve):
         self.rotations = terms  # (rotation, term, (height, offset, period))
         self._rate = max(map(sum, (terms[..., 0] / terms[..., 2]).tolist()))
 
-    def _build(self) -> Segments:
+    def _build(self, horizon: float) -> Segments:
         return _staircases([self])[0]
 
     def long_term_rate(self) -> float:
@@ -874,15 +919,15 @@ class TdmaService(Curve):
     rotation is open for the same time per period.  Each rotation's open
     time then grows by one period's every period, and so does their min: it
     is taken on [0, period], and its slopes are repeated up to the horizon
-    and integrated, with no jump at a period's end.  Starts a rounding error
-    below 0 are clamped to 0, and the slope follows a running count of open
-    windows, so one window's end and the next one's start may lie an ulp
-    apart either way."""
+    and integrated from each change of slope to the next, with no jump at a
+    period's end.  Starts a rounding error below 0 are clamped to 0, and
+    the slope follows a running count of open windows, so one window's end
+    and the next one's start may lie an ulp apart either way."""
 
     __slots__ = ("rate", "period", "starts", "lengths")
 
     def __init__(self, rate: float, period: float, starts, lengths, horizon: float):
-        super().__init__(horizon)
+        super().__init__(horizon=horizon)
         starts, lengths = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (starts, lengths))
         if (rate < 0 or period <= 0 or np.any(lengths < 0) or np.any(starts < -TOLERANCE)
                 or np.any(starts + lengths > period + TOLERANCE) or np.ptp(lengths.sum(axis=1)) > TOLERANCE):
@@ -892,7 +937,7 @@ class TdmaService(Curve):
         self.starts = np.maximum(0.0, starts)
         self.lengths = lengths
 
-    def _build(self) -> Segments:
+    def _build(self, horizon: float) -> Segments:
         period, rate = self.period, self.rate
         rotations = []
         for starts, lengths in zip(self.starts, self.lengths):
@@ -902,29 +947,35 @@ class TdmaService(Curve):
             rotations.append(Segments(t, rate * open_time, rate * open_time, rate * count, period))
         one = _pointwise(rotations, "min")
         live = one.t < period
-        copies = int(self.horizon // period) + 1
+        copies = int(horizon // period) + 1
         t = (one.t[live] + period * np.arange(copies)[:, None]).ravel()
-        # a period's end that rounds onto the next one's start gives way to it
-        keep = (t <= self.horizon) & np.append(t[1:] > t[:-1], True)
+        # a period's end that rounds onto the next one's start gives way to
+        # it, and a point where the slope does not change is no breakpoint
+        keep = (t <= horizon) & np.append(t[1:] > t[:-1], True)
         t, slope = t[keep], np.tile(one.slope[live], copies)[keep]
+        change = np.append(True, slope[1:] != slope[:-1])
+        t, slope = t[change], slope[change]
         value = np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(t))])
-        return Segments(t, value, value, slope, self.horizon).compress()
+        return Segments(t, value, value, slope, horizon)
 
     def long_term_rate(self) -> float:
         return self.rate * float(np.min(np.sum(self.lengths, axis=1))) / self.period
 
 
 def _operands(op: str, curves: Iterable[Curve]) -> tuple:
-    """The operands of a pointwise ``op``, refused when there are none or
+    """The operands of ``op`` and the horizon of the gate curves among their
+    leaves, None when there are none; refused when there are no operands or
     when their horizons differ."""
     curves = tuple(curves)
     if not curves:
         raise ValueError(f"{op} of an empty curve list")
-    horizon = curves[0].horizon
+    horizon = None
     for c in curves:
-        if c.horizon != horizon:
-            raise ValueError(f"{op} of curves on different horizons")
-    return curves
+        if c.horizon is not None:
+            if horizon is not None and c.horizon != horizon:
+                raise ValueError(f"{op} of curves on different horizons")
+            horizon = c.horizon
+    return curves, horizon
 
 
 class Pointwise(Curve):
@@ -934,13 +985,13 @@ class Pointwise(Curve):
     __slots__ = ("op", "curves")
 
     def __init__(self, op: str, curves: Sequence[Curve]):
-        curves = _operands(op, curves)
-        super().__init__(curves[0].horizon)
+        curves, horizon = _operands(op, curves)
+        super().__init__(horizon=horizon)
         self.op = op
         self.curves = curves
 
-    def _build(self) -> Segments:
-        return _pointwise([c.segments for c in self.curves], self.op).compress()
+    def _build(self, horizon: float) -> Segments:
+        return _pointwise([_segments_on(c, horizon) for c in self.curves], self.op).compress()
 
     def long_term_rate(self) -> float:
         fold = {"min": min, "max": max, "sum": sum}[self.op]
@@ -954,12 +1005,12 @@ class Scale(Curve):
     __slots__ = ("factor", "curve")
 
     def __init__(self, factor: float, curve: Curve):
-        super().__init__(curve.horizon)
+        super().__init__(horizon=curve.horizon)
         self.factor = float(factor)
         self.curve = curve
 
-    def _build(self) -> Segments:
-        seg = self.curve.segments
+    def _build(self, horizon: float) -> Segments:
+        seg = _segments_on(self.curve, horizon)
         f = self.factor
         return Segments(seg.t, seg.at * f, seg.right * f, seg.slope * f, seg.horizon)
 
@@ -973,11 +1024,11 @@ class UpClosure(Curve):
     __slots__ = ("curve",)
 
     def __init__(self, curve: Curve):
-        super().__init__(curve.horizon)
+        super().__init__(horizon=curve.horizon)
         self.curve = curve
 
-    def _build(self) -> Segments:
-        return _up_closure_segments(self.curve.segments)
+    def _build(self, horizon: float) -> Segments:
+        return _up_closure_segments(_segments_on(self.curve, horizon))
 
     def long_term_rate(self) -> float:
         return max(0.0, self.curve.long_term_rate())
@@ -992,7 +1043,7 @@ class UpClosure(Curve):
 # the node it stands for; else the node.
 
 def _pointwise_of(op: str, curves: Iterable[Curve]) -> Curve:
-    curves = _operands(op, curves)
+    curves, _ = _operands(op, curves)
     envs = [c.envelope for c in curves]
     for env in envs:
         if env is None:
@@ -1005,7 +1056,7 @@ def _pointwise_of(op: str, curves: Iterable[Curve]) -> Curve:
             sense, [line for e in envs for line in e.lines])
     if env is None:
         return Pointwise(op, curves)
-    return Closed(curves[0].horizon, env)
+    return Closed(env)
 
 
 def min_of(curves: Iterable[Curve]) -> Curve:
@@ -1027,16 +1078,21 @@ def scale(factor: float, curve: Curve) -> Curve:
     f = float(factor)
     sense = env.sense if f > 0.0 else -env.sense
     # a single line (sense 0) is its own lower envelope
-    return Closed(curve.horizon, _hull(sense or 1, [(d * f, s * f) for d, s in env.lines]))
+    return Closed(_hull(sense or 1, [(d * f, s * f) for d, s in env.lines]))
 
 
 def up_closure(curve: Curve) -> Curve:
+    env = curve.envelope
+    if env is None:
+        return UpClosure(curve)
     # a max of lines that starts at or below 0 at 0+: max(0, f) is convex
     # with its minimum at 0, so it is already non-decreasing
-    env = curve.envelope
-    if env is None or env.sense > 0 or env.start > 0.0:
-        return UpClosure(curve)
-    return Closed(curve.horizon, _hull(-1, env.lines + ((0.0, 0.0),)))
+    if env.sense <= 0 and env.start <= 0.0:
+        return Closed(_hull(-1, env.lines + ((0.0, 0.0),)))
+    # no line falls, and f(0+) >= 0 = f(0): the curve is its own closure
+    if env.start >= 0.0 and env.lines[0][1] >= 0.0 and env.lines[-1][1] >= 0.0:
+        return curve
+    return UpClosure(curve)
 
 
 def leftover(line: Curve, terms) -> Curve:
@@ -1046,8 +1102,8 @@ def leftover(line: Curve, terms) -> Curve:
     return up_closure(sum_of([line] + [scale(f, c) for f, c in terms]))
 
 
-def zero(horizon: float) -> Curve:
-    return Affine(0.0, 0.0, horizon)
+def zero() -> Curve:
+    return Affine(0.0, 0.0)
 
 
 def deviations(alpha: Curve, beta: Curve) -> Deviation:
@@ -1055,10 +1111,12 @@ def deviations(alpha: Curve, beta: Curve) -> Deviation:
 
     Two cases, each exact and sampling nothing: a concave arrival against a
     convex service from the line crossings of their closed forms, over all
-    t; every other pair from the segments on [0, H], at the union of curve
-    breakpoints, staircase jump points and the level crossings they induce.
-    Raises InstabilityError when the deviations are unbounded, and
-    HorizonExceededError when the segments' alpha(H) > beta(H).
+    t; a pair with a gate curve among its leaves from the segments on [0,
+    H], H the gate curves' horizon, at the union of curve breakpoints,
+    staircase jump points and the level crossings they induce.  Raises
+    InstabilityError when the deviations are unbounded, HorizonExceededError
+    when the segments' alpha(H) > beta(H), and ValueError for any other
+    pair of gate-free curves, which no horizon bounds.
     """
     _check_rates(alpha, beta)
     closed = _closed_deviations(alpha, beta)
@@ -1066,11 +1124,16 @@ def deviations(alpha: Curve, beta: Curve) -> Deviation:
 
 
 def _segment_deviations(alpha: Curve, beta: Curve) -> Deviation:
-    """Deviations computed from the segments of any two curves on one horizon."""
-    if alpha.horizon != beta.horizon:
-        raise ValueError("deviations of curves on different horizons")
-    a = alpha.segments
-    b = beta.segments
+    """Deviations computed from the segments of two curves on the horizon of
+    the gate curves among them."""
+    _, horizon = _operands("deviations", (alpha, beta))
+    if horizon is None:
+        raise ValueError("deviations of gate-free curves outside the concave-arrival, convex-service case")
+    return _deviations_of(_segments_on(alpha, horizon), _segments_on(beta, horizon))
+
+
+def _deviations_of(a: Segments, b: Segments) -> Deviation:
+    """Deviations of two segment functions on one horizon."""
     if not np.isfinite(a.right).all():
         raise ValueError("arrival curve must be finite")
     if not a.is_nondecreasing() or not b.is_nondecreasing():

@@ -88,7 +88,7 @@ def tt_arrival_curve(gcl, guard_bands, variant: str, rate: float, horizon: float
     the window plus its preceding guard band ("GB+TT").
     """
     if gcl is None or not gcl.windows:
-        return mp.zero(horizon)
+        return mp.zero()
     if variant not in ("TT", "GB+TT"):
         raise ValueError(f"unknown variant {variant!r}")
     n = len(gcl.windows)
@@ -107,7 +107,7 @@ def tt_service_curve(gcl, rate: float, horizon: float) -> mp.Curve:
     the min over window rotations of the gate-open time since the end of the
     window before: one TDMA service of every rotation's period of windows."""
     if gcl is None or not gcl.windows:
-        return mp.zero(horizon)
+        return mp.zero()
     j, oj = _rotations(gcl)
     lens = np.array([w.length for w in gcl.windows])[j]
     # rotation i starts where window i - 1, its last, ends one period earlier
@@ -172,8 +172,10 @@ class ShaperContext:
     Every quantity it computes lives in the network view's memo for the
     analysis setting (see ``Network.indexed``): whether the architecture has
     gates, the credit mode and the horizon, which the analyses of one view
-    and setting share; a plain network gets a view of its own.  Every curve
-    is built at the context's horizon.
+    and setting share; a plain network gets a view of its own.  Only the
+    gate curves (``tt_arrival``, ``tt_service``) are built at the context's
+    horizon; a curve built from them takes theirs, and every other curve is
+    closed and has none.
     """
 
     def __init__(self, network: nm.Network, arch: Architecture, credit_mode, horizon: float):
@@ -358,9 +360,9 @@ def cbs_service_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Cur
     bounds = ctx.credit_bounds(link_id, priority)
     idsl = ctx.idle_slope(link_id, priority)
     if not ctx.arch.tas:
-        return mp.RateLatency(idsl, bounds.c_max / idsl, ctx.horizon)
+        return mp.RateLatency(idsl, bounds.c_max / idsl)
     variant = "TT" if ctx.credit_mode == "nonfrozen" else "GB+TT"
-    return mp.leftover(mp.Affine(-bounds.upper(ctx.credit_mode), idsl, ctx.horizon),
+    return mp.leftover(mp.Affine(-bounds.upper(ctx.credit_mode), idsl),
                        [(-idsl / ctx.link_rate(link_id), ctx.tt_arrival(link_id, variant))])
 
 
@@ -371,8 +373,8 @@ def cbs_shaping_curve(ctx: ShaperContext, link_id: str, priority: int) -> mp.Cur
     bounds = ctx.credit_bounds(link_id, priority)
     idsl = ctx.idle_slope(link_id, priority)
     if not ctx.arch.tas:
-        return mp.Affine(bounds.c_max - bounds.c_min, idsl, ctx.horizon)
-    return mp.leftover(mp.Affine(bounds.upper(ctx.credit_mode) - bounds.c_min, idsl, ctx.horizon),
+        return mp.Affine(bounds.c_max - bounds.c_min, idsl)
+    return mp.leftover(mp.Affine(bounds.upper(ctx.credit_mode) - bounds.c_min, idsl),
                        [(-idsl / ctx.link_rate(link_id), ctx.tt_service(link_id))])
 
 
@@ -399,14 +401,14 @@ def sp_service_curve(ctx: ShaperContext, link_id: str, priority: int,
         raise StarvationError(
             f"priority {priority} at {link_id} has no residual service "
             f"(residual rate {rate_budget:.6g} bits/us)")
-    return mp.leftover(mp.Affine(-lower_max, rate, ctx.horizon), [(-1.0, c) for c in blocked])
+    return mp.leftover(mp.Affine(-lower_max, rate), [(-1.0, c) for c in blocked])
 
 
 # ---------------------------------------------------------------------------
 # Arrival curves
 # ---------------------------------------------------------------------------
 
-def _token_buckets(buckets, horizon: float) -> mp.Curve:
+def _token_buckets(buckets) -> mp.Curve:
     """The sum of token buckets (burst, rate) as one line, added left to
     right: the additions ``minplus.sum_of`` makes for single lines, with no
     curve per bucket."""
@@ -414,14 +416,14 @@ def _token_buckets(buckets, horizon: float) -> mp.Curve:
     for b, r in rest:
         burst += b
         rate += r
-    return mp.Affine(burst, rate, horizon)
+    return mp.Affine(burst, rate)
 
 
 def shared_queue_arrival_ats(ctx: ShaperContext, link_id: str, priority: int) -> mp.Curve:
     """Aggregate input at a shared queue when every flow was reshaped to its
     committed envelope: a plain sum of token buckets."""
     buckets = [nm.leaky_bucket_of(f) for f in ctx.class_flows(link_id, priority)]
-    return _token_buckets(buckets, ctx.horizon) if buckets else mp.zero(ctx.horizon)
+    return _token_buckets(buckets) if buckets else mp.zero()
 
 
 def unshaped_queue_arrival(ctx: ShaperContext, link_id: str, priority: int,
@@ -446,9 +448,9 @@ def unshaped_queue_arrival(ctx: ShaperContext, link_id: str, priority: int,
                         f"queue ({link_id}, P{priority}) needs the bound of ({up}, P{priority})")
                 burst += r * delays[(up, priority)]
             buckets.append((burst, r))
-        group = _token_buckets(buckets, ctx.horizon)
+        group = _token_buckets(buckets)
         parts.append(group if upstream_id is None else _upstream_capped(ctx, upstream_id, priority, group))
-    return mp.sum_of(parts) if parts else mp.zero(ctx.horizon)
+    return mp.sum_of(parts) if parts else mp.zero()
 
 
 def _upstream_capped(ctx: ShaperContext, upstream_id: str, priority: int,
@@ -457,10 +459,10 @@ def _upstream_capped(ctx: ShaperContext, upstream_id: str, priority: int,
     upstream link's serialization, and for credit-shaped classes the
     upstream class shaping curve plus one frame)."""
     up_lmax, _ = ctx.class_frames(upstream_id, priority)
-    candidates = [group, mp.Affine(up_lmax, ctx.link_rate(upstream_id), ctx.horizon)]
+    candidates = [group, mp.Affine(up_lmax, ctx.link_rate(upstream_id))]
     if ctx.arch.cbs:
         shaping = ctx.shaping_curve(upstream_id, priority)
-        candidates.append(mp.sum_of([shaping, mp.Affine(up_lmax, 0.0, ctx.horizon)]))
+        candidates.append(mp.sum_of([shaping, mp.Affine(up_lmax, 0.0)]))
     return mp.min_of(candidates)
 
 
@@ -487,7 +489,7 @@ def shaped_queue_analysis(ctx: ShaperContext, link_id: str, upstream_id: str,
     if delay < 0.0:
         delay = 0.0
     buckets = [(b + r * upstream_delay, r) for b, r in map(nm.leaky_bucket_of, flows)]
-    alpha = _upstream_capped(ctx, upstream_id, priority, _token_buckets(buckets, ctx.horizon))
+    alpha = _upstream_capped(ctx, upstream_id, priority, _token_buckets(buckets))
     return delay, alpha.evaluate(delay)
 
 

@@ -218,9 +218,9 @@ def to_curve(spec: CurveSpec, horizon: float):
     from tsncalc import minplus as mp
 
     if spec.kind == "affine":
-        return mp.Affine(spec.burst, spec.rate, horizon)
+        return mp.Affine(spec.burst, spec.rate)
     if spec.kind == "ratelatency":
-        return mp.RateLatency(spec.rate, spec.latency, horizon)
+        return mp.RateLatency(spec.rate, spec.latency)
     return mp.StaircaseMax([list(spec.terms)], horizon)
 
 

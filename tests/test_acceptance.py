@@ -65,8 +65,8 @@ def test_criterion_2_closed_forms():
         r = float(rng.uniform(0.1, 20))
         rate = float(rng.uniform(r + 1.0, 100))
         lat = float(rng.uniform(0, 500))
-        alpha = mp.Affine(b, r, horizon * 4)
-        beta = mp.RateLatency(rate, lat, horizon * 4)
+        alpha = mp.Affine(b, r)
+        beta = mp.RateLatency(rate, lat)
         dev = mp.deviations(alpha, beta)
         assert dev.horizontal == pytest.approx(lat + b / rate, abs=1e-9)
         assert dev.vertical == pytest.approx(b + r * lat, abs=1e-9)

@@ -287,6 +287,52 @@ def test_gate_free_analyses_build_no_segments(monkeypatch):
     assert built["segments"] > 0
 
 
+GATED_SETTINGS = (("TAS+SP", None), ("TAS+CBS", "frozen"), ("TAS+CBS", "nonfrozen"),
+                  ("TAS+ATS+SP", None), ("TAS+ATS+CBS", "frozen"), ("TAS+ATS+CBS", "nonfrozen"))
+
+
+def _has_gate_leaf(curve):
+    if isinstance(curve, (mp.StaircaseMax, mp.TdmaService)):
+        return True
+    operands = getattr(curve, "curves", ()) + ((curve.curve,) if hasattr(curve, "curve") else ())
+    return any(_has_gate_leaf(c) for c in operands)
+
+
+def _curves_built(monkeypatch, analyze):
+    """Every curve that ``analyze()`` builds."""
+    built = []
+    init = mp.Curve.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(mp.Curve, "__init__", recorded)
+    analyze()
+    monkeypatch.undo()
+    return built
+
+
+def test_gate_free_analyses_build_no_curve_with_a_horizon(monkeypatch):
+    mm = tg.generate("MM", tg.GenSpec(target_load=0.3, priorities=(6, 5, 4), seed=7))
+    for arch in ("SP", "ATS", "CBS"):
+        built = _curves_built(monkeypatch, lambda: engine.analyze(mm, arch))
+        assert built and all(c.horizon is None for c in built), arch
+
+
+def test_every_node_of_a_gated_analysis_has_a_gate_leaf(monkeypatch):
+    # ports without gate windows beside ports with them: the credit shaping
+    # curves of the former stay closed, and a curve has a horizon if and
+    # only if a gate curve is among its leaves
+    gated = tg.generate("MM", tg.GenSpec(target_load=0.3, tt_load_fraction=0.3, seed=0))
+    assert any(not gated.gcl(link) or not gated.gcl(link).windows for link in gated.links)
+    for arch, mode in GATED_SETTINGS:
+        built = _curves_built(monkeypatch, lambda: engine.analyze(gated, arch, mode))
+        nodes = [c for c in built if isinstance(c, (mp.Pointwise, mp.Scale, mp.UpClosure))]
+        assert nodes and all(_has_gate_leaf(c) for c in nodes), (arch, mode)
+        assert all((c.horizon is not None) == _has_gate_leaf(c) for c in built), (arch, mode)
+
+
 def test_reanalysis_sees_flows_added_in_between():
     net = single_hop_net()
     before = engine.analyze(net, "SP")

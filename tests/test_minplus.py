@@ -1,6 +1,8 @@
 """Curve algebra: closed-form identities and oracle agreement."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from tsncalc.errors import InstabilityError
 import nc_oracle as orc
 
 H = 4000.0
+INF = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -18,7 +21,7 @@ H = 4000.0
 # ---------------------------------------------------------------------------
 
 def test_evaluate_affine():
-    c = mp.Affine(2000.0, 10.0, H)
+    c = mp.Affine(2000.0, 10.0)
     assert c.evaluate(100.0) == pytest.approx(3000.0)
     assert c.evaluate(0.0) == 0.0
 
@@ -70,14 +73,14 @@ def test_evaluate_beyond_horizon_raises():
 # ---------------------------------------------------------------------------
 
 def test_hdev_token_bucket_vs_rate_latency():
-    a = mp.Affine(2000.0, 10.0, H)
-    b = mp.RateLatency(100.0, 100.0, H)
+    a = mp.Affine(2000.0, 10.0)
+    b = mp.RateLatency(100.0, 100.0)
     assert mp.deviations(a, b).horizontal == pytest.approx(120.0, abs=1e-9)
 
 
 def test_hdev_empty_traffic_is_zero():
-    a = mp.Affine(0.0, 0.0, H)
-    b = mp.RateLatency(100.0, 100.0, H)
+    a = mp.Affine(0.0, 0.0)
+    b = mp.RateLatency(100.0, 100.0)
     assert mp.deviations(a, b).horizontal == 0.0
 
 
@@ -93,18 +96,18 @@ def test_hdev_staircase_vs_rate_latency_matches_oracle():
 
 def test_hdev_instability():
     with pytest.raises(InstabilityError):
-        mp.deviations(mp.Affine(0.0, 20.0, H), mp.RateLatency(10.0, 0.0, H))
+        mp.deviations(mp.Affine(0.0, 20.0), mp.RateLatency(10.0, 0.0))
 
 
 def test_vdev_token_bucket_vs_rate_latency():
-    a = mp.Affine(2000.0, 10.0, H)
-    b = mp.RateLatency(100.0, 100.0, H)
+    a = mp.Affine(2000.0, 10.0)
+    b = mp.RateLatency(100.0, 100.0)
     assert mp.deviations(a, b).vertical == pytest.approx(3000.0, abs=1e-9)
 
 
 def test_vdev_identical_curves():
-    a = mp.Affine(500.0, 3.0, H)
-    assert mp.deviations(a, mp.Affine(500.0, 3.0, H)).vertical == 0.0
+    a = mp.Affine(500.0, 3.0)
+    assert mp.deviations(a, mp.Affine(500.0, 3.0)).vertical == 0.0
 
 
 def test_vdev_staircase_vs_rate_latency_matches_oracle():
@@ -117,8 +120,8 @@ def test_vdev_staircase_vs_rate_latency_matches_oracle():
 
 
 def test_deviation_witnesses_in_range():
-    a = mp.Affine(2000.0, 10.0, H)
-    b = mp.RateLatency(100.0, 100.0, H)
+    a = mp.Affine(2000.0, 10.0)
+    b = mp.RateLatency(100.0, 100.0)
     dev = mp.deviations(a, b)
     assert 0.0 <= dev.argmax_h <= H
     assert 0.0 <= dev.argmax_v <= H
@@ -129,22 +132,22 @@ def test_deviation_witnesses_in_range():
 # ---------------------------------------------------------------------------
 
 def test_min_at_origin_plus():
-    a = mp.Affine(1000.0, 1.0, H)
-    f = mp.RateLatency(50.0, 10.0, H)
+    a = mp.Affine(1000.0, 1.0)
+    f = mp.RateLatency(50.0, 10.0)
     m = mp.min_of([a, f])
     assert m.evaluate(0.001) == pytest.approx(min(1000.001, 0.0))
 
 
 def test_sum_of_affine():
-    s = mp.sum_of([mp.Affine(1000.0, 1.0, H), mp.Affine(2000.0, 2.0, H)])
+    s = mp.sum_of([mp.Affine(1000.0, 1.0), mp.Affine(2000.0, 2.0)])
     for t in (0.5, 10.0, 100.0):
         assert s.evaluate(t) == pytest.approx(3000.0 + 3.0 * t)
 
 
 def test_min_link_shaper_vs_affine_matches_pointwise():
     burst, rate, cap, lmax = 9000.0, 2.0, 100.0, 12176.0
-    a = mp.Affine(burst, rate, H)
-    link = mp.Affine(lmax, cap, H)
+    a = mp.Affine(burst, rate)
+    link = mp.Affine(lmax, cap)
     m = mp.min_of([a, link])
     for t in np.linspace(0.01, H, 97):
         want = min(burst + rate * t, lmax + cap * t)
@@ -154,7 +157,7 @@ def test_min_link_shaper_vs_affine_matches_pointwise():
 def test_min_segments_exact_across_kink():
     # 1000 + 10t and 3000 + 2t cross at t = 250; the compiled segments, not
     # only evaluate, must carry the kink
-    m = mp.min_of([mp.Affine(1000.0, 10.0, H), mp.Affine(3000.0, 2.0, H)])
+    m = mp.min_of([mp.Affine(1000.0, 10.0), mp.Affine(3000.0, 2.0)])
     ts = np.array([100.0, 250.0, 400.0])
     want = np.minimum(1000.0 + 10.0 * ts, 3000.0 + 2.0 * ts)
     np.testing.assert_allclose(m.segments.value_many(ts), want, atol=1e-9)
@@ -191,14 +194,62 @@ def test_staircase_value_at_each_jump_is_the_limit_before_it(heights):
         assert np.all(values[1:] >= values[:-1])
     for seg in built[:n]:
         assert np.array_equal(seg.at[1:], seg.right[:-1])
-    # the max: its right limit after each jump time of any rotation, and the
-    # value at each of its points is that limit at the jump time before
-    # (compression may have merged a rise of at most 1e-12 in between)
+    # the max: at every jump time of any rotation, kept or compressed away,
+    # its right limit is the largest a rotation has reached, and its value
+    # that limit at the jump time before, bit for bit
     grid = np.unique(np.concatenate([seg.t for seg in built[:n]]))
     after = np.max([seg.right[seg._locate(grid)] for seg in built[:n]], axis=0)
-    point = np.searchsorted(grid, built[n].t)
-    assert np.array_equal(built[n].right, after[point])
-    assert np.array_equal(built[n].at, np.append(0.0, after[:-1])[point])
+    at, right, _ = mp._resample(built[n], grid)
+    assert np.array_equal(right, after)
+    assert np.array_equal(at, np.append(0.0, after[:-1]))
+
+
+def _ulp_segments(rng):
+    """A segment function whose rows each rise by 0 or 1 ulp at their point
+    and again just after it, and mostly keep the slope of the row before,
+    which may be 0: rows that compression must keep for one ulp beside rows
+    it may drop, in runs along one slope."""
+    n = int(rng.integers(2, 40))
+    t = np.concatenate([[0.0], np.sort(rng.choice(np.arange(1, 1000), n - 1, replace=False))
+                        * float(rng.uniform(0.1, 3.0))])
+    slope = [float(rng.choice([0.0, 0.1, 1.0 / 3.0, 2.5]))]
+    at, right = [0.0], [float(rng.choice([0.0, 7.0]))]
+    for k in range(1, n):
+        slope.append(slope[-1] if rng.random() < 0.7 else float(rng.choice([0.0, 0.1, 1.0 / 3.0, 2.5])))
+        value = right[-1] + slope[k - 1] * (t[k] - t[k - 1])
+        for rows in (at, right):
+            value = np.nextafter(value, INF) if rng.random() < 0.3 else value
+            rows.append(float(value))
+    return mp.Segments(t, at, right, slope, t[-1] + 10.0)
+
+
+def test_compression_keeps_every_value_bit_for_bit():
+    # values below 4096, where one ulp is below 1e-12
+    rng = np.random.default_rng(20261021)
+    for _ in range(500):
+        seg = _ulp_segments(rng)
+        got = seg.compress()
+        at, right, _ = mp._resample(got, seg.t)
+        assert np.array_equal(at, seg.at) and np.array_equal(right, seg.right)
+    # a max of two staircase rotations of heights (0.3, 0.6) and (0.6, 0.3)
+    # reaches 1.7999999999999998 at t = 1100 and 1.8 at 1900
+    rotations = [[(0.3, 0.0, 1000.0), (0.6, 100.0, 1000.0)], [(0.6, 0.0, 1000.0), (0.3, 900.0, 1000.0)]]
+    seg = mp._pointwise([mp.StaircaseMax([r], H).segments for r in rotations], "max")
+    assert seg.right[seg._locate(np.array([1100.0, 1900.0]))].tolist() == [1.7999999999999998, 1.8]
+    at, right, _ = mp._resample(seg.compress(), seg.t)
+    assert np.array_equal(at, seg.at) and np.array_equal(right, seg.right)
+
+
+def test_no_rounding_threshold_outside_the_rule():
+    # every comparison within rounding goes through minplus.slack
+    tree = ast.parse(pathlib.Path(mp.__file__).read_text())
+    rule = {node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] in (["TOLERANCE"], ["ROUNDING"])}
+    small = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and isinstance(node.value, float) and 0.0 < abs(node.value) < 1e-6]
+    assert len(rule) == 2 and len(small) == 2
+    assert all(isinstance(node, ast.Constant) for node in rule)
+    assert mp.slack(1.0) == mp.TOLERANCE and mp.slack(-1e6) == 1e6 * mp.ROUNDING
 
 
 def test_empty_lists_rejected():
@@ -211,21 +262,22 @@ def test_empty_lists_rejected():
 
 
 def test_curves_of_different_horizons_do_not_mix():
-    short, long = mp.Affine(100.0, 1.0, H), mp.Affine(100.0, 1.0, 2 * H)
+    short, long = (mp.StaircaseMax([[(2000.0, 0.0, 100.0)]], h) for h in (H, 2 * H))
     for op in (mp.sum_of, mp.min_of):
         with pytest.raises(ValueError, match="horizons"):
             op([short, long])
-    gate = mp.StaircaseMax([[(2000.0, 0.0, 100.0)]], H)
     with pytest.raises(ValueError, match="horizons"):
-        mp.deviations(gate, mp.RateLatency(100.0, 10.0, 2 * H))
+        mp.deviations(short, mp.TdmaService(100.0, 100.0, [0.0], [50.0], 2 * H))
+    # a closed curve has none, and takes the gate curve's where they meet
+    assert mp.sum_of([short, mp.Affine(100.0, 1.0)]).horizon == H
 
 
 def test_up_closure_nondecreasing_nonnegative():
     # C*t minus a gate staircase dips at jumps; the closure must repair it
     inner = mp.sum_of([
-        mp.Affine(0.0, 100.0, H),
+        mp.Affine(0.0, 100.0),
         mp.scale(-1.0, mp.StaircaseMax([[(20000.0, 0.0, 1000.0)]], H)),
-        mp.Affine(-5000.0, 0.0, H),
+        mp.Affine(-5000.0, 0.0),
     ])
     closed = mp.up_closure(inner)
     seg = closed.segments
@@ -241,8 +293,8 @@ def test_up_closure_nondecreasing_nonnegative():
 
 
 def test_pos_part_vs_up_closure_on_monotone_input():
-    inner = mp.sum_of([mp.Affine(0.0, 50.0, H), mp.Affine(-4000.0, 0.0, H)])
-    pp = mp.max_of([inner, mp.zero(H)])
+    inner = mp.sum_of([mp.Affine(0.0, 50.0), mp.Affine(-4000.0, 0.0)])
+    pp = mp.max_of([inner, mp.zero()])
     uc = mp.up_closure(inner)
     for t in np.linspace(0.0, H, 101):
         assert pp.evaluate(t) == pytest.approx(uc.evaluate(t), abs=1e-9)
@@ -343,9 +395,9 @@ def test_up_closure_matches_the_loop():
 def test_up_closure_follows_a_rise_that_starts_an_ulp_below_the_maximum():
     # the sum rises through the kink at 3190.48 us; its left limit there
     # rounds an ulp above its value, so the crossing time rounds to the kink
-    seg = mp.sum_of([mp.RateLatency(8.119256087669434, 0.0, H),
-                     mp.RateLatency(42.27580136176452, 0.0, H),
-                     mp.RateLatency(88.6280763119632, 3190.4842426616087, H)]).segments
+    seg = mp._segments_on(mp.sum_of([mp.RateLatency(8.119256087669434, 0.0),
+                                     mp.RateLatency(42.27580136176452, 0.0),
+                                     mp.RateLatency(88.6280763119632, 3190.4842426616087)]), H)
     assert seg.end_left()[0] > seg.right[1]
     closed = mp._up_closure_segments(seg)
     want = seg.right[1] + seg.slope[1] * (H - seg.t[1])
@@ -407,9 +459,9 @@ def test_operator_monotonicity():
     for _ in range(50):
         b1 = rng.uniform(0, 5000)
         r1 = rng.uniform(0.1, 20)
-        f1 = mp.Affine(b1, r1, H)
-        f2 = mp.Affine(b1 + rng.uniform(0, 3000), r1 + rng.uniform(0, 5), H)
-        beta = mp.RateLatency(rng.uniform(30, 100), rng.uniform(0, 200), H)
+        f1 = mp.Affine(b1, r1)
+        f2 = mp.Affine(b1 + rng.uniform(0, 3000), r1 + rng.uniform(0, 5))
+        beta = mp.RateLatency(rng.uniform(30, 100), rng.uniform(0, 200))
         # seven unused draws keep this seed on its established sequence of
         # (f1, f2, beta) triples
         rng.random(7)
@@ -455,9 +507,9 @@ def _random_concave(rng):
     kind = rng.integers(3)
     if kind == 0:
         b, r = _concave_lines(rng, 1, 40.0)[0]
-        return mp.Affine(b, r, CLOSED_H), orc.CurveSpec("affine", burst=b, rate=r)
+        return mp.Affine(b, r), orc.CurveSpec("affine", burst=b, rate=r)
     parts = [_concave_lines(rng, int(rng.integers(2, 4)), 20.0) for _ in range(kind)]
-    curves = [mp.min_of([mp.Affine(d, s, CLOSED_H) for d, s in p]) for p in parts]
+    curves = [mp.min_of([mp.Affine(d, s) for d, s in p]) for p in parts]
     specs = [orc.CurveSpec("minlines", terms=tuple(p)) for p in parts]
     if kind == 1:
         return curves[0], specs[0]
@@ -470,7 +522,7 @@ def _random_convex(rng):
     kind = rng.integers(3)
     if kind == 0:
         rate, latency = float(rng.uniform(5, 100)), orc._snap(rng.uniform(0, 400))
-        return (mp.RateLatency(rate, latency, CLOSED_H),
+        return (mp.RateLatency(rate, latency),
                 orc.CurveSpec("ratelatency", rate=rate, latency=latency))
     link = float(rng.uniform(60, 100))
     higher = _concave_lines(rng, int(rng.integers(1, 4)), 0.5 * link)
@@ -480,9 +532,9 @@ def _random_convex(rng):
         lower = link * start - min(d + s * start for d, s in higher)
         if lower >= 0.0:
             break
-    inner = mp.sum_of([mp.Affine(-lower, link, CLOSED_H),
-                       mp.scale(-1.0, mp.min_of([mp.Affine(d, s, CLOSED_H) for d, s in higher]))])
-    curve = mp.up_closure(inner) if kind == 1 else mp.max_of([inner, mp.zero(CLOSED_H)])
+    inner = mp.sum_of([mp.Affine(-lower, link),
+                       mp.scale(-1.0, mp.min_of([mp.Affine(d, s) for d, s in higher]))])
+    curve = mp.up_closure(inner) if kind == 1 else mp.max_of([inner, mp.zero()])
     lines = tuple((-lower - d, link - s) for d, s in higher)
     return curve, orc.CurveSpec("maxlines", terms=lines)
 
@@ -506,6 +558,12 @@ def _v_at(a_spec, b_spec, w):
     ts = np.array([w, w + orc.TINY])
     with np.errstate(invalid="ignore"):
         return float(np.max(orc.oracle_eval(a_spec, ts) - orc.oracle_eval(b_spec, ts)))
+
+
+def _segment_deviations_on(alpha, beta, horizon):
+    """The deviations of the segment path, with both curves read on [0,
+    horizon], as where they meet gate curves of that horizon."""
+    return mp._deviations_of(mp._segments_on(alpha, horizon), mp._segments_on(beta, horizon))
 
 
 def _assert_same_deviations(dev, seg):
@@ -541,7 +599,7 @@ def test_randomized_closed_form_matches_segments_and_oracle():
             continue
         dev = mp.deviations(alpha, beta)
         assert mp._closed_deviations(alpha, beta) == dev
-        _assert_same_deviations(dev, mp._segment_deviations(alpha, beta))
+        _assert_same_deviations(dev, _segment_deviations_on(alpha, beta, CLOSED_H))
         _assert_matches_oracle(dev, a_spec, b_spec, CLOSED_H)
         checked += 1
 
@@ -549,21 +607,21 @@ def test_randomized_closed_form_matches_segments_and_oracle():
 # each maker takes the horizon and returns (curve, oracle spec)
 
 def _rate_latency(rate, latency):
-    return lambda h: (mp.RateLatency(rate, latency, h),
+    return lambda h: (mp.RateLatency(rate, latency),
                       orc.CurveSpec("ratelatency", rate=rate, latency=latency))
 
 
 def _affine(burst, rate):
-    return lambda h: (mp.Affine(burst, rate, h), orc.CurveSpec("affine", burst=burst, rate=rate))
+    return lambda h: (mp.Affine(burst, rate), orc.CurveSpec("affine", burst=burst, rate=rate))
 
 
 def _min_affines(*lines):
-    return lambda h: (mp.min_of([mp.Affine(d, s, h) for d, s in lines]),
+    return lambda h: (mp.min_of([mp.Affine(d, s) for d, s in lines]),
                       orc.CurveSpec("minlines", terms=lines))
 
 
 def _max_affines(*lines):
-    return lambda h: (mp.max_of([mp.Affine(d, s, h) for d, s in lines] + [mp.zero(h)]),
+    return lambda h: (mp.max_of([mp.Affine(d, s) for d, s in lines] + [mp.zero()]),
                       orc.CurveSpec("maxlines", terms=lines))
 
 
@@ -573,7 +631,7 @@ def _staircase(*terms):
 
 def _link_leftover(link, lower):
     # the lowest priority with nothing below it: one inner term, no burst
-    return lambda h: (mp.up_closure(mp.sum_of([mp.Affine(-lower, link, h)])),
+    return lambda h: (mp.up_closure(mp.sum_of([mp.Affine(-lower, link)])),
                       orc.CurveSpec("maxlines", terms=((-lower, link),)))
 
 
@@ -619,7 +677,7 @@ def test_closed_form_edge_cases(name):
     assert (dev.horizontal, dev.vertical) == pytest.approx(want, abs=1e-9)
     _assert_matches_oracle(dev, a_spec, b_spec, ORACLE_H)
     assert mp._closed_deviations(alpha, beta) == dev
-    seg = mp._segment_deviations(make_alpha(SEGMENTS_H)[0], make_beta(SEGMENTS_H)[0])
+    seg = _segment_deviations_on(make_alpha(SEGMENTS_H)[0], make_beta(SEGMENTS_H)[0], SEGMENTS_H)
     _assert_same_deviations(dev, seg)
 
 
@@ -654,10 +712,10 @@ def test_segment_witness_is_the_first_maximum():
     # rounding puts the largest float among the segments' candidates at the
     # kink
     h = 40000.0
-    alpha = mp.min_of([mp.Affine(11747.0, 100.0, h), mp.Affine(13064.00424, 5.608, h)])
-    beta = mp.RateLatency(100.0, 97.15, h)
+    alpha = mp.min_of([mp.Affine(11747.0, 100.0), mp.Affine(13064.00424, 5.608)])
+    beta = mp.RateLatency(100.0, 97.15)
     closed = mp._closed_deviations(alpha, beta)
-    seg = mp._segment_deviations(alpha, beta)
+    seg = _segment_deviations_on(alpha, beta, h)
     assert (closed.argmax_h, closed.argmax_v) == (0.0, 97.15)
     assert (seg.argmax_h, seg.argmax_v) == (closed.argmax_h, closed.argmax_v)
     assert (seg.horizontal, seg.vertical) == pytest.approx((closed.horizontal, closed.vertical), rel=1e-12)
@@ -666,10 +724,10 @@ def test_segment_witness_is_the_first_maximum():
 def test_vertical_witness_is_the_earliest_maximum():
     # a pair from a gate-free analysis: the backlog 9524 bits holds on all
     # of (0, 103.56], so the first maximum in time is 0+
-    alpha = mp.min_of([mp.Affine(9524.0, 100.0, H), mp.Affine(19260.489362, 5.9813, H)])
-    beta = mp.RateLatency(100.0, 0.0, H)
+    alpha = mp.min_of([mp.Affine(9524.0, 100.0), mp.Affine(19260.489362, 5.9813)])
+    beta = mp.RateLatency(100.0, 0.0)
     closed = mp._closed_deviations(alpha, beta)
-    seg = mp._segment_deviations(alpha, beta)
+    seg = _segment_deviations_on(alpha, beta, H)
     assert closed.vertical == pytest.approx(9524.0, rel=1e-12)
     assert seg.vertical == pytest.approx(9524.0, rel=1e-12)
     assert closed.argmax_v == seg.argmax_v == 0.0
@@ -678,14 +736,14 @@ def test_vertical_witness_is_the_earliest_maximum():
 def test_closed_form_is_horizon_free():
     # alpha(10) > beta(10), yet a 10-us horizon gives the deviations of any
     def pair(h):
-        return (mp.min_of([mp.Affine(5000.0, 40.0, h), mp.Affine(9000.0, 10.0, h)]),
-                mp.RateLatency(10.5, 300.0, h))
+        return (mp.min_of([mp.Affine(5000.0, 40.0), mp.Affine(9000.0, 10.0)]),
+                mp.RateLatency(10.5, 300.0))
 
     assert mp.deviations(*pair(10.0)) == mp.deviations(*pair(1e7))
 
 
 def test_closed_form_instability_precedes_both_paths():
-    alpha, beta = mp.Affine(0.0, 20.0, H), mp.RateLatency(10.0, 0.0, H)
+    alpha, beta = mp.Affine(0.0, 20.0), mp.RateLatency(10.0, 0.0)
     assert alpha.envelope is not None and beta.envelope is not None
     with pytest.raises(InstabilityError):
         mp.deviations(alpha, beta)
@@ -694,24 +752,31 @@ def test_closed_form_instability_precedes_both_paths():
 def test_closed_form_witness_is_the_first_maximum():
     # the deviations are attained all along a flat stretch that starts at
     # 0 (horizontal) and at the latency, 20 us (vertical)
-    alpha = mp.min_of([mp.Affine(1000.0, 100.0, H), mp.Affine(5000.0, 10.0, H)])
-    dev = mp.deviations(alpha, mp.RateLatency(100.0, 20.0, H))
+    alpha = mp.min_of([mp.Affine(1000.0, 100.0), mp.Affine(5000.0, 10.0)])
+    dev = mp.deviations(alpha, mp.RateLatency(100.0, 20.0))
     assert (dev.argmax_h, dev.argmax_v) == (0.0, 20.0)
 
 
 def test_closed_form_refuses_a_decreasing_service():
-    higher = mp.min_of([mp.Affine(100.0, 30.0, H), mp.Affine(2000.0, 5.0, H)])
-    leftover = mp.sum_of([mp.Affine(-500.0, 50.0, H), mp.scale(-1.0, higher)])
+    higher = mp.min_of([mp.Affine(100.0, 30.0), mp.Affine(2000.0, 5.0)])
+    leftover = mp.sum_of([mp.Affine(-500.0, 50.0), mp.scale(-1.0, higher)])
     assert leftover.envelope is not None  # negative from 0+ on: not a service curve
     with pytest.raises(ValueError):
-        mp.deviations(mp.Affine(100.0, 1.0, H), leftover)
+        mp.deviations(mp.Affine(100.0, 1.0), leftover)
+
+
+def test_gate_free_pairs_outside_the_closed_case_are_refused():
+    # a convex arrival curve has no closed deviations, and without a gate
+    # curve there is no horizon to read the segments on
+    with pytest.raises(ValueError, match="gate-free"):
+        mp.deviations(mp.RateLatency(10.0, 5.0), mp.Affine(0.0, 50.0))
 
 
 def test_gated_service_keeps_segments():
     gate = mp.StaircaseMax([[(20000.0, 0.0, 1000.0)]], H)
-    beta = mp.up_closure(mp.sum_of([mp.Affine(-1000.0, 100.0, H), mp.scale(-1.0, gate)]))
+    beta = mp.up_closure(mp.sum_of([mp.Affine(-1000.0, 100.0), mp.scale(-1.0, gate)]))
     assert beta.envelope is None
-    assert mp._closed_deviations(mp.Affine(1000.0, 5.0, H), beta) is None
+    assert mp._closed_deviations(mp.Affine(1000.0, 5.0), beta) is None
 
 
 def _fold(kind, *args):
@@ -728,10 +793,9 @@ def _fold(kind, *args):
     return operator(*args), node(*args)
 
 
-def _leaf_segments(curve):
-    """The segments of an Affine or RateLatency curve written out from its
-    parameters: a reference for the conversion of its closed form."""
-    h = curve.horizon
+def _leaf_segments(curve, h):
+    """The segments on [0, h] of an Affine or RateLatency curve written out
+    from its parameters: a reference for the conversion of its closed form."""
     if isinstance(curve, mp.Affine):
         return mp.Segments([0.0], [0.0], [curve.burst], [curve.rate], h)
     rate, latency = curve.rate, curve.latency
@@ -743,36 +807,37 @@ def _leaf_segments(curve):
 def _envelope_cases():
     """Name -> (the curve, the node that folds the same composition from
     segments, or None for a leaf)."""
-    higher = mp.min_of([mp.Affine(100.0, 30.0, H), mp.Affine(2000.0, 5.0, H)])
-    leftover = mp.sum_of([mp.Affine(-500.0, 50.0, H), mp.scale(-1.0, higher)])
+    higher = mp.min_of([mp.Affine(100.0, 30.0), mp.Affine(2000.0, 5.0)])
+    leftover = mp.sum_of([mp.Affine(-500.0, 50.0), mp.scale(-1.0, higher)])
     leaves = {
-        "affine": mp.Affine(300.0, 2.0, H),
-        "rate-latency": mp.RateLatency(40.0, 25.0, H),
-        "rate-latency, no latency": mp.RateLatency(40.0, 0.0, H),
-        "rate-latency beyond the horizon": mp.RateLatency(40.0, 2 * H, H),
-        "rate-latency with its kink at the horizon": mp.RateLatency(40.0, H, H),
+        "affine": mp.Affine(300.0, 2.0),
+        "zero": mp.zero(),
+        "rate-latency": mp.RateLatency(40.0, 25.0),
+        "rate-latency, no latency": mp.RateLatency(40.0, 0.0),
+        "rate-latency beyond the horizon": mp.RateLatency(40.0, 2 * H),
+        "rate-latency with its kink at the horizon": mp.RateLatency(40.0, H),
     }
     folds = {
-        "min": _fold("min", [mp.Affine(100.0, 30.0, H), mp.Affine(2000.0, 5.0, H)]),
-        "min with its kink beyond the horizon": _fold("min", [mp.Affine(100.0, 30.0, H),
-                                                              mp.Affine(2e5, 5.0, H)]),
-        "sum of mins": _fold("sum", [higher, mp.min_of([mp.Affine(0.0, 80.0, H),
-                                                        mp.Affine(900.0, 1.0, H)])]),
+        "min": _fold("min", [mp.Affine(100.0, 30.0), mp.Affine(2000.0, 5.0)]),
+        "min with its kink beyond the horizon": _fold("min", [mp.Affine(100.0, 30.0),
+                                                              mp.Affine(2e5, 5.0)]),
+        "sum of mins": _fold("sum", [higher, mp.min_of([mp.Affine(0.0, 80.0),
+                                                        mp.Affine(900.0, 1.0)])]),
         "scaled": _fold("scale", 2.5, higher),
-        "leftover": _fold("sum", [mp.Affine(-500.0, 50.0, H), mp.scale(-1.0, higher)]),
+        "leftover": _fold("sum", [mp.Affine(-500.0, 50.0), mp.scale(-1.0, higher)]),
         "leftover closure": _fold("closure", leftover),
-        "leftover positive part": _fold("max", [leftover, mp.zero(H)]),
-        "closure of a line": _fold("closure", mp.Affine(-100.0, 3.0, H)),
-        "max of mins": _fold("max", [mp.Affine(50.0, 1.0, H), mp.Affine(-10.0, 4.0, H)]),
+        "leftover positive part": _fold("max", [leftover, mp.zero()]),
+        "closure of a line": _fold("closure", mp.Affine(-100.0, 3.0)),
+        "max of mins": _fold("max", [mp.Affine(50.0, 1.0), mp.Affine(-10.0, 4.0)]),
     }
     return {**{name: (curve, None) for name, curve in leaves.items()}, **folds}
 
 
-def _envelope_magnitude(curve, *segs):
+def _envelope_magnitude(curve, h, *segs):
     """The largest term the values of ``curve`` and of ``segs`` are computed
-    from: the terms of each envelope line up to the horizon, and the values
+    from: the terms of each envelope line up to the horizon h, and the values
     of each segment function."""
-    lines = np.abs(np.array(curve.envelope.lines)) * [1.0, curve.horizon]
+    lines = np.abs(np.array(curve.envelope.lines)) * [1.0, h]
     return max(float(np.max(lines)), _magnitude(*segs))
 
 
@@ -780,21 +845,27 @@ def _children(curve):
     return getattr(curve, "curves", ()) + ((curve.curve,) if hasattr(curve, "curve") else ())
 
 
-def _fold_of(curve, node):
-    """What the closed form of ``curve`` is compared with: the segments that
-    ``node`` folds from its operands', or a leaf's own; and the operands'."""
+def _fold_of(curve, node, h):
+    """What the closed form of ``curve`` on [0, h] is compared with: the
+    segments that ``node`` folds there from its operands', or a leaf's own;
+    and the operands'."""
     if node is None:
-        return _leaf_segments(curve), []
-    return node._build(), [c.segments for c in _children(node)]
+        return _leaf_segments(curve, h), []
+    return node._build(h), [mp._segments_on(c, h) for c in _children(node)]
 
 
 @pytest.mark.parametrize("name", sorted(_envelope_cases()))
 def test_envelope_matches_segments(name):
     # segments come from the envelope; the node folds the operands' segments
     curve, node = _envelope_cases()[name]
-    assert curve.envelope is not None
-    want, _ = _fold_of(curve, node)
-    _assert_same_function(curve.segments, want, _envelope_magnitude(curve, curve.segments, want))
+    assert curve.envelope is not None and curve.horizon is None
+    # its own segments: one per line, on [0, inf), where a flat last line
+    # ends at its own value
+    assert curve.segments.horizon == mp.INF and len(curve.segments) == len(curve.envelope.lines)
+    assert not np.isnan(curve.segments.table.reach).any()
+    got = mp._segments_on(curve, H)
+    want, _ = _fold_of(curve, node, H)
+    _assert_same_function(got, want, _envelope_magnitude(curve, H, got, want))
 
 
 def _random_token_bucket_tree(rng, horizon, folds, depth=0):
@@ -805,11 +876,10 @@ def _random_token_bucket_tree(rng, horizon, folds, depth=0):
     beyond the horizon."""
     kind = int(rng.integers(0, 7)) if depth < 3 else int(rng.integers(0, 2))
     if kind == 0:
-        curve, node = mp.Affine(float(rng.uniform(-2000.0, 5000.0)), float(rng.uniform(0.0, 100.0)),
-                                horizon), None
+        curve, node = mp.Affine(float(rng.uniform(-2000.0, 5000.0)), float(rng.uniform(0.0, 100.0))), None
     elif kind == 1:
         latency = float(rng.choice([0.0, horizon, rng.uniform(0.0, 2 * horizon)]))
-        curve, node = mp.RateLatency(float(rng.uniform(0.0, 100.0)), latency, horizon), None
+        curve, node = mp.RateLatency(float(rng.uniform(0.0, 100.0)), latency), None
     elif kind <= 4:
         children = [_random_token_bucket_tree(rng, horizon, folds, depth + 1)
                     for _ in range(int(rng.integers(2, 5)))]
@@ -834,8 +904,9 @@ def test_random_envelope_trees_match_the_fold():
         for curve, node in folds:
             if curve.envelope is None:
                 continue
-            want, operands = _fold_of(curve, node)
-            _assert_same_function(curve.segments, want, _envelope_magnitude(curve, want, *operands))
+            want, operands = _fold_of(curve, node, horizon)
+            _assert_same_function(mp._segments_on(curve, horizon), want,
+                                  _envelope_magnitude(curve, horizon, want, *operands))
             if node is not None:
                 # the rate read off the envelope is the one the node folds
                 assert curve.long_term_rate().hex() == node.long_term_rate().hex()
@@ -897,14 +968,22 @@ def test_hull_of_one_or_two_lines_matches_the_sorted_hull():
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
 def test_curve_horizon_must_be_positive_and_finite(horizon):
     with pytest.raises(ValueError, match="horizon must be positive and finite"):
-        mp.Affine(0.0, 1.0, horizon)
+        mp.TdmaService(10.0, 1000.0, [0.0], [100.0], horizon)
     with pytest.raises(ValueError, match="horizon must be positive and finite"):
         mp.StaircaseMax([[(1e4, 0.0, 1000.0)]], horizon)
 
 
+def test_repr_shows_the_horizon_or_the_closed_form():
+    gate = mp.StaircaseMax([[(1e4, 0.0, 1000.0)]], H)
+    assert repr(gate) == "<StaircaseMax horizon=4000>"
+    assert repr(mp.sum_of([mp.Affine(5.0, 1.0), gate])) == "<Pointwise horizon=4000>"
+    assert repr(mp.Affine(5.0, 1.0)) == "<Affine Envelope(sense=0, lines=((5.0, 1.0),))>"
+    assert repr(mp.min_of([mp.Affine(5.0, 1.0), mp.RateLatency(2.0, 1.0)])) == "<Pointwise None>"
+
+
 def test_segment_arrays_are_read_only():
     gate = mp.StaircaseMax([[(2000.0, 0.0, 100.0)]], H)
-    seg = mp.up_closure(mp.sum_of([mp.Affine(-50.0, 100.0, H), mp.scale(-1.0, gate)])).segments
+    seg = mp.up_closure(mp.sum_of([mp.Affine(-50.0, 100.0), mp.scale(-1.0, gate)])).segments
     arrays = [getattr(seg, name) for name in ("t", "at", "right", "slope")]
     arrays += [seg.table.end_left, seg.table.reach]
     for values in arrays:
@@ -914,15 +993,21 @@ def test_segment_arrays_are_read_only():
 
 def test_envelope_absent_outside_the_token_bucket_family():
     gate = mp.StaircaseMax([[(2000.0, 0.0, 100.0)]], H)
-    falling = mp.sum_of([mp.Affine(500.0, 10.0, H), mp.scale(-1.0, mp.Affine(0.0, 20.0, H))])
-    concave = mp.min_of([mp.Affine(100.0, 30.0, H), mp.Affine(2000.0, 5.0, H)])
+    falling = mp.sum_of([mp.Affine(500.0, 10.0), mp.scale(-1.0, mp.Affine(0.0, 20.0))])
+    concave = mp.min_of([mp.Affine(100.0, 30.0), mp.Affine(2000.0, 5.0)])
     assert gate.envelope is None
-    assert mp.sum_of([mp.Affine(0.0, 100.0, H), mp.scale(-1.0, gate)]).envelope is None
+    assert mp.sum_of([mp.Affine(0.0, 100.0), mp.scale(-1.0, gate)]).envelope is None
     # the closure of a curve that jumps up at 0 and then falls stays flat,
     # which no max of lines is
     assert falling.envelope is not None
     assert mp.up_closure(falling).envelope is None
-    # a min of lines is not a max of lines: no closure, no max with them
-    assert mp.up_closure(mp.scale(-1.0, mp.scale(-1.0, concave))).envelope is None
-    assert mp.max_of([concave, mp.zero(H)]).envelope is None
+    # a min of lines that never falls, from at or above 0, is its own
+    # closure; one that falls is not a max of lines, and has none
+    twice = mp.scale(-1.0, mp.scale(-1.0, concave))
+    assert mp.up_closure(twice) is twice
+    sagging = mp.sum_of([concave, mp.scale(-1.0, mp.Affine(0.0, 10.0))])
+    assert sagging.envelope is not None
+    assert mp.up_closure(sagging).envelope is None
+    # nor is the max of a min of lines with other lines
+    assert mp.max_of([concave, mp.zero()]).envelope is None
     assert mp.sum_of([concave, mp.scale(-1.0, concave)]).envelope is None

@@ -289,13 +289,13 @@ class _Breakpoints(mp.Curve):
     right-slope) of a continuous curve."""
 
     def __init__(self, breakpoints, horizon):
-        super().__init__(horizon)
+        super().__init__(horizon=horizon)
         pts = [(float(t), float(v), float(s)) for t, v, s in breakpoints]
         if pts[0][0] > 0.0:
             pts.insert(0, (0.0, 0.0, 0.0))
         self.breakpoints = tuple(pts)
 
-    def _build(self):
+    def _build(self, horizon):
         t, v, s = (np.array(col) for col in zip(*self.breakpoints))
         keep = t <= self.horizon
         return mp.Segments(t[keep], v[keep], v[keep], s[keep], self.horizon)
@@ -508,7 +508,7 @@ def test_sp_service_ats_highest_priority_is_rate_latency():
     net = port_network([("hi", "SP", 4000.0, 5, 1000.0), ("lo", "SP", 12176.0, 2, 1000.0)])
     ctx = make_ctx(net, "ATS")
     beta = sh.sp_service_curve(ctx, "L", 5, [])
-    expect = mp.RateLatency(C, 12176.0 / C, H)
+    expect = mp.RateLatency(C, 12176.0 / C)
     for t in np.linspace(0.5, H, 60):
         assert beta.evaluate(t) == pytest.approx(expect.evaluate(t), abs=1e-9)
 
@@ -528,7 +528,7 @@ def test_sp_service_one_window_matches_busy_period_search():
     ctx = make_ctx(net, "TAS+SP")
     beta = sh.sp_service_curve(ctx, "L", 5, [])
     b, r = nm.leaky_bucket_of(net.flows["hi"])
-    closed = mp.deviations(mp.Affine(b, r, H), beta).horizontal
+    closed = mp.deviations(mp.Affine(b, r), beta).horizontal
 
     gb = nm.guard_band_lengths(net, "L")[0]
     blocked = [(rep * 1000.0 + 300.0 - gb, rep * 1000.0 + 450.0) for rep in range(-1, 12)]
@@ -561,7 +561,7 @@ def test_sp_service_one_window_matches_busy_period_search():
 def test_sp_service_starvation():
     net = port_network([("a", "SP", 12176.0, 5, 1000.0), ("b", "SP", 12176.0, 2, 1000.0)])
     ctx = make_ctx(net, "SP")
-    fat = mp.Affine(0.0, 2.0 * C, H)
+    fat = mp.Affine(0.0, 2.0 * C)
     with pytest.raises(StarvationError):
         sh.sp_service_curve(ctx, "L", 2, [fat])
 
@@ -612,7 +612,7 @@ def test_gated_top_services_are_one_batch_bit_identical_to_the_chain(monkeypatch
             continue
         got = ctx.top_sp_service(link, 6)
         l_max = nm.lower_priority_max_frame(net, link, 6)
-        want = mp.up_closure(mp.sum_of([mp.Affine(-l_max, rate, horizon), mp.scale(-1.0, gate)]))
+        want = mp.up_closure(mp.sum_of([mp.Affine(-l_max, rate), mp.scale(-1.0, gate)]))
         for name in ("t", "at", "right", "slope"):
             assert np.array_equal(getattr(got.segments, name), getattr(want.segments, name)), (link, name)
         assert got.long_term_rate() == want.long_term_rate()
@@ -628,11 +628,11 @@ def test_gated_top_services_are_one_batch_bit_identical_to_the_chain(monkeypatch
 def test_build_leftovers_takes_only_a_line_less_one_scaled_staircase():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(300.0, 100.0),))
     gate = sh.tt_arrival_curve(gcl, [0.0], "TT", C, H)
-    line = mp.Affine(-1000.0, C, H)
+    line = mp.Affine(-1000.0, C)
     others = [
-        mp.leftover(line, [(-1.0, gate), (-1.0, mp.Affine(10.0, 1.0, H))]),
-        mp.leftover(line, [(-1.0, mp.Affine(10.0, 1.0, H))]),
-        mp.leftover(mp.RateLatency(C, 10.0, H), [(-1.0, gate)]),
+        mp.leftover(line, [(-1.0, gate), (-1.0, mp.Affine(10.0, 1.0))]),
+        mp.leftover(line, [(-1.0, mp.Affine(10.0, 1.0))]),
+        mp.leftover(mp.RateLatency(C, 10.0), [(-1.0, gate)]),
         mp.up_closure(mp.sum_of([line, gate])),
         mp.sum_of([line, mp.scale(-1.0, gate)]),
         gate,
@@ -763,8 +763,8 @@ def test_guard_band_credit_refusal_holds_in_nonfrozen_mode_only():
 def test_cbs_service_curve_alone_is_rate_latency():
     ctx = make_ctx(cbs_port(), "CBS")
     beta = sh.cbs_service_curve(ctx, "L", 5)
-    assert mp.deviations(mp.zero(H), beta).horizontal == 0.0
-    expect = mp.RateLatency(75.0, 9132.0 / 75.0, H)  # latency 121.76
+    assert mp.deviations(mp.zero(), beta).horizontal == 0.0
+    expect = mp.RateLatency(75.0, 9132.0 / 75.0)  # latency 121.76
     for t in np.linspace(0.5, H, 60):
         assert beta.evaluate(t) == pytest.approx(expect.evaluate(t), abs=1e-9)
 
@@ -792,7 +792,7 @@ def test_cbs_service_nonfrozen_credit_dominance():
     beta_nf = sh.cbs_service_curve(ctx_nf, "L", 5)
     idsl = 40.0
     same_variant_frozen_credit = mp.up_closure(mp.sum_of([
-        mp.Affine(-bounds.c_max, idsl, H),
+        mp.Affine(-bounds.c_max, idsl),
         mp.scale(-idsl / C, ctx_nf.tt_arrival("L", "TT")),
     ]))
     for t in np.linspace(0.0, H, 300):
@@ -862,8 +862,8 @@ def test_token_buckets_sum_as_one_line_bit_for_bit():
         if kind == 2:
             delay = float(rng.uniform(0.0, 5000.0))
             buckets = [(b + r * delay, r) for b, r in buckets]
-        got = sh._token_buckets(buckets, H)
-        want = mp.sum_of([mp.Affine(b, r, H) for b, r in buckets])
+        got = sh._token_buckets(buckets)
+        want = mp.sum_of([mp.Affine(b, r) for b, r in buckets])
         assert _bits(got) == _bits(want)
 
 
