@@ -2,14 +2,13 @@
 compare architectures and run load sweeps, whose (load, seed) cells run in
 worker processes when ``--workers`` is above one.
 
-Twelve flags default to an environment variable, ``TSNCALC_`` and the flag
-in capitals with dashes as underscores: --network, --arch, --arch2,
---credit-mode, --out-dir, --horizon-us (``TSNCALC_HORIZON_US``), --template,
---load, --seed, --seeds, --workers and --out.  A number there that does not
-parse is a usage error of the subcommand that takes the flag, and only of
-it; the other flags read no variable.  ``main`` reuses its parser while
-these twelve variables are unchanged, and builds a new one when one of
-them changes.
+Eleven flags default to an environment variable, ``TSNCALC_`` and the
+flag in capitals with dashes as underscores: --network, --arch, --arch2,
+--credit-mode, --out-dir, --template, --load, --seed, --seeds, --workers
+and --out.  A number there that does not parse is a usage error of the
+subcommand that takes the flag, and only of it; the other flags read no
+variable.  ``main`` reuses its parser while these eleven variables are
+unchanged, and builds a new one when one of them changes.
 
 Sweep workers run the cells of one ``run_sweep`` and exit once its process
 is gone.
@@ -21,13 +20,12 @@ that neither architecture takes as ``analyze`` refuses it for the first,
 before any analysis runs.
 
 Exit codes: 1 parse or generation error, any other analysis failure
-(horizon of gated curves exhausted, fixed point not converged, missing
-upstream dependency), and a sweep cell failed by an exception other than
-tsncalc's own, once the CSV is written; 2 validation or configuration
-error, such as a horizon that is not positive and finite, or a sweep with
-fewer than one seed or worker or a negative --tt-load, and a usage error,
-such as a missing --network, --arch or --arch2 that no variable supplies
-or a malformed comma list; 3 instability/starvation; 4 dependency cycle.
+(fixed point not converged, missing upstream dependency), and a sweep
+cell failed by an exception other than tsncalc's own, once the CSV is
+written; 2 validation or configuration error, such as a sweep with fewer
+than one seed or worker or a negative --tt-load, and a usage error, such
+as a missing --network, --arch or --arch2 that no variable supplies or a
+malformed comma list; 3 instability/starvation; 4 dependency cycle.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ WORKER_WATCH_S = 0.2  # how often a sweep worker checks that its sweep lives
 
 
 #: The flags whose defaults ``build_parser`` reads from the environment.
-ENV_FLAGS = ("network", "arch", "arch2", "credit_mode", "out_dir", "horizon_us",
+ENV_FLAGS = ("network", "arch", "arch2", "credit_mode", "out_dir",
              "template", "load", "seed", "seeds", "workers", "out")
 
 
@@ -112,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--credit-mode", default=_env("credit_mode"),
                         choices=sh.CREDIT_MODES, dest="credit_mode")
         sp.add_argument("--out-dir", default=_env("out_dir", "out"), dest="out_dir")
-        sp.add_argument("--horizon-us", type=float, default=_env("horizon_us"), dest="horizon_us")
         sp.add_argument("--fixed-point", action="store_true", dest="fixed_point",
                         help="iterate cyclic dependencies instead of failing")
 
@@ -176,8 +173,7 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     net = nm.load(args.network)
-    report = engine.analyze(net, args.arch, credit_mode=args.credit_mode,
-                            horizon=args.horizon_us, fixed_point=args.fixed_point)
+    report = engine.analyze(net, args.arch, credit_mode=args.credit_mode, fixed_point=args.fixed_point)
     files = engine.write_report(report, net, args.out_dir)
     for f in files:
         print(f"wrote {f}")
@@ -188,8 +184,7 @@ def cmd_compare(args) -> int:
     archs = (args.arch, args.arch2)
     modes = sh.credit_modes(archs, args.credit_mode)
     net = nm.load(args.network).indexed()  # both analyses share its memos
-    r1, r2 = (engine.analyze(net, arch, credit_mode=mode,
-                             horizon=args.horizon_us, fixed_point=args.fixed_point)
+    r1, r2 = (engine.analyze(net, arch, credit_mode=mode, fixed_point=args.fixed_point)
               for arch, mode in zip(archs, modes))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,6 @@ import graphlib
 import heapq
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +24,6 @@ from .errors import (
     CycleError,
     DependencyError,
     FixedPointError,
-    HorizonExceededError,
     InstabilityError,
     TsnCalcError,
 )
@@ -34,7 +32,6 @@ log = logging.getLogger(__name__)
 
 FIXED_POINT_EPS = 0.01   # us, convergence threshold of the iterative mode
 FIXED_POINT_MAX_ITER = 100
-HORIZON_RETRIES = 5      # doublings when deviations are not attained in-horizon
 
 
 class ValidationError(TsnCalcError):
@@ -76,7 +73,7 @@ class ShapedQueueBounds:
 class AnalysisReport:
     architecture: str
     credit_mode: str | None
-    horizon: float
+    horizon: float  # the longest window a gated deviation read, us
     flows: dict = field(default_factory=dict)          # id -> FlowBounds
     queues: dict = field(default_factory=dict)         # (link, prio) -> QueueBounds
     tt_queues: dict = field(default_factory=dict)      # (link, index) -> backlog bits
@@ -136,26 +133,22 @@ def _dependency_order(graph, key):
 # ---------------------------------------------------------------------------
 
 def analyze(network: nm.Network, architecture: str, credit_mode: str | None = None,
-            horizon: float | None = None, fixed_point: bool = False) -> AnalysisReport:
+            fixed_point: bool = False) -> AnalysisReport:
     """Worst-case bounds for every flow and queue under one architecture.
 
     ``network`` may be a view from ``Network.indexed``, which the analyses
     of an unchanged network can share, and with it what they build in common.
     ``credit_mode`` defaults to "frozen" where gates and credit shaping
-    coexist.  The curve horizon defaults to four times the longest schedule
-    or flow period and is doubled (a bounded number of times) when a
-    deviation between gated curves is not attained within it; gate-free
-    deviations hold for all t.  A horizon that is not a positive finite
-    number raises ConfigurationError before any curve is built.
+    coexist.  Every deviation holds for all t (``minplus.deviations``); the
+    report's ``horizon`` is the longest window a gated one read, else
+    ``netmodel.hyperperiod_horizon``.
     """
-    if horizon is not None and not 0.0 < horizon < math.inf:
-        raise ConfigurationError(f"curve horizon must be positive and finite, not {horizon} us")
     violations = nm.validate(network)
     if violations:
         raise ValidationError(violations)
     if network.memo is None:
-        # a snapshot with one flow index and a memo for each horizon
-        # tried; a view handed in is shared with the caller's other analyses
+        # a snapshot with one flow index and a memo for the setting; a view
+        # handed in is shared with the caller's other analyses
         network = network.indexed()
     arch = sh.parse_architecture(architecture)
 
@@ -170,21 +163,8 @@ def analyze(network: nm.Network, architecture: str, credit_mode: str | None = No
             "pure gate scheduling serves only time-triggered flows; "
             f"found event-triggered {sorted(f.id for f in events)[:3]}")
 
-    h = horizon if horizon is not None else nm.hyperperiod_horizon(network)
-    (credit_mode,) = sh.credit_modes([architecture], credit_mode)
-    last_exc = None
-    for _ in range(HORIZON_RETRIES):
-        try:
-            return _analyze_at_horizon(network, arch, credit_mode, h, fixed_point)
-        except HorizonExceededError as exc:
-            last_exc = exc
-            h *= 2.0
-    raise last_exc
-
-
-def _analyze_at_horizon(network, arch, credit_mode, horizon, fixed_point):
-    ctx = sh.ShaperContext(network, arch, credit_mode, horizon)
-    report = AnalysisReport(architecture=arch.name, credit_mode=credit_mode, horizon=horizon)
+    ctx = sh.ShaperContext(network, arch, credit_mode)
+    report = AnalysisReport(architecture=arch.name, credit_mode=ctx.credit_mode, horizon=0.0)
 
     for f in sorted(network.flows.values(), key=lambda f: f.id):
         if f.kind != "TT":
@@ -202,6 +182,7 @@ def _analyze_at_horizon(network, arch, credit_mode, horizon, fixed_point):
         else:
             _analyze_unshaped(ctx, report, fixed_point)
         _assemble_event_flows(ctx, report)
+    report.horizon = ctx.window or nm.hyperperiod_horizon(network)
     return report
 
 
@@ -230,6 +211,7 @@ def _bound_queue(ctx, link_id, priority, alpha, alphas):
         dev = mp.deviations(alpha, beta)
     except InstabilityError as exc:
         raise InstabilityError(f"queue ({link_id}, P{priority}): {exc}") from exc
+    ctx.window = max(ctx.window, dev.window or 0.0)
     alphas[(link_id, priority)] = alpha
     return QueueBounds(link_id, priority, dev.horizontal, dev.vertical)
 
@@ -400,7 +382,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
     return {
         "architecture": report.architecture,
         "credit_mode": report.credit_mode,
-        "horizon_us": report.horizon,
         "flows": {
             fid: {"priority": fb.priority, "kind": fb.kind, "wcd_us": fb.wcd,
                   "lb_us": fb.lb, "jitter_us": fb.jitter}

@@ -5,10 +5,6 @@ class TsnCalcError(Exception):
     """Base class for all toolkit errors."""
 
 
-class HorizonExceededError(TsnCalcError):
-    """A curve was evaluated, or an operator needed values, beyond its horizon."""
-
-
 class InstabilityError(TsnCalcError):
     """Long-term arrival rate reaches or exceeds the available service rate."""
 

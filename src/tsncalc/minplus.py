@@ -8,7 +8,7 @@ for t > 0).
 Units are microseconds for time and bits for data, so rates are bits/us
 (numerically equal to Mb/s).
 
-A curve has up to two exact representations:
+A curve has up to three exact representations:
 
 - ``envelope``: the token-bucket family in closed form, for t > 0 the min
   (concave) or the max (convex) of a few lines, and 0 at t = 0, computed
@@ -19,35 +19,36 @@ A curve has up to two exact representations:
   and build a node (``Pointwise``, ``Scale``, ``UpClosure``) only for a
   result outside the family.  Gate staircases and TDMA curves, given by one
   period of terms or windows, have none.
+- ``sandwich``: rate*t - lo <= f(t) <= rate*t + hi for all t >= 0, its
+  rate the long-term rate: a closed curve's from its envelope on first
+  use, a gate curve's from its period, a node's from its operands'.
 - ``segments``: a piecewise-linear function with jumps, built on first use
-  and kept: a closed curve's on [0, inf), one segment per line, and any
-  other curve's on [0, horizon].  Only gate curves need a finite window, so
-  a curve has a ``horizon`` if and only if a gate curve is among its
-  leaves, and a node takes that of its operands; a closed curve is read
-  on the horizon of the gate curves it meets (``_segments_on``).  A node
-  builds its segments from its operands': a sum on one union grid, a min
-  or max folded two at a time (``_pointwise``), and the closure with one
-  running maximum.  A TDMA service takes the min of its rotations on one
-  period and repeats it.  A leftover (``leftover``: a line less scaled
-  terms, closed) is that chain of nodes.  Gate staircases, and the
-  leftovers of a line less one scaled staircase (the gated top-priority
-  services), can also be built as batches of rows, one pass over all the
-  rows per step (``build_leftovers``); each step does the floating-point
-  operations of the one-curve operator it replaces, so a batch is bit for
-  bit the curves built one by one.
+  and kept: a closed curve's on [0, inf), one segment per line, and a
+  gated curve's (with a gate curve among its leaves) on its window,
+  ``WINDOW_PERIODS`` times the longest gate period among them;
+  ``_segments_on`` builds a curve on any window.  A node builds its
+  segments from its operands': a sum on one union grid, a min or max
+  folded two at a time (``_pointwise``), and the closure with one running
+  maximum.  A TDMA service takes the min of its rotations on one period
+  and repeats it.  A leftover (``leftover``: a line less scaled terms,
+  closed) is that chain of nodes.  Gate staircases, and the leftovers of a
+  line less one scaled staircase (the gated top-priority services), can
+  also be built as batches of rows, one pass over all the rows per step
+  (``build_leftovers``); each step does the floating-point operations of
+  the one-curve operator it replaces, so a batch is bit for bit the curves
+  built one by one.
 
-``deviations`` has two cases, both exact; nothing is sampled:
+``deviations`` has two cases, both exact over all t; nothing is sampled:
 
 - a concave arrival curve against a convex service curve (the gate-free
   strict-priority, reshaping and credit-based analyses), the line crossings
-  of the envelopes, over all t;
-- every pair with a gate curve among its leaves (gate staircases, TDMA
-  service), the segments, with each period unrolled up to the horizon.
-  Only this case can raise HorizonExceededError.  Each segment function
-  computes its inverse table (the left limit at each segment's end, the
-  running maximum of values reached, and whether it never falls) once, and
-  one pass over it gives the first and the strict inverse, so a service
-  that two analyses share is read, not rebuilt.
+  of the envelopes;
+- every gated pair, the segments on a window that the two sandwiches
+  certify to hold both deviations (``_segment_deviations``).  Each segment
+  function computes its inverse table (the left limit at each segment's
+  end, the running maximum of values reached, and whether it never falls)
+  once, and one pass over it gives the first and the strict inverse, so a
+  service that two analyses share is read, not rebuilt.
 
 Rounding has one rule: values computed from terms of magnitude x may
 differ by ``slack(x)``, the larger of ``TOLERANCE`` and ``ROUNDING`` times
@@ -60,11 +61,11 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import HorizonExceededError, InstabilityError
+from .errors import InstabilityError
 
 #: Absolute comparison tolerance in internal units (us, bits).
 TOLERANCE = 1e-9
@@ -72,6 +73,7 @@ TOLERANCE = 1e-9
 ROUNDING = 1e-12
 
 INF = float("inf")
+WINDOW_PERIODS = 4.0  # a gated pair's first window, in longest gate periods
 
 
 def slack(x: float) -> float:
@@ -84,21 +86,21 @@ def slack(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 class Segments:
-    """Exact piecewise-linear function on [0, horizon] with up/down jumps.
+    """Exact piecewise-linear function on [0, end] with up/down jumps.
 
     ``t`` are strictly increasing breakpoints with t[0] == 0.  For each k,
     ``at[k]`` is f(t[k]), ``right[k]`` is f(t[k]+) and ``slope[k]`` applies on
-    (t[k], t[k+1]); the last slope extends to the horizon.  The four arrays
+    (t[k], t[k+1]); the last slope extends to ``end``.  The four arrays
     are read-only, so the inverse table computed from them on first use
     stays valid.
     """
 
-    __slots__ = ("t", "at", "right", "slope", "horizon", "_table")
+    __slots__ = ("t", "at", "right", "slope", "end", "_table")
 
-    def __init__(self, t, at, right, slope, horizon):
+    def __init__(self, t, at, right, slope, end):
         self.t, self.at, self.right, self.slope = (
             _read_only(x) for x in (t, at, right, slope))
-        self.horizon = float(horizon)
+        self.end = float(end)
         self._table = None
         if self.t[0] != 0.0:
             raise ValueError("segments must start at t = 0")
@@ -114,7 +116,7 @@ class Segments:
         return self._table
 
     def end_left(self) -> np.ndarray:
-        """Left limit at the end of each segment (horizon for the last)."""
+        """Left limit at the end of each segment (``end`` for the last)."""
         return self.table.end_left
 
     def _locate(self, ts: np.ndarray) -> np.ndarray:
@@ -134,7 +136,7 @@ class Segments:
         if len(self.t) <= 1:
             return self
         keep = _kept(self.t, self.at, self.right, self.slope, _first_of_one(len(self.t)))
-        return Segments(self.t[keep], self.at[keep], self.right[keep], self.slope[keep], self.horizon)
+        return Segments(self.t[keep], self.at[keep], self.right[keep], self.slope[keep], self.end)
 
 
 def _read_only(x) -> np.ndarray:
@@ -157,7 +159,7 @@ class InverseTable:
 
 
 def _inverse_table(seg: Segments) -> InverseTable:
-    span = _ends(seg.t, seg.horizon) - seg.t
+    span = _ends(seg.t, seg.end) - seg.t
     # the last segment of a closed curve's own segments ends at inf, flat
     # if its slope is 0
     if seg.slope[-1] == 0.0:
@@ -170,10 +172,6 @@ def _inverse_table(seg: Segments) -> InverseTable:
     nondecreasing = not ((seg.right - seg.at < -tol).any() or (seg.at[1:] - end_left[:-1] < -tol).any()
                          or (seg.slope < -tol).any())
     return InverseTable(end_left, reach, nondecreasing)
-
-
-def _zero_segments(horizon: float) -> Segments:
-    return Segments([0.0], [0.0], [0.0], [0.0], horizon)
 
 
 def _resample(seg: Segments, grid: np.ndarray):
@@ -212,14 +210,14 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pointwise(segs: Sequence[Segments], op: str) -> Segments:
-    """Pointwise sum, min or max of segment functions on one horizon,
+    """Pointwise sum, min or max of segment functions on one window,
     exactly: a sum adds the values in order on the union of their
     breakpoints, and a min or max folds ``_extreme`` over them left to right."""
     if op != "sum":
         return functools.reduce(functools.partial(_extreme, op=op), segs)
     grid = _distinct_sorted(np.concatenate([s.t for s in segs]))
     rows = np.array([_on_grid(s, grid) for s in segs]).swapaxes(0, 1)
-    return Segments(grid, *(np.cumsum(x, axis=0)[-1] for x in rows), segs[0].horizon)
+    return Segments(grid, *(np.cumsum(x, axis=0)[-1] for x in rows), segs[0].end)
 
 
 def _extreme(a: Segments, b: Segments, op: str) -> Segments:
@@ -228,7 +226,7 @@ def _extreme(a: Segments, b: Segments, op: str) -> Segments:
     of the union grid.  Each interval takes the extreme values and the slope
     of the function extreme at its middle, ``a``'s on a tie."""
     grid = _union(a.t, b.t)
-    dt = _ends(grid, a.horizon) - grid
+    dt = _ends(grid, a.end) - grid
     (_, a_right, a_slope), (_, b_right, b_slope) = _on_grid(a, grid), _on_grid(b, grid)
     d0 = a_right - b_right
     d1 = (a_right + a_slope * dt) - (b_right + b_slope * dt)
@@ -236,11 +234,11 @@ def _extreme(a: Segments, b: Segments, op: str) -> Segments:
     if cross.any():
         grid = _distinct_sorted(np.concatenate([grid, grid[cross] + d0[cross] / (d0 - d1)[cross] * dt[cross]]))
     (a_at, a_right, a_slope), (b_at, b_right, b_slope) = _on_grid(a, grid), _on_grid(b, grid)
-    ends = _ends(grid, a.horizon)
+    ends = _ends(grid, a.end)
     half = np.where(ends > grid, (ends - grid) * 0.5, 0.0)
     a_mid, b_mid = a_right + a_slope * half, b_right + b_slope * half
     fn, pick_a = (np.minimum, a_mid <= b_mid) if op == "min" else (np.maximum, a_mid >= b_mid)
-    return Segments(grid, fn(a_at, b_at), fn(a_right, b_right), np.where(pick_a, a_slope, b_slope), a.horizon)
+    return Segments(grid, fn(a_at, b_at), fn(a_right, b_right), np.where(pick_a, a_slope, b_slope), a.end)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +257,14 @@ def _first_of_one(n: int) -> np.ndarray:
     return first
 
 
-def _ends(t, horizon, first=None) -> np.ndarray:
-    """The end of each segment: the next breakpoint, or the horizon after
-    the last.  With ``first``, of rows of several functions, where the last
-    row of each ends at its horizon (``horizon`` per row, or one for all)."""
+def _ends(t, end, first=None) -> np.ndarray:
+    """The end of each segment: the next breakpoint, or ``end`` after the
+    last.  With ``first``, of rows of several functions, where the last row
+    of each ends at its function's end (``end`` per row, or one for all)."""
     if first is None:
-        return np.concatenate((t[1:], [horizon]))
+        return np.concatenate((t[1:], [end]))
     last = np.concatenate((first[1:], [True]))
-    return np.where(last, horizon, np.concatenate((t[1:], [0.0])))
+    return np.where(last, end, np.concatenate((t[1:], [0.0])))
 
 
 def _kept(t, at, right, slope, first) -> np.ndarray:
@@ -296,7 +294,7 @@ def _running(ufunc, values, first) -> np.ndarray:
     return ufunc.accumulate(padded, axis=1)[group, col]
 
 
-def _closure_rows(t, at, right, slope, first, horizon):
+def _closure_rows(t, at, right, slope, first, end):
     """Running maximum with zero of each function: t -> max(0, sup_{0<=s<=t}
     f(s)), as (t, at, right, slope, first) rows, before compression.
 
@@ -305,7 +303,7 @@ def _closure_rows(t, at, right, slope, first, horizon):
     segment that climbs back to the maximum inside it follows f from the
     crossing on, which gets a row of its own.
     """
-    t1 = _ends(t, horizon, first)
+    t1 = _ends(t, end, first)
     f_end = right + slope * (t1 - t)
     peak = np.maximum(np.maximum(at, right), f_end)
     # max(0, f(0)) at each function's first row, else the peak before
@@ -333,9 +331,9 @@ def _closure_rows(t, at, right, slope, first, horizon):
 def _up_closure_segments(seg: Segments) -> Segments:
     """Running maximum with zero, t -> max(0, sup_{0<=s<=t} f(s)), compressed."""
     t, at, right, slope, first = _closure_rows(seg.t, seg.at, seg.right, seg.slope,
-                                               _first_of_one(len(seg.t)), seg.horizon)
+                                               _first_of_one(len(seg.t)), seg.end)
     keep = _kept(t, at, right, slope, first)
-    return Segments(t[keep], at[keep], right[keep], slope[keep], seg.horizon)
+    return Segments(t[keep], at[keep], right[keep], slope[keep], seg.end)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +342,7 @@ def _up_closure_segments(seg: Segments) -> Segments:
 
 def _pinv(seg: Segments, levels: np.ndarray):
     """The first times f reaches each level and the first times it exceeds
-    it, both from one pass over the inverse table; inf if not on [0, H].
+    it, both from one pass over the inverse table; inf if not on [0, end].
 
     Requires a non-decreasing function.
     """
@@ -367,21 +365,14 @@ def _pinv(seg: Segments, levels: np.ndarray):
 
 @dataclass(frozen=True)
 class Deviation:
-    """Maximum horizontal/vertical deviation between two curves with witnesses."""
+    """Maximum horizontal/vertical deviation between two curves with
+    witnesses, and the window the segments were read on (None if closed)."""
 
     horizontal: float
     vertical: float
     argmax_h: float
     argmax_v: float
-
-
-def _check_rates(alpha: "Curve", beta: "Curve") -> None:
-    ra = alpha.long_term_rate()
-    rb = beta.long_term_rate()
-    if ra > rb + slack(rb):
-        raise InstabilityError(
-            f"arrival rate {ra:.6g} bits/us exceeds service rate {rb:.6g} bits/us"
-        )
+    window: float | None = None
 
 
 def _first_max_at(values: np.ndarray):
@@ -398,9 +389,7 @@ def _hdev_segments(a: Segments, b: Segments):
     levels = _distinct_sorted(np.minimum(np.maximum(levels, 0.0), a_levels.max()))
     ta, ta_plus = _pinv(a, levels)
     tb, tb_plus = _pinv(b, levels)
-    # g(y) and its right limit in y; unreachable beta levels mean a too-short horizon
-    if np.isinf(tb[np.isfinite(ta)]).any():
-        raise HorizonExceededError("service curve does not reach an arrival level within the horizon")
+    # g(y) and its right limit in y; levels beta does not reach are dropped
     g = tb - ta
     with np.errstate(invalid="ignore"):
         g_plus = tb_plus - ta_plus
@@ -420,7 +409,7 @@ def _vdev_segments(a: Segments, b: Segments):
     grid = _union(a.t, b.t)
     a_at, a_right, a_slope = _on_grid(a, grid)
     b_at, b_right, b_slope = _on_grid(b, grid)
-    ends = _ends(grid, a.horizon)
+    ends = _ends(grid, a.end)
     dt = ends - grid
     # in order of time: f(t[k]), f(t[k]+), then the left limit at the end
     diffs = np.empty((len(grid), 3))
@@ -520,17 +509,17 @@ def _hull_of_two(sense: int, lines) -> Envelope:
     return Envelope(sense, (first, second))
 
 
-def _envelope_segments(env: Envelope, horizon: float) -> Segments:
-    """The segments of a closed form on [0, horizon]: 0 at t = 0, then one
-    segment per line that becomes active before the horizon, from its kink."""
+def _envelope_segments(env: Envelope, end: float) -> Segments:
+    """The segments of a closed form on [0, end]: 0 at t = 0, then one
+    segment per line that becomes active before ``end``, from its kink."""
     start = np.concatenate([[0.0], env.kinks])
-    live = start < horizon
+    live = start < end
     t = start[live]
     intercept, slope = np.array(env.lines)[live].T
     right = intercept + slope * t
     at = right.copy()
     at[0] = 0.0
-    return Segments(t, at, right, slope, horizon)
+    return Segments(t, at, right, slope, end)
 
 
 def _add_lines(lines) -> tuple:
@@ -582,7 +571,7 @@ def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
     vertical one 0+ and every kink.  The witness is the earliest maximum.
     Raises InstabilityError when the deviations are unbounded: alpha's
     supremum above beta's, or alpha's last slope above beta's, which only
-    the tolerance of ``_check_rates`` lets through.
+    the tolerance of the rate check in ``deviations`` lets through.
 
     The slopes of a min of lines fall in order of t and those of a max
     rise, so the first line of beta and the last of alpha are the flattest.
@@ -638,81 +627,101 @@ def _closed_deviations(alpha: "Curve", beta: "Curve") -> Deviation | None:
 # Curve nodes
 # ---------------------------------------------------------------------------
 
+class Sandwich(NamedTuple):
+    """rate*t - lo <= f(t) <= rate*t + hi for all t >= 0, hi and lo >= 0."""
+
+    rate: float
+    hi: float
+    lo: float
+
+
+def _extreme_bounds(op: str, bounds) -> Sandwich:
+    """The sandwich of a min of curves with sandwiches ``bounds``: below
+    each operand of the lowest rate, above the lowest line; a max mirrors it."""
+    if op == "min":
+        rate = min(b.rate for b in bounds)
+        return Sandwich(rate, min(b.hi for b in bounds if b.rate == rate), max(b.lo for b in bounds))
+    rate = max(b.rate for b in bounds)
+    return Sandwich(rate, max(b.hi for b in bounds), min(b.lo for b in bounds if b.rate == rate))
+
+
 class Curve:
     """A non-decreasing function of time in closed representation.
 
     ``envelope`` is the closed form, or None outside the token-bucket
     family: Affine and RateLatency curves, and the Closed curves that the
     operators fold, have theirs from the start, and the nodes built from
-    segments have none.  ``horizon`` is the end of the window the gate
-    curves among the curve's leaves are built on, or None when there are
-    none."""
+    segments have none.  ``period`` is the longest gate period among the
+    curve's leaves, None when no gate curve is among them, and ``window``
+    WINDOW_PERIODS times that: the first window a gated pair reads."""
 
-    __slots__ = ("horizon", "envelope", "_segments")
+    __slots__ = ("period", "envelope", "_segments", "_sandwich")
 
-    def __init__(self, envelope: Envelope | None = None, horizon: float | None = None):
-        if horizon is not None:
-            if not 0.0 < horizon < math.inf:
-                raise ValueError(f"horizon must be positive and finite, not {horizon}")
-            horizon = float(horizon)
-        self.horizon = horizon
+    def __init__(self, envelope: Envelope | None = None, period: float | None = None):
+        self.period = period
         self.envelope = envelope
         self._segments = None
+        self._sandwich = None
+
+    @property
+    def window(self) -> float | None:
+        return None if self.period is None else WINDOW_PERIODS * self.period
 
     @property
     def segments(self) -> Segments:
-        """The curve on [0, horizon], built by ``_build``; a closed curve's
-        envelope on [0, inf), one segment per line.  A gate-free node has
-        segments only on the horizon of a gate curve it meets."""
+        """The curve on [0, window], built on first use; a closed curve's
+        envelope on [0, inf), one segment per line; none for a gate-free node."""
         if self._segments is None:
             if self.envelope is not None:
                 self._segments = _envelope_segments(self.envelope, INF)
-            elif self.horizon is None:
-                raise ValueError("a gate-free curve outside the token-bucket family has no horizon")
+            elif self.period is None:
+                raise ValueError("a gate-free curve outside the token-bucket family has no window")
             else:
-                self._segments = self._build(self.horizon)
+                self._segments = self._build(self.window)
         return self._segments
 
-    def _build(self, horizon: float) -> Segments:
+    def _build(self, end: float) -> Segments:
         raise NotImplementedError
 
+    @property
+    def sandwich(self) -> Sandwich:
+        if self._sandwich is None:
+            self._sandwich = self._bounds()
+        return self._sandwich
+
     def long_term_rate(self) -> float:
-        raise NotImplementedError
+        return self.sandwich.rate
 
     def evaluate(self, t: float) -> float:
         """f(t), 0 for t <= 0: from the closed form, exact for every t, when
-        the curve has one; else from the segments, within the horizon only,
-        or built up to t for a gate-free node."""
+        the curve has one; else from its segments on its window, or on [0,
+        t] past it or without one."""
         if t <= 0.0:
             return 0.0
         env = self.envelope
         if env is not None:
             return env.value(t)
-        if self.horizon is None:
-            return self._build(t).value(t)
-        if t > self.horizon + TOLERANCE:
-            raise HorizonExceededError(f"t={t} exceeds curve horizon {self.horizon}")
-        return self.segments.value(min(t, self.horizon))
+        return _segments_on(self, max(t, self.window or t)).value(t)
 
     def __repr__(self):
-        shown = self.envelope if self.horizon is None else f"horizon={self.horizon:g}"
+        shown = self.envelope if self.period is None else f"period={self.period:g}"
         return f"<{type(self).__name__} {shown}>"
 
 
-def _segments_on(curve: Curve, horizon: float) -> Segments:
-    """The segments of ``curve`` where it meets gate curves of ``horizon``:
-    its own if it has one, else its envelope or its node built there."""
-    if curve.horizon is not None:
-        return curve.segments
+def _segments_on(curve: Curve, end: float) -> Segments:
+    """The segments of ``curve`` on [0, end], its own if built there."""
     if curve.envelope is not None:
-        return _envelope_segments(curve.envelope, horizon)
-    return curve._build(horizon)
+        return _envelope_segments(curve.envelope, end)
+    if curve.window == end:
+        return curve.segments
+    return curve._build(end)
 
 
 class Closed(Curve):
     """A curve of the token-bucket family, given by its closed form, exact
     for every t.  Its long-term ``rate`` is the slope of the envelope's
-    last line: the flattest line of a min of lines, the steepest of a max."""
+    last line: the flattest line of a min of lines, the steepest of a max.
+    f(t) - rate*t is monotone for t > 0, between the first and last intercepts."""
 
     __slots__ = ()
 
@@ -720,6 +729,10 @@ class Closed(Curve):
         return self.envelope.lines[-1][1]
 
     rate = property(long_term_rate)
+
+    def _bounds(self) -> Sandwich:
+        (d0, _), (d1, rate) = self.envelope.lines[0], self.envelope.lines[-1]
+        return Sandwich(rate, max(0.0, d0, d1), max(0.0, -d0, -d1))
 
 
 class Affine(Closed):
@@ -761,10 +774,9 @@ class StaircaseMax(Curve):
     the largest value any rotation has reached by t: a running max over
     the rotations' jumps in time order."""
 
-    __slots__ = ("rotations", "_rate")
+    __slots__ = ("rotations",)
 
-    def __init__(self, rotations, horizon: float):
-        super().__init__(horizon=horizon)
+    def __init__(self, rotations):
         if not len(rotations):
             raise ValueError("a staircase max needs at least one rotation")
         terms = np.array(rotations, dtype=float).reshape(len(rotations), -1, 3)
@@ -772,36 +784,39 @@ class StaircaseMax(Curve):
         if (height < 0).any() or (offset < -TOLERANCE).any() or (period <= 0).any():
             raise ValueError("staircase terms need height >= 0, offset >= 0, period > 0")
         terms[..., 1] = np.maximum(0.0, offset)
+        super().__init__(period=float(period.max()))
         self.rotations = terms  # (rotation, term, (height, offset, period))
-        self._rate = max(map(sum, (terms[..., 0] / terms[..., 2]).tolist()))
+        # a term lies between height/period times t less height*offset/period
+        # and that plus height*max(0, 1 - offset/period)
+        rates = map(sum, (height / period).tolist())
+        his = (height * np.maximum(0.0, 1.0 - offset / period)).sum(axis=1).tolist()
+        los = (height * offset / period).sum(axis=1).tolist()
+        self._sandwich = _extreme_bounds("max", [Sandwich(*b) for b in zip(rates, his, los)])
 
-    def _build(self, horizon: float) -> Segments:
-        return _staircases([self])[0]
-
-    def long_term_rate(self) -> float:
-        return self._rate
+    def _build(self, end: float) -> Segments:
+        return _staircases([self], [end])[0]
 
 
-def _staircases(curves) -> list:
-    """The segments of staircase maxes, every rotation of every curve in one
-    pass.  Each term's jumps on [0, horizon] are summed per (rotation, time)
-    in term order, as one rotation alone would sum them, and accumulated
-    along each rotation.  Each curve lives on the union of its rotations'
-    jump times and 0.  Every rotation is non-decreasing, so their max after
-    a point is the running max, within the curve, of the values its
-    rotations reach at or before it, and its value at a point is the right
-    limit at the point before (0 at t = 0), since each step is
-    left-continuous.  Each curve is then compressed."""
+def _staircases(curves, ends) -> list:
+    """The segments of staircase maxes on [0, end] for their ``ends``, every
+    rotation of every curve in one pass.  Each term's jumps there are summed
+    per (rotation, time) in term order, as one rotation alone would sum
+    them, and accumulated along each rotation.  Each curve lives on the
+    union of its rotations' jump times and 0.  Every rotation is
+    non-decreasing, so their max after a point is the running max, within
+    the curve, of the values its rotations reach at or before it, and its
+    value at a point is the right limit at the point before (0 at t = 0),
+    since each step is left-continuous.  Each curve is then compressed."""
     n_terms = np.array([c.rotations.shape[1] for c in curves])
     curve_of_rot = np.repeat(np.arange(len(curves)), [c.rotations.shape[0] for c in curves])
     rot_of_term = np.repeat(np.arange(len(curve_of_rot)), n_terms[curve_of_rot])
     height, offset, period = np.concatenate([c.rotations.reshape(-1, 3) for c in curves]).T
-    horizon = np.array([c.horizon for c in curves])[curve_of_rot[rot_of_term]]
-    live = (height != 0.0) & (offset <= horizon)
-    counts = np.where(live, np.floor((horizon - offset) / period).astype(int) + 1, 0)
+    end = np.array(ends)[curve_of_rot[rot_of_term]]
+    live = (height != 0.0) & (offset <= end)
+    counts = np.where(live, np.floor((end - offset) / period).astype(int) + 1, 0)
     total = int(counts.sum())
     if not total:
-        return [_zero_segments(c.horizon) for c in curves]
+        return [Segments([0.0], [0.0], [0.0], [0.0], e) for e in ends]
     steps = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
     raw_t = np.repeat(offset, counts) + np.repeat(period, counts) * steps
     raw_rot = np.repeat(rot_of_term, counts)
@@ -822,7 +837,7 @@ def _staircases(curves) -> list:
     seg_at = np.where(first, 0.0, np.append(0.0, seg_right[:-1]))
     slope = np.zeros(len(grid))
     keep = _kept(grid, seg_at, seg_right, slope, first)
-    return _split([c.horizon for c in curves], grid_curve[keep],
+    return _split(ends, grid_curve[keep],
                   grid[keep], seg_at[keep], seg_right[keep], slope[keep])
 
 
@@ -843,11 +858,11 @@ def _distinct(group, t):
     return group[order][new], t[order][new], index
 
 
-def _split(horizons, group, t, at, right, slope) -> list:
-    """One Segments per horizon from rows ordered by ``group``, its index."""
-    cuts = np.cumsum(np.bincount(group, minlength=len(horizons)))[:-1]
+def _split(ends, group, t, at, right, slope) -> list:
+    """One Segments per end from rows ordered by ``group``, its index."""
+    cuts = np.cumsum(np.bincount(group, minlength=len(ends)))[:-1]
     pieces = [np.split(x, cuts) for x in (t, at, right, slope)]
-    return [Segments(*rows, h) for h, *rows in zip(horizons, *pieces)]
+    return [Segments(*rows, e) for e, *rows in zip(ends, *pieces)]
 
 
 def _leftover_parts(curve) -> tuple:
@@ -863,26 +878,26 @@ def _leftover_parts(curve) -> tuple:
 def build_leftovers(curves) -> None:
     """Build the segments of the leftover ``curves`` that have none yet,
     each a line less one scaled staircase max (else ValueError), and of
-    their staircases, with one pass of each step over the rows of all of
-    them: the staircases, the line plus the scaled staircase, compressed,
-    then its closure, compressed.  Each step does the floating-point
-    operations of the step it mirrors in the chain's own build:
+    their staircases, on their windows, with one pass of each step over
+    the rows of all of them: the staircases, the line plus the scaled
+    staircase, compressed, then its closure, compressed.  Each step does the
+    floating-point operations of the step it mirrors in the chain's own build:
     ``_staircases``, ``Scale``, ``_pointwise``'s sum (the line resampled as
     ``_resample`` reads it), ``Segments.compress`` and ``_up_closure_segments``."""
-    todo = [(c, c.horizon, *_leftover_parts(c)) for c in curves]
+    todo = [(c, c.window, *_leftover_parts(c)) for c in curves]
     todo = [row for row in todo if row[0]._segments is None]
     if not todo:
         return
-    chains, horizons, burst, rate, factor, gates = zip(*todo)
+    chains, ends, burst, rate, factor, gates = zip(*todo)
     unbuilt = list({id(g): g for g in gates if g._segments is None}.values())
-    for gate, seg in zip(unbuilt, _staircases(unbuilt) if unbuilt else ()):
+    for gate, seg in zip(unbuilt, _staircases(unbuilt, [g.window for g in unbuilt]) if unbuilt else ()):
         gate._segments = seg
     segs = [g.segments for g in gates]
     n = np.array([len(s) for s in segs])
     first = np.zeros(int(n.sum()), dtype=bool)
     first[np.cumsum(n) - n] = True
     t = np.concatenate([s.t for s in segs])
-    burst, rate, factor, horizon = (np.repeat(x, n) for x in (burst, rate, factor, horizons))
+    burst, rate, factor, end = (np.repeat(x, n) for x in (burst, rate, factor, ends))
     # the line: 0 at t = 0, its start at 0+, and burst + rate*t after
     start = burst + rate * 0.0
     line = start + rate * t
@@ -890,11 +905,11 @@ def build_leftovers(curves) -> None:
     right = np.where(first, start, line) + np.concatenate([s.right for s in segs]) * factor
     slope = rate + np.concatenate([s.slope for s in segs]) * factor
     keep = _kept(t, at, right, slope, first)
-    t, at, right, slope, first, horizon = (x[keep] for x in (t, at, right, slope, first, horizon))
-    t, at, right, slope, first = _closure_rows(t, at, right, slope, first, horizon)
+    t, at, right, slope, first, end = (x[keep] for x in (t, at, right, slope, first, end))
+    t, at, right, slope, first = _closure_rows(t, at, right, slope, first, end)
     keep = _kept(t, at, right, slope, first)
     group = np.cumsum(first) - 1
-    for c, seg in zip(chains, _split(horizons, group[keep], t[keep], at[keep], right[keep], slope[keep])):
+    for c, seg in zip(chains, _split(ends, group[keep], t[keep], at[keep], right[keep], slope[keep])):
         c._segments = seg
 
 
@@ -918,120 +933,117 @@ class TdmaService(Curve):
     1-D) lie within [0, period] and repeat every ``period``, and every
     rotation is open for the same time per period.  Each rotation's open
     time then grows by one period's every period, and so does their min: it
-    is taken on [0, period], and its slopes are repeated up to the horizon
-    and integrated from each change of slope to the next, with no jump at a
-    period's end.  Starts a rounding error below 0 are clamped to 0, and
-    the slope follows a running count of open windows, so one window's end
-    and the next one's start may lie an ulp apart either way."""
+    is taken on [0, period] once, and its slopes are repeated up to the end
+    of a window and integrated from each change of slope to the next, with
+    no jump at a period's end.  Starts a rounding error below 0 are clamped
+    to 0, and the slope follows a running count of open windows, so one
+    window's end and the next one's start may lie an ulp apart either way."""
 
-    __slots__ = ("rate", "period", "starts", "lengths")
+    __slots__ = ("_one",)
 
-    def __init__(self, rate: float, period: float, starts, lengths, horizon: float):
-        super().__init__(horizon=horizon)
+    def __init__(self, rate: float, period: float, starts, lengths):
+        super().__init__(period=float(period))
         starts, lengths = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (starts, lengths))
         if (rate < 0 or period <= 0 or np.any(lengths < 0) or np.any(starts < -TOLERANCE)
                 or np.any(starts + lengths > period + TOLERANCE) or np.ptp(lengths.sum(axis=1)) > TOLERANCE):
             raise ValueError("TDMA windows need rate >= 0, period > 0, to lie in [0, period], one open time")
-        self.rate = float(rate)
-        self.period = float(period)
-        self.starts = np.maximum(0.0, starts)
-        self.lengths = lengths
-
-    def _build(self, horizon: float) -> Segments:
-        period, rate = self.period, self.rate
+        rate, period = float(rate), self.period
         rotations = []
-        for starts, lengths in zip(self.starts, self.lengths):
-            times = np.concatenate([[0.0], starts, starts + lengths])
-            steps = np.repeat([0.0, 1.0, -1.0], [1, len(starts), len(starts)])
+        for row_starts, row_lengths in zip(np.maximum(0.0, starts), lengths):
+            times = np.concatenate([[0.0], row_starts, row_starts + row_lengths])
+            steps = np.repeat([0.0, 1.0, -1.0], [1, len(row_starts), len(row_starts)])
             t, count, open_time = running_integral(times[times < period], steps[times < period])
             rotations.append(Segments(t, rate * open_time, rate * open_time, rate * count, period))
-        one = _pointwise(rotations, "min")
+        self._one = one = _pointwise(rotations, "min")
+        # f(t) - rate*t repeats every period and is linear between the
+        # period's breakpoints, so its extremes lie among them and its end
+        rate = rate * float(np.min(np.sum(lengths, axis=1))) / period
+        gap = (np.append(one.at, one.right[-1] + one.slope[-1] * (period - one.t[-1]))
+               - rate * np.append(one.t, period))
+        self._sandwich = Sandwich(rate, max(0.0, float(gap.max())), max(0.0, -float(gap.min())))
+
+    def _build(self, end: float) -> Segments:
+        period, one = self.period, self._one
         live = one.t < period
-        copies = int(horizon // period) + 1
+        copies = int(end // period) + 1
         t = (one.t[live] + period * np.arange(copies)[:, None]).ravel()
         # a period's end that rounds onto the next one's start gives way to
         # it, and a point where the slope does not change is no breakpoint
-        keep = (t <= horizon) & np.append(t[1:] > t[:-1], True)
+        keep = (t <= end) & np.append(t[1:] > t[:-1], True)
         t, slope = t[keep], np.tile(one.slope[live], copies)[keep]
         change = np.append(True, slope[1:] != slope[:-1])
         t, slope = t[change], slope[change]
         value = np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(t))])
-        return Segments(t, value, value, slope, horizon)
-
-    def long_term_rate(self) -> float:
-        return self.rate * float(np.min(np.sum(self.lengths, axis=1))) / self.period
+        return Segments(t, value, value, slope, end)
 
 
 def _operands(op: str, curves: Iterable[Curve]) -> tuple:
-    """The operands of ``op`` and the horizon of the gate curves among their
-    leaves, None when there are none; refused when there are no operands or
-    when their horizons differ."""
+    """The operands of ``op`` and the longest gate period among their
+    leaves, None when there is none; refused when there are no operands."""
     curves = tuple(curves)
     if not curves:
         raise ValueError(f"{op} of an empty curve list")
-    horizon = None
-    for c in curves:
-        if c.horizon is not None:
-            if horizon is not None and c.horizon != horizon:
-                raise ValueError(f"{op} of curves on different horizons")
-            horizon = c.horizon
-    return curves, horizon
+    return curves, max((c.period for c in curves if c.period is not None), default=None)
 
 
 class Pointwise(Curve):
-    """Pointwise min, max or sum of curves on one horizon (``_pointwise``):
-    a sum on one union grid, a min or max folded two at a time."""
+    """Pointwise min, max or sum of curves (``_pointwise``): a sum on one
+    union grid, adding the sandwiches, a min or max folded two at a time."""
 
     __slots__ = ("op", "curves")
 
     def __init__(self, op: str, curves: Sequence[Curve]):
-        curves, horizon = _operands(op, curves)
-        super().__init__(horizon=horizon)
+        curves, period = _operands(op, curves)
+        super().__init__(period=period)
         self.op = op
         self.curves = curves
 
-    def _build(self, horizon: float) -> Segments:
-        return _pointwise([_segments_on(c, horizon) for c in self.curves], self.op).compress()
+    def _build(self, end: float) -> Segments:
+        return _pointwise([_segments_on(c, end) for c in self.curves], self.op).compress()
 
-    def long_term_rate(self) -> float:
-        fold = {"min": min, "max": max, "sum": sum}[self.op]
-        return fold(c.long_term_rate() for c in self.curves)
+    def _bounds(self) -> Sandwich:
+        bounds = [c.sandwich for c in self.curves]
+        return Sandwich(*map(sum, zip(*bounds))) if self.op == "sum" else _extreme_bounds(self.op, bounds)
 
 
 class Scale(Curve):
     """Pointwise factor * f(t); negative factors build the subtracted terms of
-    leftover-service expressions and must be closed afterwards."""
+    leftover-service expressions and must be closed afterwards.  A negative
+    factor swaps the sandwich's upper and lower offsets."""
 
     __slots__ = ("factor", "curve")
 
     def __init__(self, factor: float, curve: Curve):
-        super().__init__(horizon=curve.horizon)
+        super().__init__(period=curve.period)
         self.factor = float(factor)
         self.curve = curve
 
-    def _build(self, horizon: float) -> Segments:
-        seg = _segments_on(self.curve, horizon)
+    def _build(self, end: float) -> Segments:
+        seg = _segments_on(self.curve, end)
         f = self.factor
-        return Segments(seg.t, seg.at * f, seg.right * f, seg.slope * f, seg.horizon)
+        return Segments(seg.t, seg.at * f, seg.right * f, seg.slope * f, seg.end)
 
-    def long_term_rate(self) -> float:
-        return self.factor * self.curve.long_term_rate()
+    def _bounds(self) -> Sandwich:
+        f, (rate, hi, lo) = self.factor, self.curve.sandwich
+        return Sandwich(f * rate, f * hi, f * lo) if f >= 0.0 else Sandwich(f * rate, -f * lo, -f * hi)
 
 
 class UpClosure(Curve):
-    """[f(t)]_up^+ = max(0, max_{0<=s<=t} f(s)): the non-decreasing closure."""
+    """[f(t)]_up^+ = max(0, max_{0<=s<=t} f(s)): the non-decreasing closure,
+    above f and below rate*t + max(0, hi), or max(0, hi) if f's rate < 0."""
 
     __slots__ = ("curve",)
 
     def __init__(self, curve: Curve):
-        super().__init__(horizon=curve.horizon)
+        super().__init__(period=curve.period)
         self.curve = curve
 
-    def _build(self, horizon: float) -> Segments:
-        return _up_closure_segments(_segments_on(self.curve, horizon))
+    def _build(self, end: float) -> Segments:
+        return _up_closure_segments(_segments_on(self.curve, end))
 
-    def long_term_rate(self) -> float:
-        return max(0.0, self.curve.long_term_rate())
+    def _bounds(self) -> Sandwich:
+        rate, hi, lo = self.curve.sandwich
+        return Sandwich(max(0.0, rate), max(0.0, hi), lo)
 
 
 # ---------------------------------------------------------------------------
@@ -1107,37 +1119,55 @@ def zero() -> Curve:
 
 
 def deviations(alpha: Curve, beta: Curve) -> Deviation:
-    """Both deviations between an arrival and a service curve, with witnesses.
+    """Both deviations of an arrival and a service curve, with witnesses.
 
-    Two cases, each exact and sampling nothing: a concave arrival against a
-    convex service from the line crossings of their closed forms, over all
-    t; a pair with a gate curve among its leaves from the segments on [0,
-    H], H the gate curves' horizon, at the union of curve breakpoints,
-    staircase jump points and the level crossings they induce.  Raises
-    InstabilityError when the deviations are unbounded, HorizonExceededError
-    when the segments' alpha(H) > beta(H), and ValueError for any other
-    pair of gate-free curves, which no horizon bounds.
+    Two cases, each exact over all t and sampling nothing: a concave
+    arrival against a convex service from the line crossings of their
+    closed forms; a gated pair from the segments on a window that the
+    pair's sandwiches certify (``_segment_deviations``).  Raises
+    InstabilityError when the deviations are unbounded, and ValueError for
+    any other pair of gate-free curves.
     """
-    _check_rates(alpha, beta)
+    ra, rb = alpha.long_term_rate(), beta.long_term_rate()
+    if ra > rb + slack(rb):
+        raise InstabilityError(f"arrival rate {ra:.6g} bits/us exceeds service rate {rb:.6g} bits/us")
     closed = _closed_deviations(alpha, beta)
     return closed if closed is not None else _segment_deviations(alpha, beta)
 
 
 def _segment_deviations(alpha: Curve, beta: Curve) -> Deviation:
-    """Deviations computed from the segments of two curves on the horizon of
-    the gate curves among them."""
-    _, horizon = _operands("deviations", (alpha, beta))
-    if horizon is None:
+    """Deviations of a gated pair from the segments on a window that holds
+    both.  With K = hi_alpha + lo_beta and g = rho_beta - rho_alpha,
+    alpha(t) - beta(t) <= v for t >= t_v = (K - v)/g, beta(t + h) >=
+    alpha(t) for t >= t_h = (K - rho_beta*h)/g, and beta reaches by t_h + h
+    every level alpha reaches by t_h.  So v and h read on a window W (h over
+    the levels of alpha that beta reaches within W) hold for all t once W >=
+    max(t_v, t_h + h) = (K - min(v, rho_alpha*h))/g.  The first window is
+    WINDOW_PERIODS times the pair's longest gate period; a pair it does not
+    certify is read once more on the window asked for, which certifies
+    itself, as v and h only grow with the window.  A service rate within
+    rounding of the arrival rate, or below it, raises InstabilityError."""
+    _, period = _operands("deviations", (alpha, beta))
+    if period is None:
         raise ValueError("deviations of gate-free curves outside the concave-arrival, convex-service case")
-    return _deviations_of(_segments_on(alpha, horizon), _segments_on(beta, horizon))
+    rate_a, hi, _ = alpha.sandwich
+    rate_b, _, lo = beta.sandwich
+    if rate_b - rate_a <= slack(rate_b):
+        raise InstabilityError(f"arrival rate {rate_a:.6g} bits/us reaches service rate {rate_b:.6g} bits/us")
+    window = WINDOW_PERIODS * period
+    dev = _deviations_of(_segments_on(alpha, window), _segments_on(beta, window))
+    need = (hi + lo - min(dev.vertical, rate_a * dev.horizontal)) / (rate_b - rate_a)
+    if need <= window:
+        return dev
+    return _deviations_of(_segments_on(alpha, need), _segments_on(beta, need))
 
 
 def _deviations_of(a: Segments, b: Segments) -> Deviation:
-    """Deviations of two segment functions on one horizon."""
+    """Deviations of two segment functions on one window."""
     if not np.isfinite(a.right).all():
         raise ValueError("arrival curve must be finite")
     if not a.is_nondecreasing() or not b.is_nondecreasing():
         raise ValueError("deviations require non-decreasing curves")
     h, wh = _hdev_segments(a, b)
     v, wv = _vdev_segments(a, b)
-    return Deviation(horizontal=h, vertical=v, argmax_h=wh, argmax_v=wv)
+    return Deviation(horizontal=h, vertical=v, argmax_h=wh, argmax_v=wv, window=a.end)

@@ -198,16 +198,12 @@ def guard_band_lengths(network: Network, link_id: str):
     return out
 
 
-#: Default curve horizon, in multiples of the longest schedule or flow period.
-HORIZON_PERIODS = 4.0
-
-
 def hyperperiod_horizon(network: Network) -> float:
-    """Default curve horizon: a multiple of the longest schedule or flow period."""
+    """Four times the longest schedule or flow period: the horizon that an
+    analysis reports when it reads no gated window."""
     spans = [gcl.period for gcl in network.gcls.values()]
     spans += [f.period for f in network.flows.values() if f.period]
-    base = max(spans, default=1000.0)
-    return HORIZON_PERIODS * base
+    return 4.0 * max(spans, default=1000.0)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def _rotations(gcl):
     return ij % n, offs[ij % n] + np.where(ij >= n, gcl.period, 0.0)
 
 
-def tt_arrival_curve(gcl, guard_bands, variant: str, rate: float, horizon: float) -> mp.Curve:
+def tt_arrival_curve(gcl, guard_bands, variant: str, rate: float) -> mp.Curve:
     """Upper envelope of link time blocked for lower-priority traffic by the
     gate windows, as a max over window rotations of periodic burst staircases.
 
@@ -99,10 +99,10 @@ def tt_arrival_curve(gcl, guard_bands, variant: str, rate: float, horizon: float
     offset = oj - oj[:, :1] + gbs[:, None] - gbs[j]
     terms = np.stack([(lens[j] + gbs[j]) * rate, np.maximum(0.0, offset),
                       np.full((n, n), gcl.period)], axis=-1)
-    return mp.StaircaseMax(terms, horizon)
+    return mp.StaircaseMax(terms)
 
 
-def tt_service_curve(gcl, rate: float, horizon: float) -> mp.Curve:
+def tt_service_curve(gcl, rate: float) -> mp.Curve:
     """Minimum service obtained by gate-scheduled traffic over any interval:
     the min over window rotations of the gate-open time since the end of the
     window before: one TDMA service of every rotation's period of windows."""
@@ -112,7 +112,7 @@ def tt_service_curve(gcl, rate: float, horizon: float) -> mp.Curve:
     lens = np.array([w.length for w in gcl.windows])[j]
     # rotation i starts where window i - 1, its last, ends one period earlier
     starts = oj - (oj[:, -1:] + lens[:, -1:] - gcl.period)
-    return mp.TdmaService(rate, gcl.period, starts, lens, horizon)
+    return mp.TdmaService(rate, gcl.period, starts, lens)
 
 
 def gb_envelope(gcl, guard_bands, rate: float):
@@ -167,23 +167,23 @@ def _memo(method):
 
 
 class ShaperContext:
-    """Per-analysis state: architecture, credit mode and horizon.
+    """Per-analysis state: architecture, credit mode, and ``window``, the
+    longest window a gated deviation of the analysis read (0 if none).
 
     Every quantity it computes lives in the network view's memo for the
     analysis setting (see ``Network.indexed``): whether the architecture has
-    gates, the credit mode and the horizon, which the analyses of one view
-    and setting share; a plain network gets a view of its own.  Only the
-    gate curves (``tt_arrival``, ``tt_service``) are built at the context's
-    horizon; a curve built from them takes theirs, and every other curve is
-    closed and has none.
+    gates and the credit mode, which the analyses of one view and setting
+    share; a plain network gets a view of its own.  The gate curves
+    (``tt_arrival``, ``tt_service``) and the curves built from them carry
+    their gate period, and every other curve is closed.
     """
 
-    def __init__(self, network: nm.Network, arch: Architecture, credit_mode, horizon: float):
+    def __init__(self, network: nm.Network, arch: Architecture, credit_mode):
         (self.credit_mode,) = credit_modes([arch.name], credit_mode)
         self.network = network if network.memo is not None else network.indexed()
         self.arch = arch
-        self.horizon = float(horizon)
-        self.memo = self.network.memo.setdefault((arch.tas, self.credit_mode, self.horizon), {})
+        self.window = 0.0
+        self.memo = self.network.memo.setdefault((arch.tas, self.credit_mode), {})
 
     # -- per-port gate state ------------------------------------------------
 
@@ -200,11 +200,11 @@ class ShaperContext:
     @_memo
     def tt_arrival(self, link_id: str, variant: str) -> mp.Curve:
         return tt_arrival_curve(self._gcl(link_id), self.guard_bands(link_id), variant,
-                                self.link_rate(link_id), self.horizon)
+                                self.link_rate(link_id))
 
     @_memo
     def tt_service(self, link_id: str) -> mp.Curve:
-        return tt_service_curve(self._gcl(link_id), self.link_rate(link_id), self.horizon)
+        return tt_service_curve(self._gcl(link_id), self.link_rate(link_id))
 
     @_memo
     def envelope(self, link_id: str):

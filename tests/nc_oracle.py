@@ -213,7 +213,7 @@ def random_deviation_pair(rng: np.random.Generator):
     raise AssertionError("could not draw a stable pair")
 
 
-def to_curve(spec: CurveSpec, horizon: float):
+def to_curve(spec: CurveSpec):
     """Materialize a CurveSpec with the package's curve types."""
     from tsncalc import minplus as mp
 
@@ -221,7 +221,7 @@ def to_curve(spec: CurveSpec, horizon: float):
         return mp.Affine(spec.burst, spec.rate)
     if spec.kind == "ratelatency":
         return mp.RateLatency(spec.rate, spec.latency)
-    return mp.StaircaseMax([list(spec.terms)], horizon)
+    return mp.StaircaseMax([list(spec.terms)])
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def to_curve(spec: CurveSpec, horizon: float):
 # ---------------------------------------------------------------------------
 
 def combine(a, b, op: str):
-    """Pointwise min/max of two segment functions on one horizon, exactly:
+    """Pointwise min/max of two segment functions on one window, exactly:
     the union grid refined once at each sign change of a - b inside an
     interval, the extreme values, and the slope of the operand extreme at
     the middle of each interval, ``a``'s on a tie."""
@@ -238,7 +238,7 @@ def combine(a, b, op: str):
     grid = mp._union(a.t, b.t)
     ra = mp._on_grid(a, grid)
     rb = mp._on_grid(b, grid)
-    ends = mp._ends(grid, a.horizon)
+    ends = mp._ends(grid, a.end)
     dt = ends - grid
     d0 = ra[1] - rb[1]
     d1 = (ra[1] + ra[2] * dt) - (rb[1] + rb[2] * dt)
@@ -252,7 +252,7 @@ def combine(a, b, op: str):
     b_at, b_right, b_slope = mp._on_grid(b, grid)
 
     fn = np.minimum if op == "min" else np.maximum
-    ends = mp._ends(grid, a.horizon)
+    ends = mp._ends(grid, a.end)
     half = np.where(ends > grid, (ends - grid) * 0.5, 0.0)
     a_mid = a_right + a_slope * half
     b_mid = b_right + b_slope * half
@@ -261,7 +261,7 @@ def combine(a, b, op: str):
     else:
         pick_a = a_mid >= b_mid
     slope = np.where(pick_a, a_slope, b_slope)
-    return mp.Segments(grid, fn(a_at, b_at), fn(a_right, b_right), slope, a.horizon)
+    return mp.Segments(grid, fn(a_at, b_at), fn(a_right, b_right), slope, a.end)
 
 
 def fold(segs, op: str):

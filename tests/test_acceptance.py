@@ -41,7 +41,7 @@ def test_criterion_1_curve_algebra_oracle():
 
     for _ in range(400):
         a_spec, b_spec, horizon = orc.random_deviation_pair(rng)
-        dev = mp.deviations(orc.to_curve(a_spec, horizon), orc.to_curve(b_spec, horizon))
+        dev = mp.deviations(orc.to_curve(a_spec), orc.to_curve(b_spec))
         assert dev.horizontal == pytest.approx(
             orc.oracle_hdev(a_spec, b_spec, horizon), abs=H_TOL)
         assert dev.vertical == pytest.approx(
@@ -58,7 +58,6 @@ def test_criterion_1_curve_algebra_oracle():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_closed_forms():
-    horizon = 4000.0
     rng = np.random.default_rng(7)
     for _ in range(50):
         b = float(rng.uniform(100, 15000))
@@ -82,7 +81,7 @@ def test_criterion_2_closed_forms():
         net.flows["a"] = nm.Flow("a", "AVB", frame, 5, ("L",), period=1000.0)
         net.flows["be"] = nm.Flow("be", "BE", lower, 0, ("L",), period=1000.0)
         net.idle_slopes["L"] = {5: idsl}
-        ctx = sh.ShaperContext(net, sh.parse_architecture("CBS"), None, horizon)
+        ctx = sh.ShaperContext(net, sh.parse_architecture("CBS"), None)
         bounds = sh.cbs_credit_bounds(ctx, "L", 5)
         assert bounds.c_max == pytest.approx(idsl * lower / 100.0, abs=1e-9)
         assert bounds.c_min == pytest.approx((idsl - 100.0) * frame / 100.0, abs=1e-9)
@@ -296,7 +295,7 @@ def _pin_idle_slopes(net, arch, credit_mode):
     """Fix every class's idle slope at the one derived for ``net``: a derived
     slope is a share of the link in proportion to the class rates, so it
     moves when any flow is removed."""
-    ctx = sh.ShaperContext(net, sh.parse_architecture(arch), credit_mode, nm.hyperperiod_horizon(net))
+    ctx = sh.ShaperContext(net, sh.parse_architecture(arch), credit_mode)
     net.idle_slopes = {link_id: {p: ctx.idle_slope(link_id, p) for p in ctx.priorities_at(link_id)}
                        for link_id in net.links}
 
@@ -362,7 +361,7 @@ def test_criterion_7b_credit_dominance():
         net.gcls["L"] = nm.Gcl(period, tuple(wins))
         net.idle_slopes["L"] = {5: float(rng.uniform(5, 60))}
         net.be_interferer = True
-        ctx = sh.ShaperContext(net, sh.parse_architecture("TAS+CBS"), "nonfrozen", 4000.0)
+        ctx = sh.ShaperContext(net, sh.parse_architecture("TAS+CBS"), "nonfrozen")
         bounds = sh.cbs_credit_bounds(ctx, "L", 5)
         if ctx.envelope("L")[1] > 0.0:  # the guard-band rate
             assert bounds.c_max_nonfrozen >= bounds.c_max - 1e-9

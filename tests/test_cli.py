@@ -529,18 +529,6 @@ def test_compare_without_a_credit_mode_gives_frozen_to_both(gated_file, tmp_path
     assert modes == {"TAS+CBS": "frozen", "TAS+ATS+CBS": "frozen"}
 
 
-@pytest.mark.parametrize("horizon", ["0", "-5", "nan"])
-def test_bad_horizon_exits_2(gated_file, tmp_path, monkeypatch, capsys, horizon):
-    argv = ["analyze", "--network", str(gated_file), "--arch", "TAS+SP",
-            "--out-dir", str(tmp_path / "o")]
-    assert cli.main(argv + ["--horizon-us", horizon]) == cli.EXIT_VALIDATION
-    monkeypatch.setenv("TSNCALC_HORIZON_US", horizon)
-    assert cli.main(argv) == cli.EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.count("horizon must be positive and finite") == 2
-    assert not (tmp_path / "o").exists()
-
-
 def test_compare_emits_csv(net_file, tmp_path):
     out = tmp_path / "cmp"
     rc = cli.main(["compare", "--network", str(net_file), "--arch", "ATS",
@@ -553,8 +541,8 @@ def test_compare_emits_csv(net_file, tmp_path):
 
 def _count_gate_builds(monkeypatch):
     """Count the calls of each gate builder on a gated port per argument
-    tuple: the port, told by its schedule object, and the variant, rate and
-    horizon where the builder takes them (guard bands are a list)."""
+    tuple: the port, told by its schedule object, and the variant and rate
+    where the builder takes them (guard bands are a list)."""
     builds = collections.Counter()
 
     def counting(name, build):
@@ -587,7 +575,7 @@ def test_sweep_cell_builds_each_gated_service_once(monkeypatch):
 
     def counted(ctx, link_id, priority, higher_arrivals):
         if ctx.arch.tas and not higher_arrivals:
-            builds[(link_id, priority, ctx.horizon)] += 1
+            builds[(link_id, priority)] += 1
         return build(ctx, link_id, priority, higher_arrivals)
 
     monkeypatch.setattr(sh, "sp_service_curve", counted)
@@ -608,7 +596,7 @@ def test_view_builds_each_top_gated_service_and_its_inverse_table_once(monkeypat
 
     def counted_service(ctx, link_id, priority, higher_arrivals):
         if ctx.arch.tas and not higher_arrivals:
-            services[(link_id, priority, ctx.horizon)] += 1
+            services[(link_id, priority)] += 1
         return build(ctx, link_id, priority, higher_arrivals)
 
     def counted_table(seg):
@@ -621,7 +609,7 @@ def test_view_builds_each_top_gated_service_and_its_inverse_table_once(monkeypat
     for arch in ("TAS+ATS+SP", "TAS+SP"):
         engine.analyze(view, arch)
     # one memo per analysis setting, which both architectures share
-    assert all(tas and mode is None for tas, mode, _ in view.memo)
+    assert all(tas and mode is None for tas, mode in view.memo)
     batches = [v for memo in view.memo.values() for k, v in memo.items() if k[0] == "gated_top_services"]
     assert len(batches) == len(view.memo)
     tops = [curve for batch in batches for curve in batch.values()]

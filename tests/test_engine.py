@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -238,13 +239,12 @@ def test_fixed_point_matches_feed_forward_on_acyclic_part():
     tree = _tagged(tg.generate("MT", tg.GenSpec(**spec)), "t.")
     both = nm.Network(nodes={**ring.nodes, **tree.nodes}, links={**ring.links, **tree.links},
                       flows={**ring.flows, **tree.flows})
-    horizon = nm.hyperperiod_horizon(both)
     assert any(len(nm.event_priorities(tree, l)) > 1 for l in tree.links)
     for arch in ("SP", "CBS"):
         with pytest.raises(CycleError):
-            engine.analyze(both, arch, horizon=horizon)
-        combined = engine.analyze(both, arch, horizon=horizon, fixed_point=True)
-        alone = engine.analyze(tree, arch, horizon=horizon, fixed_point=True)
+            engine.analyze(both, arch)
+        combined = engine.analyze(both, arch, fixed_point=True)
+        alone = engine.analyze(tree, arch, fixed_point=True)
         assert alone.queues
         for key, qb in alone.queues.items():
             assert combined.queues[key] == qb
@@ -314,23 +314,26 @@ def _curves_built(monkeypatch, analyze):
 
 
 def test_gate_free_analyses_build_no_curve_with_a_horizon(monkeypatch):
+    # no gate period among any curve's leaves, and no window read
     mm = tg.generate("MM", tg.GenSpec(target_load=0.3, priorities=(6, 5, 4), seed=7))
     for arch in ("SP", "ATS", "CBS"):
-        built = _curves_built(monkeypatch, lambda: engine.analyze(mm, arch))
-        assert built and all(c.horizon is None for c in built), arch
+        reports = []
+        built = _curves_built(monkeypatch, lambda: reports.append(engine.analyze(mm, arch)))
+        assert built and all(c.period is None and c.window is None for c in built), arch
+        assert reports[0].horizon == nm.hyperperiod_horizon(mm)
 
 
 def test_every_node_of_a_gated_analysis_has_a_gate_leaf(monkeypatch):
     # ports without gate windows beside ports with them: the credit shaping
-    # curves of the former stay closed, and a curve has a horizon if and
-    # only if a gate curve is among its leaves
+    # curves of the former stay closed, and a curve has a gate period if
+    # and only if a gate curve is among its leaves
     gated = tg.generate("MM", tg.GenSpec(target_load=0.3, tt_load_fraction=0.3, seed=0))
     assert any(not gated.gcl(link) or not gated.gcl(link).windows for link in gated.links)
     for arch, mode in GATED_SETTINGS:
         built = _curves_built(monkeypatch, lambda: engine.analyze(gated, arch, mode))
         nodes = [c for c in built if isinstance(c, (mp.Pointwise, mp.Scale, mp.UpClosure))]
         assert nodes and all(_has_gate_leaf(c) for c in nodes), (arch, mode)
-        assert all((c.horizon is not None) == _has_gate_leaf(c) for c in built), (arch, mode)
+        assert all((c.period is not None) == _has_gate_leaf(c) for c in built), (arch, mode)
 
 
 def test_reanalysis_sees_flows_added_in_between():
@@ -449,29 +452,89 @@ def test_guard_band_credit_refusal_does_not_mask_a_frozen_analysis():
         engine.analyze(net, "TAS+CBS", credit_mode="nonfrozen")
 
 
-def test_horizon_override_respected():
-    net = single_hop_net()
-    rep = engine.analyze(net, "SP", horizon=64000.0)
-    assert rep.horizon == 64000.0
-    assert rep.flows["f1"].wcd == pytest.approx(2 * 121.76 + 2 + 4 - 2)
-
-
-@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
-def test_bad_horizon_is_refused_before_any_curve(monkeypatch, horizon):
-    def no_analysis(*args):
-        raise AssertionError("analysis started")
-
-    monkeypatch.setattr(engine, "_analyze_at_horizon", no_analysis)
-    with pytest.raises(ConfigurationError, match="horizon"):
-        engine.analyze(single_hop_net(), "SP", horizon=horizon)
-
-
-def test_gate_free_bounds_need_no_longer_horizon():
+def test_gate_free_bounds_need_no_longer_horizon(monkeypatch):
     # a high-load draw whose CBS bounds once took four horizon doublings;
-    # gate-free curves are exact for all t, so the default horizon holds
+    # gate-free curves are exact for all t and read no window, so a first
+    # window 160 times longer changes nothing
     net = tg.generate("MM", tg.GenSpec(0.7, flow_count=120, priorities=(6, 5, 4), seed=13))
     for arch in ("SP", "ATS", "CBS"):
         rep = engine.analyze(net, arch)
         assert rep.horizon == nm.hyperperiod_horizon(net)
-        long = engine.analyze(net, arch, horizon=640000.0)
+        monkeypatch.setattr(mp, "WINDOW_PERIODS", 160 * mp.WINDOW_PERIODS)
+        long = engine.analyze(net, arch)
+        monkeypatch.undo()
         assert (rep.flows, rep.queues, rep.shaped_queues) == (long.flows, long.queues, long.shaped_queues)
+
+
+# The bounds of the MT network below, read on a fixed 1,280,000-us window
+# by the analysis that doubled a curve horizon; at its default horizon that
+# analysis refused the network as exhausted.  Queue delays by "link:Ppriority"
+# and flow delay bounds by flow id, in us.
+MT11_QUEUE_DELAYS = {
+    "ES1->SW4:P5": 1587.269530099, "ES1->SW4:P6": 1771.121433953, "ES2->SW4:P5": 747.066599685,
+    "ES2->SW4:P6": 1322.570606065, "ES3->SW5:P5": 642.317491008, "ES3->SW5:P6": 742.298051603,
+    "ES4->SW5:P5": 1833.714177212, "ES4->SW5:P6": 986.326680195, "ES5->SW6:P5": 2982.512460769,
+    "ES5->SW6:P6": 980.741065938, "ES6->SW6:P5": 1362.247218708, "ES6->SW6:P6": 1213.200131684,
+    "ES7->SW7:P5": 1726.048472252, "ES7->SW7:P6": 639.984048055, "ES8->SW7:P5": 846.712840172,
+    "ES8->SW7:P6": 798.792457518, "SW1->SW2:P5": 4000.312800813, "SW1->SW2:P6": 2772.316832539,
+    "SW1->SW3:P5": 2945.849410883, "SW1->SW3:P6": 2138.068476075, "SW2->SW1:P5": 5455.656056844,
+    "SW2->SW1:P6": 2734.529224247, "SW2->SW4:P5": 1517.005170245, "SW2->SW4:P6": 1325.807511883,
+    "SW2->SW5:P5": 6740.236321958, "SW2->SW5:P6": 7816.46126463, "SW3->SW1:P5": 4063.251246706,
+    "SW3->SW1:P6": 3314.30968806, "SW3->SW6:P5": 1803.066031484, "SW3->SW6:P6": 2537.106661282,
+    "SW3->SW7:P5": 15861.468377587, "SW3->SW7:P6": 9964.464776952, "SW4->ES1:P5": 2274.280517538,
+    "SW4->ES1:P6": 398.594383213, "SW4->ES2:P5": 1275.264858954, "SW4->ES2:P6": 1833.000060905,
+    "SW4->SW2:P5": 2913.164216332, "SW4->SW2:P6": 3859.128226178, "SW5->ES3:P5": 8823.649921033,
+    "SW5->ES3:P6": 2577.914019825, "SW5->ES4:P5": 1920.523636807, "SW5->ES4:P6": 3048.410976711,
+    "SW5->SW2:P5": 1562.672394938, "SW5->SW2:P6": 1668.031177016, "SW6->ES5:P5": 920.267035186,
+    "SW6->ES5:P6": 762.854409473, "SW6->ES6:P5": 742.054463119, "SW6->ES6:P6": 1373.652678323,
+    "SW6->SW3:P5": 5354.014265847, "SW6->SW3:P6": 2148.506841869, "SW7->ES7:P5": 4019.479273428,
+    "SW7->ES7:P6": 2234.494088998, "SW7->ES8:P5": 3574.931718589, "SW7->ES8:P6": 1794.889692383,
+    "SW7->SW3:P5": 1912.551115564, "SW7->SW3:P6": 1324.134524395,
+}
+MT11_FLOW_WCDS = {
+    "f000": 742.61, "f001": 217.88, "f002": 191.1, "f003": 329.29, "f004": 562.24, "f005": 644.92,
+    "f006": 198.42, "f007": 56.98, "f008": 74.92, "f009": 395.91, "f010": 310.73, "f011": 477.69,
+    "f012": 226.0, "f013": 687.35, "f014": 510.36, "f015": 217.12, "f016": 595.52, "f017": 355.22,
+    "f018": 198.88, "f019": 189.92, "f020": 404.08, "f021": 219.52, "f022": 401.79, "f023": 594.9,
+    "f024": 112.86, "f025": 373.06, "f026": 674.54, "f027": 3564.24070002, "f028": 26386.714246245,
+    "f029": 6188.656601349, "f030": 16024.624944586, "f031": 13161.193705195,
+    "f032": 5874.877912055, "f033": 18915.617334391, "f034": 14888.602377142,
+    "f035": 4997.259915145, "f036": 22262.201829789, "f037": 20064.319989421,
+    "f038": 13802.808431209, "f039": 5482.597022406, "f040": 18445.120377505,
+    "f041": 26386.714246245, "f042": 21813.6510019, "f043": 20064.319989421,
+    "f044": 31234.292136054, "f045": 14888.602377142, "f046": 13802.808431209,
+    "f047": 19725.914423482, "f048": 3564.24070002, "f049": 2562.841127815,
+    "f050": 20313.205735493, "f051": 6183.720082418, "f052": 13965.055872171,
+    "f053": 2282.514253895, "f054": 28217.474377632, "f055": 15447.059708761,
+    "f056": 32782.886865173, "f057": 2862.534389053, "f058": 22701.806226403,
+    "f059": 20080.746669747, "f060": 31234.292136054, "f061": 4866.192113601,
+    "f062": 28217.474377632, "f063": 2354.393744261, "f064": 19610.249712861,
+    "f065": 14521.225106548, "f066": 23440.585490839, "f067": 5569.136801406,
+    "f068": 4134.731123714, "f069": 31498.13637992, "f070": 15121.061442888,
+    "f071": 19483.587962019, "f072": 27772.926822793, "f073": 10582.887999696,
+    "f074": 12320.990774782, "f075": 21813.6510019, "f076": 26152.661580732,
+    "f077": 20191.376461918, "f078": 20313.205735493, "f079": 13965.055872171,
+    "f080": 19481.88579489, "f081": 15447.059708761, "f082": 20313.205735493,
+    "f083": 15625.272280828, "f084": 20064.319989421, "f085": 5422.888052668,
+    "f086": 1721.164989277, "f087": 22262.201829789, "f088": 11437.714897138,
+}
+
+
+def test_stable_gated_network_needs_no_horizon():
+    # a stable queue (37.76 against 38.33 bits/us) whose deviations lie far
+    # past the first window: certified windows bound it, with no option
+    net = tg.generate("MT", tg.GenSpec(target_load=0.8, tt_load_fraction=0.3, priorities=(6, 5), seed=11))
+    start = time.monotonic()
+    rep = engine.analyze(net, "TAS+CBS", credit_mode="nonfrozen")
+    assert time.monotonic() - start < 10.0
+    delays = {f"{link}:P{prio}": qb.delay for (link, prio), qb in rep.queues.items()}
+    assert delays.keys() == MT11_QUEUE_DELAYS.keys()
+    for key, want in MT11_QUEUE_DELAYS.items():
+        assert delays[key] == pytest.approx(want, abs=1e-6), key
+    assert max(delays.values()) == pytest.approx(15861.468377587, abs=1e-6)
+    assert rep.flows.keys() == MT11_FLOW_WCDS.keys()
+    for fid, want in MT11_FLOW_WCDS.items():
+        assert rep.flows[fid].wcd == pytest.approx(want, abs=1e-6), fid
+    # the longest window read lies past the first, and far short of the
+    # fixed window above
+    assert nm.hyperperiod_horizon(net) < rep.horizon < 1280000.0

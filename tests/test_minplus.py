@@ -27,7 +27,7 @@ def test_evaluate_affine():
 
 
 def test_evaluate_staircase_single_term():
-    c = mp.StaircaseMax([[(1e4, 0.0, 1000.0)]], H)
+    c = mp.StaircaseMax([[(1e4, 0.0, 1000.0)]])
     assert c.evaluate(1.0) == pytest.approx(1e4)
     assert c.evaluate(0.0) == 0.0
     assert c.evaluate(1000.0) == pytest.approx(1e4)
@@ -36,7 +36,7 @@ def test_evaluate_staircase_single_term():
 
 def test_tdma_service_from_one_period_of_windows():
     # windows [100, 250) and [500, 580) every 1000 us, at 10 bits/us
-    c = mp.TdmaService(10.0, 1000.0, [100.0, 500.0], [150.0, 80.0], H)
+    c = mp.TdmaService(10.0, 1000.0, [100.0, 500.0], [150.0, 80.0])
     assert c.evaluate(100.0) == 0.0
     assert c.evaluate(200.0) == pytest.approx(1000.0)
     assert c.evaluate(1000.0) == pytest.approx(2300.0)
@@ -47,12 +47,12 @@ def test_tdma_service_from_one_period_of_windows():
 def test_tdma_service_windows_an_ulp_apart():
     # a start a rounding error below 0 is clamped to 0, and a start an ulp
     # before the previous window's end counts both windows open for that ulp
-    c = mp.TdmaService(10.0, 1000.0, [-1e-13, np.nextafter(250.0, 0.0)], [250.0, 100.0], H)
+    c = mp.TdmaService(10.0, 1000.0, [-1e-13, np.nextafter(250.0, 0.0)], [250.0, 100.0])
     assert c.segments.is_nondecreasing()
     assert c.evaluate(350.0) == pytest.approx(3500.0)
     assert c.evaluate(1350.0) == pytest.approx(7000.0)
     with pytest.raises(ValueError):
-        mp.TdmaService(10.0, 1000.0, [-1.0], [10.0], H)
+        mp.TdmaService(10.0, 1000.0, [-1.0], [10.0])
 
 
 def test_running_integral_adds_the_steps_of_equal_times():
@@ -60,12 +60,6 @@ def test_running_integral_adds_the_steps_of_equal_times():
     assert t.tolist() == [0.0, 2.0, 5.0]
     assert slope.tolist() == [3.0, 2.0, 2.0]
     assert value.tolist() == [0.0, 6.0, 12.0]
-
-
-def test_evaluate_beyond_horizon_raises():
-    c = mp.StaircaseMax([[(1e4, 0.0, 50.0)]], 100.0)
-    with pytest.raises(mp.HorizonExceededError):
-        c.evaluate(101.0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +83,8 @@ def test_hdev_staircase_vs_rate_latency_matches_oracle():
     terms = ((1e4, 0.0, 1000.0),)
     a_spec = orc.CurveSpec("staircase", terms=terms)
     b_spec = orc.CurveSpec("ratelatency", rate=100.0, latency=50.0)
-    a = orc.to_curve(a_spec, H)
-    b = orc.to_curve(b_spec, H)
+    a = orc.to_curve(a_spec)
+    b = orc.to_curve(b_spec)
     assert mp.deviations(a, b).horizontal == pytest.approx(orc.oracle_hdev(a_spec, b_spec, H), abs=0.01)
 
 
@@ -114,8 +108,8 @@ def test_vdev_staircase_vs_rate_latency_matches_oracle():
     terms = ((4000.0, 100.0, 500.0), (1000.0, 0.0, 250.0))
     a_spec = orc.CurveSpec("staircase", terms=terms)
     b_spec = orc.CurveSpec("ratelatency", rate=60.0, latency=30.0)
-    a = orc.to_curve(a_spec, H)
-    b = orc.to_curve(b_spec, H)
+    a = orc.to_curve(a_spec)
+    b = orc.to_curve(b_spec)
     assert mp.deviations(a, b).vertical == pytest.approx(orc.oracle_vdev(a_spec, b_spec, H), abs=1.0)
 
 
@@ -167,12 +161,13 @@ def test_min_segments_exact_across_kink():
 def test_max_of_staircases_matches_pointwise():
     a_spec = orc.CurveSpec("staircase", terms=((1000.0, 0.0, 300.0),))
     b_spec = orc.CurveSpec("staircase", terms=((1500.0, 100.0, 500.0), (200.0, 50.0, 250.0)))
-    m = mp.max_of([orc.to_curve(a_spec, H), orc.to_curve(b_spec, H)])
+    m = mp.max_of([orc.to_curve(a_spec), orc.to_curve(b_spec)])
     grid = np.arange(0.0, H + 1.0, 50.0)
     ts = np.unique(np.clip(np.concatenate([grid, grid + orc.TINY, grid - orc.TINY]), 0.0, H))
     want = np.maximum(orc.oracle_eval(a_spec, ts), orc.oracle_eval(b_spec, ts))
-    np.testing.assert_allclose(m.segments.value_many(ts), want, atol=1e-6)
-    assert m.segments.is_nondecreasing()
+    seg = mp._segments_on(m, H)
+    np.testing.assert_allclose(seg.value_many(ts), want, atol=1e-6)
+    assert seg.is_nondecreasing()
     assert m.long_term_rate() == pytest.approx(max(1000.0 / 300.0, 1500.0 / 500.0 + 200.0 / 250.0))
 
 
@@ -184,9 +179,9 @@ def test_staircase_value_at_each_jump_is_the_limit_before_it(heights):
     n, period = len(heights), 1000.0
     rotations = [[(heights[(i + j) % n], 100.0 * j + (period - 100.0 * n if i + j >= n else 0.0), period)
                   for j in range(n)] for i in range(n)]
-    curves = [mp.StaircaseMax([r], H) for r in rotations] + [mp.StaircaseMax(rotations, H)]
+    curves = [mp.StaircaseMax([r]) for r in rotations] + [mp.StaircaseMax(rotations)]
     built = [c.segments for c in curves]
-    for alone, batched in zip(built, mp._staircases(curves)):
+    for alone, batched in zip(built, mp._staircases(curves, [H] * len(curves))):
         for name in ("t", "at", "right"):
             assert np.array_equal(getattr(alone, name), getattr(batched, name))
     for seg in built:
@@ -234,7 +229,7 @@ def test_compression_keeps_every_value_bit_for_bit():
     # a max of two staircase rotations of heights (0.3, 0.6) and (0.6, 0.3)
     # reaches 1.7999999999999998 at t = 1100 and 1.8 at 1900
     rotations = [[(0.3, 0.0, 1000.0), (0.6, 100.0, 1000.0)], [(0.6, 0.0, 1000.0), (0.3, 900.0, 1000.0)]]
-    seg = mp._pointwise([mp.StaircaseMax([r], H).segments for r in rotations], "max")
+    seg = mp._pointwise([mp.StaircaseMax([r]).segments for r in rotations], "max")
     assert seg.right[seg._locate(np.array([1100.0, 1900.0]))].tolist() == [1.7999999999999998, 1.8]
     at, right, _ = mp._resample(seg.compress(), seg.t)
     assert np.array_equal(at, seg.at) and np.array_equal(right, seg.right)
@@ -261,22 +256,11 @@ def test_empty_lists_rejected():
         mp.sum_of([])
 
 
-def test_curves_of_different_horizons_do_not_mix():
-    short, long = (mp.StaircaseMax([[(2000.0, 0.0, 100.0)]], h) for h in (H, 2 * H))
-    for op in (mp.sum_of, mp.min_of):
-        with pytest.raises(ValueError, match="horizons"):
-            op([short, long])
-    with pytest.raises(ValueError, match="horizons"):
-        mp.deviations(short, mp.TdmaService(100.0, 100.0, [0.0], [50.0], 2 * H))
-    # a closed curve has none, and takes the gate curve's where they meet
-    assert mp.sum_of([short, mp.Affine(100.0, 1.0)]).horizon == H
-
-
 def test_up_closure_nondecreasing_nonnegative():
     # C*t minus a gate staircase dips at jumps; the closure must repair it
     inner = mp.sum_of([
         mp.Affine(0.0, 100.0),
-        mp.scale(-1.0, mp.StaircaseMax([[(20000.0, 0.0, 1000.0)]], H)),
+        mp.scale(-1.0, mp.StaircaseMax([[(20000.0, 0.0, 1000.0)]])),
         mp.Affine(-5000.0, 0.0),
     ])
     closed = mp.up_closure(inner)
@@ -319,7 +303,7 @@ def _looped_up_closure(seg):
 
     for k in range(n):
         t0 = seg.t[k]
-        t1 = seg.t[k + 1] if k + 1 < n else seg.horizon
+        t1 = seg.t[k + 1] if k + 1 < n else seg.end
         at_k = max(run, seg.at[k])
         right_k = max(at_k, seg.right[k])
         f_start = seg.right[k]
@@ -345,7 +329,7 @@ def _looped_up_closure(seg):
         else:
             emit(t0, at_k, right_k, 0.0)
             run = right_k
-    return mp.Segments(np.array(ts), np.array(ats), np.array(rights), np.array(slopes), seg.horizon)
+    return mp.Segments(np.array(ts), np.array(ats), np.array(rights), np.array(slopes), seg.end)
 
 
 def _random_segments(rng, horizon=None):
@@ -372,9 +356,9 @@ def _random_segments(rng, horizon=None):
 
 def _assert_same_function(got, want, scale):
     """Values and right limits at every breakpoint of either segment
-    function, and at the horizon, agree within 1e-12 of ``scale``."""
-    assert got.horizon == want.horizon
-    grid = np.union1d(np.union1d(got.t, want.t), [got.horizon])
+    function, and at their end, agree within 1e-12 of ``scale``."""
+    assert got.end == want.end
+    grid = np.union1d(np.union1d(got.t, want.t), [got.end])
     for g, w in zip(mp._resample(got, grid)[:2], mp._resample(want, grid)[:2]):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * scale)
 
@@ -474,8 +458,8 @@ def test_randomized_deviations_match_oracle():
     rng = np.random.default_rng(42)
     for _ in range(30):
         a_spec, b_spec, horizon = orc.random_deviation_pair(rng)
-        a = orc.to_curve(a_spec, horizon)
-        b = orc.to_curve(b_spec, horizon)
+        a = orc.to_curve(a_spec)
+        b = orc.to_curve(b_spec)
         dev = mp.deviations(a, b)
         assert dev.horizontal == pytest.approx(orc.oracle_hdev(a_spec, b_spec, horizon), abs=0.01)
         assert dev.vertical == pytest.approx(orc.oracle_vdev(a_spec, b_spec, horizon), abs=1.0)
@@ -562,7 +546,7 @@ def _v_at(a_spec, b_spec, w):
 
 def _segment_deviations_on(alpha, beta, horizon):
     """The deviations of the segment path, with both curves read on [0,
-    horizon], as where they meet gate curves of that horizon."""
+    horizon], as a gated pair reads them on that window."""
     return mp._deviations_of(mp._segments_on(alpha, horizon), mp._segments_on(beta, horizon))
 
 
@@ -626,7 +610,7 @@ def _max_affines(*lines):
 
 
 def _staircase(*terms):
-    return lambda h: (mp.StaircaseMax([terms], h), orc.CurveSpec("staircase", terms=terms))
+    return lambda h: (mp.StaircaseMax([terms]), orc.CurveSpec("staircase", terms=terms))
 
 
 def _link_leftover(link, lower):
@@ -767,13 +751,13 @@ def test_closed_form_refuses_a_decreasing_service():
 
 def test_gate_free_pairs_outside_the_closed_case_are_refused():
     # a convex arrival curve has no closed deviations, and without a gate
-    # curve there is no horizon to read the segments on
+    # curve there is no window to read the segments on
     with pytest.raises(ValueError, match="gate-free"):
         mp.deviations(mp.RateLatency(10.0, 5.0), mp.Affine(0.0, 50.0))
 
 
 def test_gated_service_keeps_segments():
-    gate = mp.StaircaseMax([[(20000.0, 0.0, 1000.0)]], H)
+    gate = mp.StaircaseMax([[(20000.0, 0.0, 1000.0)]])
     beta = mp.up_closure(mp.sum_of([mp.Affine(-1000.0, 100.0), mp.scale(-1.0, gate)]))
     assert beta.envelope is None
     assert mp._closed_deviations(mp.Affine(1000.0, 5.0), beta) is None
@@ -858,10 +842,10 @@ def _fold_of(curve, node, h):
 def test_envelope_matches_segments(name):
     # segments come from the envelope; the node folds the operands' segments
     curve, node = _envelope_cases()[name]
-    assert curve.envelope is not None and curve.horizon is None
+    assert curve.envelope is not None and curve.period is None
     # its own segments: one per line, on [0, inf), where a flat last line
     # ends at its own value
-    assert curve.segments.horizon == mp.INF and len(curve.segments) == len(curve.envelope.lines)
+    assert curve.segments.end == mp.INF and len(curve.segments) == len(curve.envelope.lines)
     assert not np.isnan(curve.segments.table.reach).any()
     got = mp._segments_on(curve, H)
     want, _ = _fold_of(curve, node, H)
@@ -965,24 +949,17 @@ def test_hull_of_one_or_two_lines_matches_the_sorted_hull():
             assert [(d.hex(), s.hex()) for d, s in got.lines] == [(d.hex(), s.hex()) for d, s in want.lines]
 
 
-@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
-def test_curve_horizon_must_be_positive_and_finite(horizon):
-    with pytest.raises(ValueError, match="horizon must be positive and finite"):
-        mp.TdmaService(10.0, 1000.0, [0.0], [100.0], horizon)
-    with pytest.raises(ValueError, match="horizon must be positive and finite"):
-        mp.StaircaseMax([[(1e4, 0.0, 1000.0)]], horizon)
-
-
 def test_repr_shows_the_horizon_or_the_closed_form():
-    gate = mp.StaircaseMax([[(1e4, 0.0, 1000.0)]], H)
-    assert repr(gate) == "<StaircaseMax horizon=4000>"
-    assert repr(mp.sum_of([mp.Affine(5.0, 1.0), gate])) == "<Pointwise horizon=4000>"
+    # a gated curve shows its longest gate period
+    gate = mp.StaircaseMax([[(1e4, 0.0, 1000.0)]])
+    assert repr(gate) == "<StaircaseMax period=1000>"
+    assert repr(mp.sum_of([mp.Affine(5.0, 1.0), gate])) == "<Pointwise period=1000>"
     assert repr(mp.Affine(5.0, 1.0)) == "<Affine Envelope(sense=0, lines=((5.0, 1.0),))>"
     assert repr(mp.min_of([mp.Affine(5.0, 1.0), mp.RateLatency(2.0, 1.0)])) == "<Pointwise None>"
 
 
 def test_segment_arrays_are_read_only():
-    gate = mp.StaircaseMax([[(2000.0, 0.0, 100.0)]], H)
+    gate = mp.StaircaseMax([[(2000.0, 0.0, 100.0)]])
     seg = mp.up_closure(mp.sum_of([mp.Affine(-50.0, 100.0), mp.scale(-1.0, gate)])).segments
     arrays = [getattr(seg, name) for name in ("t", "at", "right", "slope")]
     arrays += [seg.table.end_left, seg.table.reach]
@@ -992,7 +969,7 @@ def test_segment_arrays_are_read_only():
 
 
 def test_envelope_absent_outside_the_token_bucket_family():
-    gate = mp.StaircaseMax([[(2000.0, 0.0, 100.0)]], H)
+    gate = mp.StaircaseMax([[(2000.0, 0.0, 100.0)]])
     falling = mp.sum_of([mp.Affine(500.0, 10.0), mp.scale(-1.0, mp.Affine(0.0, 20.0))])
     concave = mp.min_of([mp.Affine(100.0, 30.0), mp.Affine(2000.0, 5.0)])
     assert gate.envelope is None
@@ -1011,3 +988,132 @@ def test_envelope_absent_outside_the_token_bucket_family():
     # nor is the max of a min of lines with other lines
     assert mp.max_of([concave, mp.zero()]).envelope is None
     assert mp.sum_of([concave, mp.scale(-1.0, concave)]).envelope is None
+
+
+# ---------------------------------------------------------------------------
+# sandwiches and certified windows
+# ---------------------------------------------------------------------------
+
+def _assert_in_sandwich(curve, end, values=None, ts=None):
+    """Every sample of ``curve`` on a dense grid of [0, end], and its value
+    and right limit at each of its breakpoints there, lies in its sandwich;
+    with ``values`` at ``ts``, those too."""
+    rate, hi, lo = curve.sandwich
+    assert hi >= 0.0 and lo >= 0.0
+    seg = mp._segments_on(curve, end)
+    grid = np.linspace(0.0, end, 2001)
+    at, right, _ = mp._resample(seg, seg.t)
+    samples = [(grid, seg.value_many(grid)), (seg.t, at), (seg.t, right)]
+    if values is not None:
+        samples.append((ts, values))
+    for t, v in samples:
+        tol = 1e-9 * max(1.0, abs(rate) * end + hi + lo, float(np.max(np.abs(v))))
+        assert np.all(v <= rate * t + hi + tol), (curve, rate, hi)
+        assert np.all(v >= rate * t - lo - tol), (curve, rate, lo)
+
+
+def test_oracle_curves_lie_in_their_sandwiches():
+    # the oracle's own values, sampled on its grid, and the package's segments
+    rng = np.random.default_rng(20261022)
+    for _ in range(200):
+        spec = orc.random_spec(rng, str(rng.choice(["affine", "ratelatency", "staircase"])))
+        end = 4.0 * max(orc._hyperperiod(spec), 1000.0)
+        ts = np.arange(0.0, end, 10 * orc.STEP)
+        ts = np.concatenate([ts, ts + orc.TINY])
+        _assert_in_sandwich(orc.to_curve(spec), end, orc.oracle_eval(spec, ts), ts)
+
+
+def _random_staircase(rng):
+    period = float(rng.choice([250.0, 500.0, 1000.0]))
+    n_terms = int(rng.integers(1, 4))
+    rotations = [[(float(rng.uniform(0.0, 5000.0)), float(rng.uniform(0.0, 1.5 * period)),
+                   float(rng.choice([period, period / 2])))
+                  for _ in range(n_terms)] for _ in range(int(rng.integers(1, 4)))]
+    return mp.StaircaseMax(rotations)
+
+
+def _random_tdma(rng):
+    period = float(rng.choice([250.0, 500.0, 1000.0]))
+    cuts = np.sort(rng.uniform(0.0, period, 2 * int(rng.integers(1, 4))))
+    return mp.TdmaService(float(rng.uniform(1.0, 100.0)), period, cuts[::2], cuts[1::2] - cuts[::2])
+
+
+def _random_gated_tree(rng, curves, depth=0):
+    """A random tree like ``_random_token_bucket_tree``'s, with gate
+    staircase and TDMA leaves beside the token-bucket ones; every curve of
+    it goes to ``curves``."""
+    kind = int(rng.integers(0, 9)) if depth < 3 else int(rng.choice([0, 1, 7, 8]))
+    if kind == 0:
+        curve = mp.Affine(float(rng.uniform(-2000.0, 5000.0)), float(rng.uniform(0.0, 100.0)))
+    elif kind == 1:
+        curve = mp.RateLatency(float(rng.uniform(0.0, 100.0)), float(rng.choice([0.0, rng.uniform(0.0, 3000.0)])))
+    elif kind <= 4:
+        children = [_random_gated_tree(rng, curves, depth + 1) for _ in range(int(rng.integers(2, 5)))]
+        curve = (mp.sum_of, mp.min_of, mp.max_of)[kind - 2](children)
+    elif kind == 5:
+        factor = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0))
+        curve = mp.scale(factor, _random_gated_tree(rng, curves, depth + 1))
+    elif kind == 6:
+        curve = mp.up_closure(_random_gated_tree(rng, curves, depth + 1))
+    else:
+        curve = _random_staircase(rng) if kind == 7 else _random_tdma(rng)
+    curves.append(curve)
+    return curve
+
+
+def test_random_gated_trees_lie_in_their_sandwiches():
+    rng = np.random.default_rng(20261023)
+    curves = []
+    for _ in range(150):
+        _random_gated_tree(rng, curves)
+    kinds = {type(c) for c in curves}
+    assert {mp.StaircaseMax, mp.TdmaService, mp.Pointwise, mp.Scale, mp.UpClosure, mp.Closed} <= kinds
+    for curve in curves:
+        _assert_in_sandwich(curve, 3000.0)
+
+
+def _gated_leftover(burst, rate):
+    """The service a 100-bits/us link leaves after a gate of 20 bits/us."""
+    gate = mp.StaircaseMax([[(20000.0, 0.0, 1000.0)]])
+    service = mp.up_closure(mp.sum_of([mp.Affine(-12000.0, 100.0), mp.scale(-1.0, gate)]))
+    return mp.Affine(burst, rate), service
+
+
+def test_a_pair_past_its_first_window_is_read_once_more_on_the_certified_one():
+    # an arrival at 200 bits/us up to its kink at 10 ms, then at 79, against
+    # a service at 80: both deviations lie past the first window
+    _, beta = _gated_leftover(0.0, 0.0)
+    alpha = mp.min_of([mp.Affine(1000.0, 200.0), mp.Affine(1000.0 + 121.0 * 10000.0, 79.0)])
+    assert beta.window == 4000.0 and beta.segments.end == 4000.0
+    first = mp._deviations_of(mp._segments_on(alpha, 4000.0), beta.segments)
+    dev = mp.deviations(alpha, beta)
+    assert dev.window > 4000.0
+    assert dev.horizontal > first.horizontal and dev.vertical > first.vertical
+    assert dev == mp._deviations_of(mp._segments_on(alpha, dev.window), mp._segments_on(beta, dev.window))
+    # a window four times longer finds nothing more
+    far = mp._deviations_of(mp._segments_on(alpha, 4 * dev.window), mp._segments_on(beta, 4 * dev.window))
+    assert (far.horizontal, far.vertical) == pytest.approx((dev.horizontal, dev.vertical), rel=1e-12)
+    # a pair its first window certifies is read there only
+    alpha, beta = _gated_leftover(3000.0, 40.0)
+    assert mp.deviations(alpha, beta).window == 4000.0
+
+
+def test_gated_pairs_of_equal_rates_are_unstable():
+    beta = mp.TdmaService(100.0, 1000.0, [0.0], [250.0])
+    assert beta.long_term_rate() == 25.0
+    for rate in (25.0, np.nextafter(25.0, 0.0)):
+        with pytest.raises(InstabilityError, match="reaches service rate"):
+            mp.deviations(mp.Affine(1000.0, rate), beta)
+    _, leftover = _gated_leftover(0.0, 0.0)
+    with pytest.raises(InstabilityError):
+        mp.deviations(mp.Affine(100.0, 80.0), leftover)
+
+
+def test_gated_curves_are_read_within_their_window_and_built_past_it():
+    stairs = mp.StaircaseMax([[(1000.0, 50.0, 250.0)]])
+    both = mp.sum_of([stairs, mp.TdmaService(10.0, 1000.0, [0.0], [100.0])])
+    assert (stairs.window, both.window) == (1000.0, 4000.0)
+    assert stairs.segments.end == 1000.0
+    spec = orc.CurveSpec("staircase", terms=((1000.0, 50.0, 250.0),))
+    ts = np.array([10.0, 300.0, 1000.0, 1000.5, 5050.0, 5050.5])
+    assert [stairs.evaluate(t) for t in ts] == pytest.approx(orc.oracle_eval(spec, ts).tolist())

@@ -38,8 +38,8 @@ def port_network(event_flows=(), tt_windows=(), gcl_period=1000.0, idle_slopes=N
     return net
 
 
-def make_ctx(net, arch_name, credit_mode=None, horizon=H):
-    return sh.ShaperContext(net, sh.parse_architecture(arch_name), credit_mode, horizon)
+def make_ctx(net, arch_name, credit_mode=None):
+    return sh.ShaperContext(net, sh.parse_architecture(arch_name), credit_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_context_defaults_the_credit_mode_to_frozen():
 
 def test_tt_arrival_single_window():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(0.0, 100.0),))
-    a = sh.tt_arrival_curve(gcl, [0.0], "TT", C, H)
+    a = sh.tt_arrival_curve(gcl, [0.0], "TT", C)
     assert a.evaluate(0.001) == pytest.approx(1e4)
     assert a.evaluate(1000.0) == pytest.approx(1e4)
     assert a.evaluate(1000.5) == pytest.approx(2e4)
@@ -93,7 +93,7 @@ def test_tt_arrival_single_window():
 
 def test_tt_arrival_guard_band_height():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(200.0, 100.0),))
-    a = sh.tt_arrival_curve(gcl, [121.76], "GB+TT", C, H)
+    a = sh.tt_arrival_curve(gcl, [121.76], "GB+TT", C)
     assert a.evaluate(0.001) == pytest.approx(22176.0)
 
 
@@ -114,7 +114,7 @@ def test_tt_arrival_two_windows_matches_enumeration():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(100.0, 150.0), nm.GclWindow(500.0, 80.0)))
     gbs = [40.0, 60.0]
     for variant in ("TT", "GB+TT"):
-        a = sh.tt_arrival_curve(gcl, gbs, variant, C, H)
+        a = sh.tt_arrival_curve(gcl, gbs, variant, C)
         for t in np.arange(0.7, 2500.0, 13.7):
             assert a.evaluate(t) == pytest.approx(
                 _window_start_oracle(gcl, gbs, variant, t), abs=1e-6)
@@ -156,11 +156,11 @@ def _folded_tt_arrival(gcl, guard_bands, variant, rate, horizon):
             oj = offs[j] + (gcl.period if jj >= n else 0.0)
             offset = oj - offs[i] + gbs[i] - gbs[j]
             terms.append(((lens[j] + gbs[j]) * rate, max(0.0, offset), gcl.period))
-        rotations.append(mp.StaircaseMax([terms], horizon))
-        seg = rotations[-1].segments
+        rotations.append(mp.StaircaseMax([terms]))
+        seg = mp._segments_on(rotations[-1], horizon)
         for got, want in zip((seg.t, seg.at, seg.right), _looped_staircase(terms, horizon)):
             assert np.array_equal(got, want)
-    segs = [r.segments for r in rotations]
+    segs = [mp._segments_on(r, horizon) for r in rotations]
     folded = segs[0] if n == 1 else orc.fold(segs, "max").compress()
     return folded, max(r.long_term_rate() for r in rotations)
 
@@ -199,10 +199,10 @@ def test_tt_arrival_one_pass_is_bit_identical_to_the_fold():
     cases += list(_random_schedules(np.random.default_rng(20240611), 150))
     for gcl, gbs, rate, horizon in cases:
         for variant in ("TT", "GB+TT"):
-            got = sh.tt_arrival_curve(gcl, gbs, variant, rate, horizon)
+            got = sh.tt_arrival_curve(gcl, gbs, variant, rate)
             want, rate_want = _folded_tt_arrival(gcl, gbs, variant, rate, horizon)
             for name in ("t", "at", "right", "slope"):
-                assert np.array_equal(getattr(got.segments, name), getattr(want, name)), \
+                assert np.array_equal(getattr(mp._segments_on(got, horizon), name), getattr(want, name)), \
                     (gcl, gbs, variant, name)
             assert got.long_term_rate() == rate_want
 
@@ -212,10 +212,10 @@ def test_gate_memo_is_shared_per_view_and_horizon():
                        tt_windows=[(0.0, 100.0), (500.0, 50.0)])
     view = net.indexed()
     gate = make_ctx(view, "TAS+SP").tt_arrival("L", "GB+TT")
-    # another architecture on the same view reuses it, another horizon or
-    # another view builds its own
+    # another architecture of the same setting on the same view reuses it,
+    # another credit mode or another view builds its own
     assert make_ctx(view, "TAS+ATS+SP").tt_arrival("L", "GB+TT") is gate
-    assert make_ctx(view, "TAS+SP", horizon=2 * H).tt_arrival("L", "GB+TT").horizon == 2 * H
+    assert make_ctx(view, "TAS+CBS", "nonfrozen").tt_arrival("L", "GB+TT") is not gate
     assert make_ctx(net.indexed(), "TAS+SP").tt_arrival("L", "GB+TT") is not gate
     # a gate-free architecture on the same view sees no gates, and the
     # gated analyses still find their own entry
@@ -225,7 +225,7 @@ def test_gate_memo_is_shared_per_view_and_horizon():
 
 def test_tt_service_single_window():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(0.0, 100.0),))
-    b = sh.tt_service_curve(gcl, C, H)
+    b = sh.tt_service_curve(gcl, C)
     assert b.evaluate(900.0) == 0.0
     assert b.evaluate(950.0) == pytest.approx(5000.0)
     assert b.evaluate(1000.0) == pytest.approx(1e4)
@@ -234,7 +234,7 @@ def test_tt_service_single_window():
 
 def test_tt_service_always_open_gate():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(0.0, 1000.0),))
-    b = sh.tt_service_curve(gcl, C, H)
+    b = sh.tt_service_curve(gcl, C)
     for t in (0.5, 123.4, 999.0, 4321.0):
         assert b.evaluate(t) == pytest.approx(C * t)
 
@@ -267,7 +267,7 @@ def test_tt_service_two_windows_matches_slot_enumeration():
             best = tot if best is None else min(best, tot)
         return C * best
 
-    b = sh.tt_service_curve(gcl, C, H)
+    b = sh.tt_service_curve(gcl, C)
     for t in np.arange(0.0, 3000.0, 11.3):
         assert b.evaluate(t) == pytest.approx(oracle(t), abs=1e-6)
 
@@ -278,7 +278,7 @@ def test_tt_service_two_windows_matches_slot_enumeration():
     assert {len(gcl.windows) for gcl, *_ in cases} == set(range(1, 13))
     for gcl, _, rate, horizon in cases:
         ts = np.linspace(0.0, min(2.5 * gcl.period, horizon), 23)
-        b = sh.tt_service_curve(gcl, rate, horizon)
+        b = sh.tt_service_curve(gcl, rate)
         want = _slot_enumeration(gcl, rate, ts)
         for t, v in zip(ts, want):
             assert b.evaluate(t) == pytest.approx(v, abs=1e-6), (gcl, rate, t)
@@ -288,17 +288,17 @@ class _Breakpoints(mp.Curve):
     """The reference's curve node: explicit breakpoints (t, value,
     right-slope) of a continuous curve."""
 
-    def __init__(self, breakpoints, horizon):
-        super().__init__(horizon=horizon)
+    def __init__(self, breakpoints):
+        super().__init__()
         pts = [(float(t), float(v), float(s)) for t, v, s in breakpoints]
         if pts[0][0] > 0.0:
             pts.insert(0, (0.0, 0.0, 0.0))
         self.breakpoints = tuple(pts)
 
-    def _build(self, horizon):
+    def _build(self, end):
         t, v, s = (np.array(col) for col in zip(*self.breakpoints))
-        keep = t <= self.horizon
-        return mp.Segments(t[keep], v[keep], v[keep], s[keep], self.horizon)
+        keep = t <= end
+        return mp.Segments(t[keep], v[keep], v[keep], s[keep], end)
 
     def long_term_rate(self):
         return self.breakpoints[-1][2]
@@ -320,7 +320,7 @@ def _per_period_tdma(rate, period, length, t0, horizon):
         if 0.0 <= ramp_end <= horizon:
             pts[ramp_end] = ((k + 1) * length * rate, 0.0)
         k += 1
-    return _Breakpoints([(t, v, s) for t, (v, s) in sorted(pts.items())], horizon)
+    return _Breakpoints([(t, v, s) for t, (v, s) in sorted(pts.items())])
 
 
 def _per_period_tt_service(gcl, rate, horizon):
@@ -342,7 +342,7 @@ def _per_period_tt_service(gcl, rate, horizon):
             t0 = period - lens[j] - oj + prev_end
             pieces.append(_per_period_tdma(rate, period, lens[j], t0, horizon))
         rotations.append(mp.sum_of(pieces))
-    segs = [r.segments for r in rotations]
+    segs = [mp._segments_on(r, horizon) for r in rotations]
     return segs[0] if n == 1 else orc.fold(segs, "min").compress()
 
 
@@ -352,11 +352,11 @@ def test_tt_service_one_period_matches_the_per_period_build():
     cases += [(gcl, rate, horizon) for gcl, _, rate, horizon
               in _random_schedules(np.random.default_rng(20240611), 150)]
     for gcl, rate, horizon in cases:
-        got = sh.tt_service_curve(gcl, rate, horizon)
+        got = mp._segments_on(sh.tt_service_curve(gcl, rate), horizon)
         want = _per_period_tt_service(gcl, rate, horizon)
-        assert got.segments.is_nondecreasing()
-        grid = np.unique(np.concatenate([got.segments.t, want.t]))
-        v_got, v_want = got.segments.value_many(grid), want.value_many(grid)
+        assert got.is_nondecreasing()
+        grid = np.unique(np.concatenate([got.t, want.t]))
+        v_got, v_want = got.value_many(grid), want.value_many(grid)
         # relative to the value, or near 0, where the two builds may place a
         # window start an ulp apart, to one period of service at full rate
         scale = np.maximum(np.abs(v_want), rate * gcl.period)
@@ -376,35 +376,41 @@ def test_tt_service_takes_its_min_on_one_period_and_repeats_it(monkeypatch):
         return pointwise(segs, op)
 
     monkeypatch.setattr(mp, "_pointwise", spy)
-    seg = sh.tt_service_curve(gcl, C, H).segments
+    seg = mp._segments_on(sh.tt_service_curve(gcl, C), H)
     assert len(operands) == len(gcl.windows)
-    assert {s.horizon for s in operands} == {gcl.period}
+    assert {s.end for s in operands} == {gcl.period}
     ts = np.linspace(0.0, H - gcl.period, 97)
     v, v_next = seg.value_many(ts), seg.value_many(ts + gcl.period)
     per_period = C * sum(w.length for w in gcl.windows)
     assert np.all(np.abs(v_next - v - per_period) <= 1e-12 * np.maximum(v_next, C * gcl.period))
     # an always-open gate at a rate that rounds: no jump is left at a
     # period's end, so the service is one segment
-    always = sh.tt_service_curve(nm.Gcl(1000.0, (nm.GclWindow(0.0, 1000.0),)), 100.0 / 3.0, H).segments
+    always = sh.tt_service_curve(nm.Gcl(1000.0, (nm.GclWindow(0.0, 1000.0),)), 100.0 / 3.0).segments
     assert always.t.tolist() == [0.0]
     # the one-period build needs every window within the period, and the
     # same open time per period in every rotation
     for starts, lengths in (([900.0], [150.0]), ([[0.0], [0.0]], [[100.0], [50.0]])):
         with pytest.raises(ValueError):
-            mp.TdmaService(C, 1000.0, starts, lengths, H)
+            mp.TdmaService(C, 1000.0, starts, lengths)
 
 
 def test_tt_service_long_term_rate_is_exact_at_every_horizon():
-    # horizons in a closed gap and in an open window: the rate is the open
-    # share of a period at the link rate, not the slope at the horizon
+    # windows that end in a closed gap and in an open window: the rate is
+    # the open share of a period at the link rate, not the slope at a
+    # window's end, and the curve at each end lies in its sandwich
     gcl = nm.Gcl(1000.0, (nm.GclWindow(100.0, 150.0), nm.GclWindow(500.0, 80.0)))
     net = port_network([("a", "AVB", 12176.0, 5, 1000.0)],
                        tt_windows=[(100.0, 150.0), (500.0, 80.0)], idle_slopes={5: 40.0}, be=True)
-    for horizon in (4000.0, 4120.0, 4300.0, 4560.0, 4700.0, 8000.0):
-        assert sh.tt_service_curve(gcl, C, horizon).long_term_rate() == 23.0
-        for mode in sh.CREDIT_MODES:
-            shaping = sh.cbs_shaping_curve(make_ctx(net, "TAS+CBS", mode, horizon), "L", 5)
-            assert shaping.long_term_rate() == pytest.approx(40.0 * (1.0 - 230.0 / 1000.0))
+    service = sh.tt_service_curve(gcl, C)
+    assert service.long_term_rate() == 23.0
+    rate, hi, lo = service.sandwich
+    for end in (4000.0, 4120.0, 4300.0, 4560.0, 4700.0, 8000.0):
+        seg = mp._segments_on(service, end)
+        assert seg.slope[-1] in (0.0, C)
+        assert rate * end - lo - 1e-9 <= seg.value(end) <= rate * end + hi + 1e-9
+    for mode in sh.CREDIT_MODES:
+        shaping = sh.cbs_shaping_curve(make_ctx(net, "TAS+CBS", mode), "L", 5)
+        assert shaping.long_term_rate() == pytest.approx(40.0 * (1.0 - 230.0 / 1000.0))
 
 
 def _brute_gb_intervals(gcl, guard_bands, periods):
@@ -599,12 +605,11 @@ def test_gated_top_services_are_one_batch_bit_identical_to_the_chain(monkeypatch
         build(curves)
 
     monkeypatch.setattr(mp, "build_leftovers", counted)
-    horizon = 7777.7  # off the period grid
-    ctx = make_ctx(net.indexed(), "TAS+SP", horizon=horizon)
+    ctx = make_ctx(net.indexed(), "TAS+SP")
     served = 0
     for link in gated + [no_windows]:
         rate = ctx.link_rate(link)
-        gate = sh.tt_arrival_curve(net.gcl(link), ctx.guard_bands(link), "GB+TT", rate, horizon)
+        gate = sh.tt_arrival_curve(net.gcl(link), ctx.guard_bands(link), "GB+TT", rate)
         if rate - gate.long_term_rate() <= mp.TOLERANCE:
             # windows and guard bands that fill the period
             with pytest.raises(StarvationError):
@@ -627,7 +632,7 @@ def test_gated_top_services_are_one_batch_bit_identical_to_the_chain(monkeypatch
 
 def test_build_leftovers_takes_only_a_line_less_one_scaled_staircase():
     gcl = nm.Gcl(1000.0, (nm.GclWindow(300.0, 100.0),))
-    gate = sh.tt_arrival_curve(gcl, [0.0], "TT", C, H)
+    gate = sh.tt_arrival_curve(gcl, [0.0], "TT", C)
     line = mp.Affine(-1000.0, C)
     others = [
         mp.leftover(line, [(-1.0, gate), (-1.0, mp.Affine(10.0, 1.0))]),
@@ -1028,7 +1033,7 @@ def test_arrival_curves_nondecreasing_and_weakly_subadditive():
     rng = np.random.default_rng(3)
     for seed in range(10):
         net = tg.generate("SRM", tg.GenSpec(target_load=0.3, seed=seed))
-        ctx = make_ctx(net, "ATS", horizon=nm.hyperperiod_horizon(net))
+        ctx = make_ctx(net, "ATS")
         for lid in sorted(net.links):
             for prio in ctx.priorities_at(lid):
                 alpha = sh.shared_queue_arrival_ats(ctx, lid, prio)
@@ -1036,7 +1041,27 @@ def test_arrival_curves_nondecreasing_and_weakly_subadditive():
                 assert seg.is_nondecreasing()
                 assert alpha.evaluate(0.0) == 0.0
                 for _ in range(5):
-                    t = float(rng.uniform(1.0, ctx.horizon))
+                    t = float(rng.uniform(1.0, nm.hyperperiod_horizon(net)))
                     s = float(rng.uniform(0.5, t))
                     assert (alpha.evaluate(t)
                             <= alpha.evaluate(s) + alpha.evaluate(t - s) + 1e-6)
+
+
+def test_gate_curves_of_a_network_lie_in_their_sandwiches():
+    # every gated port's staircases, TDMA service and, for each class, the
+    # credit shaping curve built from it, on a dense grid of three periods
+    from test_minplus import _assert_in_sandwich
+
+    net = tg.generate("MT", tg.GenSpec(target_load=0.5, tt_load_fraction=0.3, priorities=(6, 5), seed=0))
+    ctx = make_ctx(net, "TAS+CBS", "nonfrozen")
+    ports = 0
+    for link in sorted(net.links):
+        gcl = net.gcl(link)
+        if gcl is None or not gcl.windows:
+            continue
+        curves = [ctx.tt_arrival(link, "TT"), ctx.tt_arrival(link, "GB+TT"), ctx.tt_service(link)]
+        curves += [ctx.shaping_curve(link, p) for p in ctx.priorities_at(link)]
+        for curve in curves:
+            _assert_in_sandwich(curve, 3.0 * gcl.period)
+        ports += 1
+    assert ports > 5
